@@ -14,9 +14,10 @@
 //!
 //! A metric drifts when `|current - baseline| > abs_tol + rel_tol * |baseline|`,
 //! with the band chosen by the longest [`ToleranceBand`] prefix matching the
-//! metric name (falling back to the baseline's defaults). Wall-clock
-//! measurements (`sim.dispatch_us`, spans) are skipped by default — they
-//! are the one legitimately non-deterministic part of a report.
+//! metric name (falling back to the baseline's defaults). Spans are
+//! wall-clock and never compared; every other metric is deterministic per
+//! seed, so nothing is skipped by default. A baseline can still list name
+//! prefixes to exclude in its `skip` field.
 
 use enviromic_telemetry::TelemetryReport;
 use serde::{Deserialize, Serialize};
@@ -40,7 +41,7 @@ pub struct TelemetryBaseline {
     pub default_rel_tol: f64,
     /// Absolute tolerance for metrics without a matching band.
     pub default_abs_tol: f64,
-    /// Name prefixes excluded from the diff entirely (wall-clock noise).
+    /// Name prefixes excluded from the diff entirely.
     pub skip: Vec<String>,
     /// Per-prefix tolerance overrides.
     pub tolerances: Vec<ToleranceBand>,
@@ -51,13 +52,13 @@ pub struct TelemetryBaseline {
 impl TelemetryBaseline {
     /// Wraps `report` with the default policy: 2% relative drift, an
     /// absolute floor of 2.0 (so tiny counters don't trip on ±1), and
-    /// wall-clock metrics skipped.
+    /// nothing skipped.
     #[must_use]
     pub fn capture(report: TelemetryReport) -> TelemetryBaseline {
         TelemetryBaseline {
             default_rel_tol: 0.02,
             default_abs_tol: 2.0,
-            skip: vec!["sim.dispatch_us".into()],
+            skip: Vec::new(),
             tolerances: Vec::new(),
             report,
         }
@@ -284,7 +285,7 @@ mod tests {
         let reg = enviromic_telemetry::Registry::new();
         reg.counter("core.tasks.accepted").add(120);
         reg.counter("net.bulk.retries").add(7);
-        reg.counter("sim.dispatch_us").add(987_654);
+        reg.counter("host.noise").add(987_654);
         reg.gauge("core.balance.beta").set(1.35);
         let h = reg.histogram("net.task.delay_ms");
         for v in [10.0, 20.0, 30.0, 40.0] {
@@ -361,15 +362,17 @@ mod tests {
     }
 
     #[test]
-    fn skip_prefixes_suppress_wall_clock_noise() {
-        let baseline = TelemetryBaseline::capture(sample());
+    fn skip_prefixes_suppress_listed_metrics() {
+        let mut baseline = TelemetryBaseline::capture(sample());
         let mut cur = sample();
         cur.counters
             .iter_mut()
-            .find(|(n, _)| n == "sim.dispatch_us")
+            .find(|(n, _)| n == "host.noise")
             .unwrap()
             .1 = 5;
-        assert!(diff(&baseline, &cur).is_empty(), "wall-clock skipped");
+        assert_eq!(diff(&baseline, &cur).len(), 1, "nothing skipped by default");
+        baseline.skip = vec!["host.".into()];
+        assert!(diff(&baseline, &cur).is_empty(), "listed prefix skipped");
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use enviromic_types::{EventId, NodeId, SimTime, SourceId};
 use serde::{Deserialize, Serialize};
+use std::fmt::{self, Write as _};
 
 /// Why a recording attempt stored nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -260,17 +261,29 @@ impl Trace {
     ///
     /// Two traces digest equal iff they hold the same records in the same
     /// order, which is what the seeded-determinism regression guard
-    /// asserts across refactors.
+    /// asserts across refactors. The rendering streams straight into the
+    /// hash, so no record is ever formatted into a `String`.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        let mut sink = Fnv1a(0xCBF2_9CE4_8422_2325);
         for e in &self.events {
-            for b in format!("{e:?}").bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
+            write!(sink, "{e:?}").expect("hashing never fails");
         }
-        h
+        sink.0
+    }
+}
+
+/// A `fmt::Write` sink that folds every written byte into a 64-bit
+/// FNV-1a hash.
+struct Fnv1a(u64);
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        Ok(())
     }
 }
 
@@ -340,10 +353,9 @@ mod tests {
         assert_ne!(Trace::new().digest(), ab.digest());
     }
 
-    #[test]
-    fn time_accessor_covers_all_variants() {
-        let t = SimTime::from_jiffies(9);
-        let evs = [
+    /// One record of every [`TraceEvent`] variant, all at time `t`.
+    fn one_of_each(t: SimTime) -> Vec<TraceEvent> {
+        vec![
             TraceEvent::Recorded {
                 node: NodeId(0),
                 event: None,
@@ -363,6 +375,28 @@ mod tests {
                 t0: t,
                 t1: t,
                 bytes: 0,
+            },
+            TraceEvent::MessageSent {
+                node: NodeId(2),
+                kind: "TASK_REQUEST",
+                bytes: 12,
+                t,
+            },
+            TraceEvent::ChunkStored {
+                node: NodeId(1),
+                origin: NodeId(0),
+                event: Some(EventId::new(NodeId(0), 3)),
+                audio_t0: t,
+                audio_t1: t,
+                bytes: 232,
+                t,
+            },
+            TraceEvent::ChunkRemoved {
+                node: NodeId(1),
+                origin: NodeId(0),
+                audio_t0: t,
+                audio_t1: t,
+                t,
             },
             TraceEvent::Migrated {
                 from: NodeId(0),
@@ -397,9 +431,40 @@ mod tests {
                 node: Some(NodeId(0)),
                 t,
             },
-        ];
-        for e in evs {
+        ]
+    }
+
+    #[test]
+    fn time_accessor_covers_all_variants() {
+        let t = SimTime::from_jiffies(9);
+        for e in one_of_each(t) {
             assert_eq!(e.time(), t);
         }
+    }
+
+    /// The digest as first defined: FNV-1a over each record's `{:?}`
+    /// rendering, formatted into a `String` per record.
+    fn reference_digest(trace: &Trace) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        for e in trace {
+            for b in format!("{e:?}").bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn streamed_digest_matches_the_formatted_reference() {
+        let t = SimTime::from_jiffies(123_456);
+        let all = one_of_each(t);
+        assert_eq!(Trace::new().digest(), reference_digest(&Trace::new()));
+        for e in &all {
+            let one: Trace = std::iter::once(e.clone()).collect();
+            assert_eq!(one.digest(), reference_digest(&one), "{e:?}");
+        }
+        let whole: Trace = all.into_iter().collect();
+        assert_eq!(whole.digest(), reference_digest(&whole));
     }
 }

@@ -10,14 +10,11 @@ use crate::spatial::{AudibleIndex, NodeGrid};
 use enviromic_runtime::{
     Application, AudioBlock, EnergyModel, Runtime, Timer, TimerHandle, Trace, TraceEvent,
 };
-use enviromic_telemetry::{
-    Counter, Histogram, Registry, TelemetryReport, Timeline, TimelineReport,
-};
+use enviromic_telemetry::{Counter, Registry, TelemetryReport, Timeline, TimelineReport};
 use enviromic_types::{audio, Bytes, NodeId, Position, SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::HashSet;
-use std::time::Instant;
 
 /// Internal queue payloads.
 #[derive(Debug)]
@@ -154,7 +151,6 @@ struct SimMetrics {
     timers_fired: Counter,
     faults_injected: Counter,
     timeline_samples: Counter,
-    dispatch_us: Histogram,
 }
 
 impl SimMetrics {
@@ -168,7 +164,6 @@ impl SimMetrics {
             timers_fired: reg.counter("sim.timers.fired"),
             faults_injected: reg.counter("sim.faults.injected"),
             timeline_samples: reg.counter("sim.timeline.samples"),
-            dispatch_us: reg.histogram("sim.dispatch_us"),
         }
     }
 }
@@ -222,7 +217,10 @@ struct Inner {
 /// ([`World::trace`]) or inspect node state via [`World::app_as`].
 pub struct World {
     inner: Inner,
-    apps: Vec<Option<Box<dyn Application>>>,
+    /// One application per node, indexed by `NodeId::index()`. Kept apart
+    /// from `inner` so a callback borrows its app and the [`Context`] over
+    /// `inner` disjointly; a callback cannot reach `apps` at all.
+    apps: Vec<Box<dyn Application>>,
     started: bool,
     /// Events popped off the queue and dispatched so far — the
     /// denominator of ns/event throughput measurements.
@@ -323,7 +321,7 @@ impl World {
             rng,
             audio_rng,
         );
-        self.apps.push(Some(app));
+        self.apps.push(app);
         id
     }
 
@@ -485,18 +483,13 @@ impl World {
     /// Call at most once, after the last [`World::run_until`].
     pub fn finish(&mut self) {
         self.ensure_started();
-        for idx in 0..self.apps.len() {
+        for (idx, app) in self.apps.iter_mut().enumerate() {
             let node = NodeId::from_index(idx);
             self.inner.integrate_energy(node);
-            let mut app = self.apps[idx].take().expect("re-entrant finish");
-            {
-                let mut ctx = Context {
-                    inner: &mut self.inner,
-                    node,
-                };
-                app.on_finish(&mut ctx);
-            }
-            self.apps[idx] = Some(app);
+            app.on_finish(&mut Context {
+                inner: &mut self.inner,
+                node,
+            });
         }
     }
 
@@ -518,15 +511,10 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Panics if `node` was not added to this world or if called from
-    /// inside a dispatch (the slot is temporarily empty then).
+    /// Panics if `node` was not added to this world.
     #[must_use]
     pub fn app_as<T: Application + 'static>(&self, node: NodeId) -> Option<&T> {
-        self.apps[node.index()]
-            .as_ref()
-            .expect("app slot empty during dispatch")
-            .as_any()
-            .downcast_ref::<T>()
+        self.apps[node.index()].as_any().downcast_ref::<T>()
     }
 
     /// Mutably borrows the application running on `node`, downcast to `T`.
@@ -535,15 +523,10 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Panics if `node` was not added to this world or if called from
-    /// inside a dispatch.
+    /// Panics if `node` was not added to this world.
     #[must_use]
     pub fn app_as_mut<T: Application + 'static>(&mut self, node: NodeId) -> Option<&mut T> {
-        self.apps[node.index()]
-            .as_mut()
-            .expect("app slot empty during dispatch")
-            .as_any_mut()
-            .downcast_mut::<T>()
+        self.apps[node.index()].as_any_mut().downcast_mut::<T>()
     }
 
     /// Runs the simulation until the clock reaches `t_end` (inclusive of
@@ -603,24 +586,13 @@ impl World {
         if !self.inner.nodes.alive[node.index()] {
             return;
         }
-        let mut app = self.apps[node.index()]
-            .take()
-            .expect("re-entrant dispatch on one node");
-        {
-            let started = Instant::now();
-            let mut ctx = Context {
+        f(
+            self.apps[node.index()].as_mut(),
+            &mut Context {
                 inner: &mut self.inner,
                 node,
-            };
-            f(app.as_mut(), &mut ctx);
-            // Wall-clock cost of the callback; purely observational, so
-            // simulation determinism is unaffected.
-            self.inner
-                .metrics
-                .dispatch_us
-                .observe(started.elapsed().as_secs_f64() * 1e6);
-        }
-        self.apps[node.index()] = Some(app);
+            },
+        );
     }
 
     fn dispatch(&mut self, ev: Ev) {
@@ -703,7 +675,6 @@ impl World {
                 }
                 let t = self.inner.now;
                 for (idx, app) in self.apps.iter().enumerate() {
-                    let Some(app) = app.as_ref() else { continue };
                     if let Some(occ) = app.poll_occupancy() {
                         self.inner.trace.push(TraceEvent::Occupancy {
                             node: NodeId::from_index(idx),
@@ -778,7 +749,6 @@ impl World {
                     0.0
                 },
             );
-            let Some(app) = app.as_ref() else { continue };
             if let Some(probe) = app.poll_probe() {
                 let frac = if probe.occupancy.capacity == 0 {
                     0.0
@@ -1673,6 +1643,47 @@ mod tests {
             format!("{:?}", w.trace().events())
         };
         assert_eq!(run(42), run(42));
+    }
+
+    #[test]
+    fn identical_seeds_identical_telemetry() {
+        /// Chats like [`Chatter`] and feeds every level into a histogram.
+        struct LevelHistogram;
+        impl Application for LevelHistogram {
+            fn on_start(&mut self, ctx: &mut dyn Runtime) {
+                Chatter.on_start(ctx);
+            }
+            fn on_acoustic_level(&mut self, ctx: &mut dyn Runtime, level: f64) {
+                ctx.telemetry().histogram("test.level").observe(level);
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let run = || {
+            let mut w = World::new(WorldConfig::with_seed(42));
+            w.add_node(Position::new(0.0, 0.0), Box::new(LevelHistogram));
+            w.add_node(Position::new(1.0, 0.0), Box::new(LevelHistogram));
+            w.add_source(SourceSpec {
+                id: SourceId(1),
+                start: secs(0.5),
+                stop: secs(1.5),
+                amplitude: 100.0,
+                range_ft: 3.0,
+                motion: Motion::Static(Position::new(0.5, 0.0)),
+                waveform: Waveform::Noise,
+            })
+            .unwrap();
+            w.run_for_secs(2.0);
+            w.finish();
+            w.into_parts().1
+        };
+        let first = run();
+        assert!(!first.histograms.is_empty(), "no histogram recorded");
+        assert_eq!(first, run(), "same seed, different telemetry");
     }
 
     #[test]

@@ -631,20 +631,10 @@ mod tests {
         let pooled = run_sweep(&plan, 4);
         assert_eq!(serial.digests(), pooled.digests());
         // Counters merge in plan order, so the aggregates agree too.
-        // Wall-clock observations (spans, sim.dispatch_us) are excluded:
-        // they measure host timing, not simulation behaviour.
+        // Spans are excluded: they measure host timing, not simulation
+        // behaviour.
         assert_eq!(serial.aggregate.counters, pooled.aggregate.counters);
-        let behavioural = |r: &TelemetryReport| {
-            r.histograms
-                .iter()
-                .filter(|(k, _)| k != "sim.dispatch_us")
-                .cloned()
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            behavioural(&serial.aggregate),
-            behavioural(&pooled.aggregate)
-        );
+        assert_eq!(serial.aggregate.histograms, pooled.aggregate.histograms);
     }
 
     #[test]
