@@ -5,6 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use enviromic::core::{Mode, NodeConfig};
 use enviromic::harness::{indoor_world_config, run_scenario, ExperimentRun};
 use enviromic::metrics::{amplitude_envelope, best_xcorr, IntervalSet};
+use enviromic::types::MsgKind;
 use enviromic::workloads::{indoor_scenario, IndoorParams};
 
 fn sample_run() -> ExperimentRun {
@@ -32,7 +33,11 @@ fn bench_metrics(c: &mut Criterion) {
     group.bench_function("message_series", |b| {
         b.iter(|| {
             black_box(run.experiment().message_series(
-                &["TASK_REQUEST", "TASK_CONFIRM", "BULK_DATA"],
+                &[
+                    MsgKind::TaskRequest,
+                    MsgKind::TaskConfirm,
+                    MsgKind::BulkData,
+                ],
                 300.0,
                 30.0,
             ))

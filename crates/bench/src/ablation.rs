@@ -27,7 +27,7 @@ use enviromic::metrics::mean;
 use enviromic::runtime::EnergyModel;
 use enviromic::sim::TraceEvent;
 use enviromic::sweep::{run_sweep, JobInput, JobOutcome, ScenarioSpec, SweepPlan};
-use enviromic::types::SimDuration;
+use enviromic::types::{MsgKind, SimDuration};
 use enviromic::workloads::{forest_scenario, indoor_scenario, ForestParams, IndoorParams};
 use serde::{Deserialize, Serialize};
 
@@ -168,7 +168,12 @@ pub const POLICY_FLASH_CHUNKS: u32 = 180;
 
 /// The message kinds that make up the migration choreography; their
 /// transmit time prices the `migration_energy_mj` column.
-const MIGRATION_KINDS: [&str; 4] = ["MIGRATE_OFFER", "MIGRATE_ACCEPT", "BULK_DATA", "BULK_ACK"];
+const MIGRATION_KINDS: [MsgKind; 4] = [
+    MsgKind::MigrateOffer,
+    MsgKind::MigrateAccept,
+    MsgKind::BulkData,
+    MsgKind::BulkAck,
+];
 
 fn policy_cfg(kind: PolicyKind) -> NodeConfig {
     NodeConfig::default()

@@ -10,6 +10,7 @@
 use enviromic::core::{Mode, NodeConfig};
 use enviromic::harness::run_scenario;
 use enviromic::sim::{RecordKind, TraceEvent};
+use enviromic::types::MsgKind;
 use enviromic::workloads::{indoor_scenario, IndoorParams};
 use enviromic_bench::indoor::suite_world_config;
 use enviromic_telemetry::{log, log_info};
@@ -137,10 +138,10 @@ fn main() {
         .filter(|e| matches!(e, TraceEvent::RecordDropped { .. }))
         .count();
     println!("migrated chunks: {migrated}  possible-duplicate chunks: {dup_chunks}  drop events: {dropped}");
-    let mut kinds: std::collections::BTreeMap<&str, u64> = Default::default();
+    let mut kinds: std::collections::BTreeMap<MsgKind, u64> = Default::default();
     for e in run.trace.iter() {
         if let TraceEvent::MessageSent { kind, .. } = e {
-            *kinds.entry(kind).or_default() += 1;
+            *kinds.entry(*kind).or_default() += 1;
         }
     }
     println!("message census: {kinds:?}");

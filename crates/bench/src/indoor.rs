@@ -18,21 +18,21 @@ use enviromic::harness::{indoor_world_config, ExperimentRun};
 use enviromic::metrics::{ContourGrid, Experiment};
 use enviromic::sweep::{run_sweep, JobInput, ScenarioSpec, SweepPlan};
 use enviromic::telemetry::TelemetryReport;
-use enviromic::types::SimDuration;
+use enviromic::types::{MsgKind, SimDuration};
 use enviromic::workloads::{indoor_scenario, IndoorParams, Topology};
 
 /// Message kinds counted as "control messages" in Figs. 12/14 (task
 /// assignment plus load transfer, per the paper's definition).
-pub const CONTROL_KINDS: &[&str] = &[
-    "LEADER_ANNOUNCE",
-    "RESIGN",
-    "TASK_REQUEST",
-    "TASK_CONFIRM",
-    "TASK_REJECT",
-    "MIGRATE_OFFER",
-    "MIGRATE_ACCEPT",
-    "BULK_DATA",
-    "BULK_ACK",
+pub const CONTROL_KINDS: &[MsgKind] = &[
+    MsgKind::LeaderAnnounce,
+    MsgKind::Resign,
+    MsgKind::TaskRequest,
+    MsgKind::TaskConfirm,
+    MsgKind::TaskReject,
+    MsgKind::MigrateOffer,
+    MsgKind::MigrateAccept,
+    MsgKind::BulkData,
+    MsgKind::BulkAck,
 ];
 
 /// The five compared settings of Fig. 10.

@@ -430,13 +430,13 @@ impl EnviroMicNode {
     /// piggybacked passengers; delay-tolerant traffic waits for a ride.
     pub(crate) fn send(&mut self, ctx: &mut dyn Runtime, msg: Message) {
         if !self.cfg.piggybacking {
-            let kind = msg.kind();
+            let kind = msg.kind().label();
             let bytes = enviromic_net::encode_envelope(core::slice::from_ref(&msg));
             ctx.broadcast(kind, bytes);
             return;
         }
         if msg.is_delay_sensitive() {
-            let kind = msg.kind();
+            let kind = msg.kind().label();
             let envelope = self.piggyback.compose(msg);
             let bytes = enviromic_net::encode_envelope(&envelope);
             ctx.broadcast(kind, bytes);
@@ -454,7 +454,7 @@ impl EnviroMicNode {
     fn flush_piggyback(&mut self, ctx: &mut dyn Runtime) {
         let due = self.piggyback.flush_due(ctx.now());
         if !due.is_empty() {
-            let kind = due[0].kind();
+            let kind = due[0].kind().label();
             let bytes = enviromic_net::encode_envelope(&due);
             ctx.broadcast(kind, bytes);
         }

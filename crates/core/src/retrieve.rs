@@ -410,7 +410,7 @@ impl DataMule {
     }
 
     fn broadcast(&self, ctx: &mut dyn Runtime, msg: Message) {
-        let kind = msg.kind();
+        let kind = msg.kind().label();
         let bytes = encode_envelope(core::slice::from_ref(&msg));
         ctx.broadcast(kind, bytes);
     }

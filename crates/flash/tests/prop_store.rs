@@ -128,12 +128,13 @@ proptest! {
         }
     }
 
-    /// Chunk encode/decode round-trips for arbitrary metadata and payloads.
+    /// Chunk encode/decode round-trips for arbitrary metadata and payloads,
+    /// node IDs up to the header's 24-bit origin and 23-bit leader limits.
     #[test]
     fn chunk_codec_round_trips(
-        origin in 0u16..u16::MAX,
+        origin in 0u32..=(1 << 24) - 1,
         has_event in any::<bool>(),
-        leader in 0u16..u16::MAX,
+        leader in 0u32..=(1 << 23) - 1,
         evseq in any::<u32>(),
         jiffies in 0u64..(1u64 << 48),
         payload in proptest::collection::vec(any::<u8>(), 0..=232),
@@ -151,5 +152,23 @@ proptest! {
         let (decoded, seq) = Chunk::decode(&block).unwrap();
         prop_assert_eq!(decoded, c);
         prop_assert_eq!(seq, store_seq);
+    }
+
+    /// Decoding an arbitrary block returns a chunk or an error, never a
+    /// panic, and a decoded chunk re-encodes (its IDs fit the header) to a
+    /// block that decodes to the same chunk.
+    #[test]
+    fn chunk_decode_never_panics(
+        bytes in proptest::collection::vec(any::<u8>(), 256),
+        magic in any::<bool>(),
+    ) {
+        let mut block: [u8; 256] = bytes.try_into().expect("256 bytes");
+        if magic {
+            block[0] = 0xEC;
+        }
+        if let Ok((chunk, seq)) = Chunk::decode(&block) {
+            let again = chunk.encode(seq);
+            prop_assert_eq!(Chunk::decode(&again), Ok((chunk, seq)));
+        }
     }
 }

@@ -9,7 +9,7 @@
 use crate::intervals::IntervalSet;
 use enviromic_sim::acoustics::{SourceId, SourceSpec};
 use enviromic_sim::{RecordKind, Trace, TraceEvent};
-use enviromic_types::{NodeId, Position, SimTime, JIFFIES_PER_SEC};
+use enviromic_types::{MsgKind, NodeId, Position, SimTime, JIFFIES_PER_SEC};
 use std::collections::HashMap;
 
 /// A trace paired with its ground truth.
@@ -215,7 +215,7 @@ impl<'a> Experiment<'a> {
     #[must_use]
     pub fn message_series(
         &self,
-        kinds: &[&str],
+        kinds: &[MsgKind],
         horizon_secs: f64,
         sample_secs: f64,
     ) -> Vec<SeriesPoint> {
@@ -243,7 +243,7 @@ impl<'a> Experiment<'a> {
 
     /// Per-node counts of the given message kinds (Fig. 14).
     #[must_use]
-    pub fn per_node_message_counts(&self, kinds: &[&str]) -> Vec<u64> {
+    pub fn per_node_message_counts(&self, kinds: &[MsgKind]) -> Vec<u64> {
         let mut counts = vec![0u64; self.positions.len()];
         for e in self.trace.iter() {
             if let TraceEvent::MessageSent { node, kind, .. } = e {
@@ -551,19 +551,19 @@ mod tests {
         let trace: Trace = vec![
             TraceEvent::MessageSent {
                 node: NodeId(0),
-                kind: "TASK_REQUEST",
+                kind: MsgKind::TaskRequest,
                 bytes: 10,
                 t: t(1.0),
             },
             TraceEvent::MessageSent {
                 node: NodeId(0),
-                kind: "SENSING",
+                kind: MsgKind::Sensing,
                 bytes: 10,
                 t: t(2.0),
             },
             TraceEvent::MessageSent {
                 node: NodeId(1),
-                kind: "TASK_REQUEST",
+                kind: MsgKind::TaskRequest,
                 bytes: 10,
                 t: t(3.0),
             },
@@ -572,9 +572,12 @@ mod tests {
         .collect();
         let positions = [Position::new(0.0, 0.0), Position::new(1.0, 0.0)];
         let exp = Experiment::new(&trace, &[], &positions);
-        let series = exp.message_series(&["TASK_REQUEST"], 4.0, 2.0);
+        let series = exp.message_series(&[MsgKind::TaskRequest], 4.0, 2.0);
         assert_eq!(series, vec![(2.0, 1.0), (4.0, 2.0)]);
-        assert_eq!(exp.per_node_message_counts(&["TASK_REQUEST"]), vec![1, 1]);
+        assert_eq!(
+            exp.per_node_message_counts(&[MsgKind::TaskRequest]),
+            vec![1, 1]
+        );
     }
 
     #[test]

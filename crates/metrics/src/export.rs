@@ -76,7 +76,12 @@ pub fn write_csv<W: Write>(trace: &Trace, mut out: W) -> io::Result<()> {
             ),
             TraceEvent::MessageSent {
                 node, kind, bytes, ..
-            } => format!("{t:.4},message,{},,,,,{},{}", node.0, bytes, esc(kind)),
+            } => format!(
+                "{t:.4},message,{},,,,,{},{}",
+                node.0,
+                bytes,
+                esc(kind.label())
+            ),
             TraceEvent::ChunkStored {
                 node,
                 origin,
@@ -142,7 +147,7 @@ pub fn write_csv<W: Write>(trace: &Trace, mut out: W) -> io::Result<()> {
             TraceEvent::FaultInjected { kind, node, .. } => format!(
                 "{t:.4},fault,{},,,,,,{}",
                 node.map(|n| n.0.to_string()).unwrap_or_default(),
-                esc(kind)
+                esc(kind.label())
             ),
         };
         writeln!(out, "{row}")?;
@@ -154,7 +159,7 @@ pub fn write_csv<W: Write>(trace: &Trace, mut out: W) -> io::Result<()> {
 mod tests {
     use super::*;
     use enviromic_sim::RecordKind;
-    use enviromic_types::{EventId, NodeId, SimTime};
+    use enviromic_types::{EventId, MsgKind, NodeId, SimTime};
 
     fn t(secs: f64) -> SimTime {
         SimTime::from_jiffies((secs * 32_768.0) as u64)
@@ -173,7 +178,7 @@ mod tests {
             },
             TraceEvent::MessageSent {
                 node: NodeId(4),
-                kind: "SENSING",
+                kind: MsgKind::Sensing,
                 bytes: 12,
                 t: t(1.5),
             },
@@ -199,7 +204,7 @@ mod tests {
     #[test]
     fn all_variants_export_without_panicking() {
         use enviromic_sim::acoustics::SourceId;
-        use enviromic_sim::DropReason;
+        use enviromic_sim::{DropReason, FaultKind};
         let trace: Trace = vec![
             TraceEvent::RecordDropped {
                 node: NodeId(0),
@@ -257,12 +262,19 @@ mod tests {
                 source: SourceId(9),
                 t: t(0.7),
             },
+            TraceEvent::FaultInjected {
+                kind: FaultKind::BlackoutStart,
+                node: None,
+                t: t(0.8),
+            },
         ]
         .into_iter()
         .collect();
         let mut buf = Vec::new();
         write_csv(&trace, &mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap().lines().count(), 10);
+        let text = String::from_utf8(buf).unwrap();
+        assert_eq!(text.lines().count(), 11);
+        assert!(text.ends_with(",fault,,,,,,,BLACKOUT_START\n"), "{text}");
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl PiggybackQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enviromic_types::NodeId;
+    use enviromic_types::{MsgKind, NodeId};
 
     fn state_update(n: u32) -> Message {
         Message::StateUpdate {
@@ -125,7 +125,7 @@ mod tests {
         q.enqueue(t(0), state_update(2));
         let envelope = q.compose(sensitive());
         assert_eq!(envelope.len(), 3);
-        assert_eq!(envelope[0].kind(), "LEADER_ANNOUNCE");
+        assert_eq!(envelope[0].kind(), MsgKind::LeaderAnnounce);
         assert!(q.is_empty());
     }
 

@@ -245,7 +245,7 @@ mod tests {
                 chunk,
                 ..
             } => (*session, *seq, *last, chunk.clone()),
-            other => panic!("expected BulkData, got {}", other.kind()),
+            other => panic!("expected BulkData, got {:?}", other.kind()),
         }
     }
 

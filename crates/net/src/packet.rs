@@ -12,7 +12,7 @@
 
 use crate::wire::{Reader, WireError, Writer};
 use enviromic_flash::{Chunk, ChunkMeta};
-use enviromic_types::{Bytes, EventId, NodeId, SimDuration, SimTime};
+use enviromic_types::{Bytes, EventId, MsgKind, NodeId, SimDuration, SimTime};
 
 /// A protocol message.
 #[derive(Debug, Clone, PartialEq)]
@@ -301,26 +301,26 @@ fn read_chunk(r: &mut Reader<'_>) -> Result<Chunk, WireError> {
 }
 
 impl Message {
-    /// A short static label for tracing and message censuses (Fig. 12).
+    /// The message's kind, for tracing and message censuses (Fig. 12).
     #[must_use]
-    pub fn kind(&self) -> &'static str {
+    pub fn kind(&self) -> MsgKind {
         match self {
-            Message::Sensing { .. } => "SENSING",
-            Message::LeaderAnnounce { .. } => "LEADER_ANNOUNCE",
-            Message::Resign { .. } => "RESIGN",
-            Message::TaskRequest { .. } => "TASK_REQUEST",
-            Message::TaskConfirm { .. } => "TASK_CONFIRM",
-            Message::TaskReject { .. } => "TASK_REJECT",
-            Message::StateUpdate { .. } => "STATE_UPDATE",
-            Message::MigrateOffer { .. } => "MIGRATE_OFFER",
-            Message::MigrateAccept { .. } => "MIGRATE_ACCEPT",
-            Message::BulkData { .. } => "BULK_DATA",
-            Message::BulkAck { .. } => "BULK_ACK",
-            Message::TimeSync { .. } => "TIME_SYNC",
-            Message::TreeBuild { .. } => "TREE_BUILD",
-            Message::Query { .. } => "QUERY",
-            Message::QueryData { .. } => "QUERY_DATA",
-            Message::QueryDone { .. } => "QUERY_DONE",
+            Message::Sensing { .. } => MsgKind::Sensing,
+            Message::LeaderAnnounce { .. } => MsgKind::LeaderAnnounce,
+            Message::Resign { .. } => MsgKind::Resign,
+            Message::TaskRequest { .. } => MsgKind::TaskRequest,
+            Message::TaskConfirm { .. } => MsgKind::TaskConfirm,
+            Message::TaskReject { .. } => MsgKind::TaskReject,
+            Message::StateUpdate { .. } => MsgKind::StateUpdate,
+            Message::MigrateOffer { .. } => MsgKind::MigrateOffer,
+            Message::MigrateAccept { .. } => MsgKind::MigrateAccept,
+            Message::BulkData { .. } => MsgKind::BulkData,
+            Message::BulkAck { .. } => MsgKind::BulkAck,
+            Message::TimeSync { .. } => MsgKind::TimeSync,
+            Message::TreeBuild { .. } => MsgKind::TreeBuild,
+            Message::Query { .. } => MsgKind::Query,
+            Message::QueryData { .. } => MsgKind::QueryData,
+            Message::QueryDone { .. } => MsgKind::QueryDone,
         }
     }
 
@@ -873,13 +873,28 @@ mod tests {
     }
 
     #[test]
+    fn kinds_cover_every_msg_kind_with_distinct_labels() {
+        let mut kinds: Vec<MsgKind> = all_messages().iter().map(Message::kind).collect();
+        kinds.dedup();
+        assert_eq!(
+            kinds,
+            MsgKind::ALL,
+            "one kind per message type, in tag order"
+        );
+        let mut labels: Vec<&str> = MsgKind::ALL.iter().map(|k| k.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), MsgKind::ALL.len(), "labels are distinct");
+    }
+
+    #[test]
     fn control_messages_are_small() {
         // Control traffic must fit comfortably in a mote packet (~100 B).
         for m in all_messages() {
             if !matches!(m, Message::BulkData { .. } | Message::QueryData { .. }) {
                 assert!(
                     m.encoded_len() <= 32,
-                    "{} is {}B",
+                    "{:?} is {}B",
                     m.kind(),
                     m.encoded_len()
                 );

@@ -1,5 +1,7 @@
 //! Property tests: every expressible message survives a wire round trip,
-//! in arbitrary envelope groupings, and the decoder never panics on junk.
+//! in arbitrary envelope groupings, and the decoder never panics on junk
+//! or truncated input. Node IDs mix the two-byte form with the
+//! escape-coded wide form (sentinel plus `u32`).
 
 use enviromic_flash::{Chunk, ChunkMeta};
 use enviromic_net::{decode_envelope, encode_envelope, Message};
@@ -7,11 +9,14 @@ use enviromic_types::{EventId, NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
 
 fn arb_node() -> impl Strategy<Value = NodeId> {
-    any::<u16>().prop_map(NodeId::from)
+    prop_oneof![
+        any::<u16>().prop_map(NodeId::from),
+        (0xFFFFu32..=u32::MAX).prop_map(NodeId::from),
+    ]
 }
 
 fn arb_event() -> impl Strategy<Value = EventId> {
-    (any::<u16>(), any::<u32>()).prop_map(|(l, s)| EventId::new(NodeId::from(l), s))
+    (arb_node(), any::<u32>()).prop_map(|(l, s)| EventId::new(l, s))
 }
 
 fn arb_time() -> impl Strategy<Value = SimTime> {
@@ -206,6 +211,14 @@ proptest! {
     #[test]
     fn decoder_never_panics_on_junk(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
         let _ = decode_envelope(&bytes);
+    }
+
+    #[test]
+    fn every_strict_prefix_is_rejected(m in arb_message()) {
+        let bytes = m.encode();
+        for len in 0..bytes.len() {
+            prop_assert!(decode_envelope(&bytes[..len]).is_err(), "prefix of {} bytes decoded", len);
+        }
     }
 
     #[test]

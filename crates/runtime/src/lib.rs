@@ -25,12 +25,12 @@
 //!
 //! ```
 //! use enviromic_runtime::{Application, MockRuntime, Runtime};
-//! use enviromic_types::{NodeId, SimDuration};
+//! use enviromic_types::{MsgKind, NodeId, SimDuration};
 //!
 //! struct Hello;
 //! impl Application for Hello {
 //!     fn on_start(&mut self, ctx: &mut dyn Runtime) {
-//!         ctx.broadcast("HELLO", vec![0x01].into());
+//!         ctx.broadcast(MsgKind::Sensing.label(), vec![0x01].into());
 //!         ctx.set_timer(SimDuration::from_millis(10), 7);
 //!     }
 //!     fn as_any(&self) -> &dyn core::any::Any { self }
@@ -41,7 +41,7 @@
 //! let mut app = Hello;
 //! rt.start(&mut app);
 //! assert_eq!(rt.sent().len(), 1);
-//! assert_eq!(rt.sent()[0].kind, "HELLO");
+//! assert_eq!(rt.sent()[0].kind, MsgKind::Sensing);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -57,4 +57,4 @@ pub use app::{Application, AudioBlock, NodeProbe, NodeRole, StorageOccupancy, Ti
 pub use energy::EnergyModel;
 pub use mock::{MockRuntime, SentPacket};
 pub use runtime::Runtime;
-pub use trace::{DropReason, RecordKind, Trace, TraceEvent};
+pub use trace::{DropReason, FaultKind, RecordKind, Trace, TraceEvent};

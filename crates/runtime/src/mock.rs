@@ -9,7 +9,7 @@
 
 use crate::{Application, AudioBlock, EnergyModel, Runtime, Timer, TimerHandle, Trace, TraceEvent};
 use enviromic_telemetry::Registry;
-use enviromic_types::{Bytes, NodeId, Position, SimDuration, SimTime};
+use enviromic_types::{Bytes, MsgKind, NodeId, Position, SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -18,7 +18,7 @@ use std::collections::HashSet;
 #[derive(Debug, Clone)]
 pub struct SentPacket {
     /// The protocol-level message kind.
-    pub kind: &'static str,
+    pub kind: MsgKind,
     /// The encoded payload.
     pub bytes: Bytes,
     /// Send time (global clock).
@@ -305,6 +305,7 @@ impl Runtime for MockRuntime {
         if !self.radio_on || self.energy_mj <= 0.0 {
             return false;
         }
+        let kind = MsgKind::from_label(kind).expect("broadcast kind is a MsgKind label");
         self.trace.push(TraceEvent::MessageSent {
             node: self.node,
             kind,
@@ -438,11 +439,11 @@ mod tests {
     #[test]
     fn broadcast_suppressed_when_radio_off() {
         let mut rt = MockRuntime::new(NodeId(0));
-        assert!(rt.broadcast("A", vec![0].into()));
+        assert!(rt.broadcast("SENSING", vec![0].into()));
         rt.set_radio(false);
-        assert!(!rt.broadcast("B", vec![0].into()));
+        assert!(!rt.broadcast("TIME_SYNC", vec![0].into()));
         assert_eq!(rt.sent().len(), 1);
-        assert_eq!(rt.sent()[0].kind, "A");
+        assert_eq!(rt.sent()[0].kind, MsgKind::Sensing);
         assert_eq!(rt.captured_trace().len(), 1);
     }
 

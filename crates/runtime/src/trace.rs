@@ -12,8 +12,8 @@
 //! [`crate::Runtime::telemetry`], which aggregates live counters, latency
 //! histograms, and wall-clock span timings while a run executes.
 
-use enviromic_types::{EventId, NodeId, SimTime, SourceId};
-use serde::{Deserialize, Serialize};
+use enviromic_types::{EventId, MsgKind, NodeId, SimTime, SourceId};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt::{self, Write as _};
 
 /// Why a recording attempt stored nothing.
@@ -36,8 +36,87 @@ pub enum RecordKind {
     Baseline,
 }
 
+/// The kind of a scheduled fault, as its [`TraceEvent::FaultInjected`]
+/// marker labels it.
+///
+/// Like [`MsgKind`], `Debug` prints the quoted label and serde reads and
+/// writes it as a string.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum FaultKind {
+    /// A node crashed.
+    Crash,
+    /// A node rebooted through flash recovery.
+    Reboot,
+    /// A radio blackout began.
+    BlackoutStart,
+    /// A radio blackout ended.
+    BlackoutEnd,
+    /// A link-degrade window opened.
+    DegradeStart,
+    /// A link-degrade window closed.
+    DegradeEnd,
+    /// A flash block went bad.
+    FlashBadBlock,
+}
+
+impl FaultKind {
+    /// Every kind.
+    pub const ALL: [FaultKind; 7] = [
+        FaultKind::Crash,
+        FaultKind::Reboot,
+        FaultKind::BlackoutStart,
+        FaultKind::BlackoutEnd,
+        FaultKind::DegradeStart,
+        FaultKind::DegradeEnd,
+        FaultKind::FlashBadBlock,
+    ];
+
+    /// The kind's trace label (e.g. `"CRASH"`).
+    #[must_use]
+    pub const fn label(self) -> &'static str {
+        match self {
+            FaultKind::Crash => "CRASH",
+            FaultKind::Reboot => "REBOOT",
+            FaultKind::BlackoutStart => "BLACKOUT_START",
+            FaultKind::BlackoutEnd => "BLACKOUT_END",
+            FaultKind::DegradeStart => "DEGRADE_START",
+            FaultKind::DegradeEnd => "DEGRADE_END",
+            FaultKind::FlashBadBlock => "FLASH_BAD_BLOCK",
+        }
+    }
+
+    /// The kind whose [`FaultKind::label`] is `label`, if any.
+    #[must_use]
+    pub fn from_label(label: &str) -> Option<FaultKind> {
+        FaultKind::ALL.into_iter().find(|k| k.label() == label)
+    }
+}
+
+impl fmt::Debug for FaultKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.label(), f)
+    }
+}
+
+impl Serialize for FaultKind {
+    fn to_value(&self) -> Value {
+        Value::Str(self.label().to_string())
+    }
+}
+
+impl Deserialize for FaultKind {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        v.as_str()
+            .and_then(FaultKind::from_label)
+            .ok_or_else(|| DeError::custom(format!("expected a fault kind label, got {v:?}")))
+    }
+}
+
 /// One trace record.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+///
+/// Records serialize and deserialize losslessly, so a dumped trace reads
+/// back as the same records (the `trace` explorer's input).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum TraceEvent {
     /// A node stored an interval of audio in its local chunk store.
     Recorded {
@@ -82,8 +161,8 @@ pub enum TraceEvent {
     MessageSent {
         /// Sending node.
         node: NodeId,
-        /// Protocol-level message kind (e.g. `"TASK_REQUEST"`).
-        kind: &'static str,
+        /// Protocol-level message kind.
+        kind: MsgKind,
         /// Encoded size in bytes.
         bytes: u32,
         /// Send time (global clock).
@@ -184,8 +263,8 @@ pub enum TraceEvent {
     /// afflicted node; analysis correlates protocol behaviour against
     /// these markers.
     FaultInjected {
-        /// Fault kind (e.g. `"CRASH"`, `"REBOOT"`, `"BLACKOUT_START"`).
-        kind: &'static str,
+        /// Fault kind.
+        kind: FaultKind,
         /// Afflicted node, when the fault is node-scoped.
         node: Option<NodeId>,
         /// Injection time (global clock).
@@ -211,6 +290,61 @@ impl TraceEvent {
             | TraceEvent::SourceStarted { t, .. }
             | TraceEvent::SourceStopped { t, .. }
             | TraceEvent::FaultInjected { t, .. } => t,
+        }
+    }
+
+    /// The record's variant name (the `trace` explorer's `--kind`
+    /// vocabulary).
+    #[must_use]
+    pub fn kind_name(&self) -> &'static str {
+        match self {
+            TraceEvent::Recorded { .. } => "Recorded",
+            TraceEvent::RecordDropped { .. } => "RecordDropped",
+            TraceEvent::Erased { .. } => "Erased",
+            TraceEvent::MessageSent { .. } => "MessageSent",
+            TraceEvent::ChunkStored { .. } => "ChunkStored",
+            TraceEvent::ChunkRemoved { .. } => "ChunkRemoved",
+            TraceEvent::Migrated { .. } => "Migrated",
+            TraceEvent::LeaderElected { .. } => "LeaderElected",
+            TraceEvent::Occupancy { .. } => "Occupancy",
+            TraceEvent::SourceStarted { .. } => "SourceStarted",
+            TraceEvent::SourceStopped { .. } => "SourceStopped",
+            TraceEvent::FaultInjected { .. } => "FaultInjected",
+        }
+    }
+
+    /// True when the record concerns `node` (either endpoint of a
+    /// migration; the afflicted node of a node-scoped fault; source
+    /// markers concern no node).
+    #[must_use]
+    pub fn involves(&self, node: NodeId) -> bool {
+        match *self {
+            TraceEvent::Recorded { node: n, .. }
+            | TraceEvent::RecordDropped { node: n, .. }
+            | TraceEvent::Erased { node: n, .. }
+            | TraceEvent::MessageSent { node: n, .. }
+            | TraceEvent::LeaderElected { node: n, .. }
+            | TraceEvent::Occupancy { node: n, .. } => n == node,
+            TraceEvent::ChunkStored {
+                node: n, origin, ..
+            }
+            | TraceEvent::ChunkRemoved {
+                node: n, origin, ..
+            } => n == node || origin == node,
+            TraceEvent::Migrated { from, to, .. } => from == node || to == node,
+            TraceEvent::FaultInjected { node: n, .. } => n == Some(node),
+            TraceEvent::SourceStarted { .. } | TraceEvent::SourceStopped { .. } => false,
+        }
+    }
+
+    /// The record's protocol-level label, when it has one (`MessageSent`
+    /// message kinds, `FaultInjected` fault kinds).
+    #[must_use]
+    pub fn label(&self) -> Option<&'static str> {
+        match *self {
+            TraceEvent::MessageSent { kind, .. } => Some(kind.label()),
+            TraceEvent::FaultInjected { kind, .. } => Some(kind.label()),
+            _ => None,
         }
     }
 }
@@ -317,7 +451,7 @@ mod tests {
     fn sample_event(t: u64) -> TraceEvent {
         TraceEvent::MessageSent {
             node: NodeId(1),
-            kind: "SENSING",
+            kind: MsgKind::Sensing,
             bytes: 12,
             t: SimTime::from_jiffies(t),
         }
@@ -378,7 +512,7 @@ mod tests {
             },
             TraceEvent::MessageSent {
                 node: NodeId(2),
-                kind: "TASK_REQUEST",
+                kind: MsgKind::TaskRequest,
                 bytes: 12,
                 t,
             },
@@ -427,7 +561,7 @@ mod tests {
                 t,
             },
             TraceEvent::FaultInjected {
-                kind: "CRASH",
+                kind: FaultKind::Crash,
                 node: Some(NodeId(0)),
                 t,
             },
@@ -466,5 +600,74 @@ mod tests {
         }
         let whole: Trace = all.into_iter().collect();
         assert_eq!(whole.digest(), reference_digest(&whole));
+    }
+
+    /// The digest of one record of every variant, pinned: message and
+    /// fault kinds must hash as their quoted labels, or every golden
+    /// digest moves.
+    #[test]
+    fn one_of_each_digest_is_pinned() {
+        let whole: Trace = one_of_each(SimTime::from_jiffies(123_456))
+            .into_iter()
+            .collect();
+        assert_eq!(whole.digest(), 0xff1f_6256_6340_bb98);
+    }
+
+    #[test]
+    fn kinds_render_parse_and_serialize_as_their_labels() {
+        fn check<K: Copy + PartialEq + fmt::Debug + Serialize + Deserialize>(
+            k: K,
+            label: &str,
+            from_label: fn(&str) -> Option<K>,
+        ) {
+            assert_eq!(format!("{k:?}"), format!("{label:?}"));
+            assert_eq!(from_label(label), Some(k));
+            assert_eq!(k.to_value(), Value::Str(label.to_string()));
+            assert_eq!(K::from_value(&k.to_value()), Ok(k));
+        }
+        for k in MsgKind::ALL {
+            check(k, k.label(), MsgKind::from_label);
+        }
+        for k in FaultKind::ALL {
+            check(k, k.label(), FaultKind::from_label);
+        }
+        assert_eq!(MsgKind::from_label("CRASH"), None);
+        assert_eq!(FaultKind::from_label("SENSING"), None);
+        assert!(FaultKind::from_value(&Value::Str("crash".into())).is_err());
+        assert!(MsgKind::from_value(&Value::U64(1)).is_err());
+    }
+
+    #[test]
+    fn every_variant_round_trips_through_json() {
+        let all = one_of_each(SimTime::from_jiffies(77));
+        assert!(all
+            .iter()
+            .any(|e| matches!(e, TraceEvent::FaultInjected { .. })));
+        let json = all.to_value().to_json_pretty();
+        let back: Vec<TraceEvent> =
+            Deserialize::from_value(&Value::from_json(&json).expect("parses")).expect("reads");
+        assert_eq!(back, all);
+    }
+
+    #[test]
+    fn accessors_name_kinds_nodes_and_labels() {
+        let all = one_of_each(SimTime::ZERO);
+        let names: Vec<&str> = all.iter().map(TraceEvent::kind_name).collect();
+        let mut distinct = names.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), all.len(), "one name per variant: {names:?}");
+        let labels: Vec<&str> = all.iter().filter_map(TraceEvent::label).collect();
+        assert_eq!(labels, ["TASK_REQUEST", "CRASH"]);
+        for e in &all {
+            let concerns_node_0 = e.involves(NodeId(0));
+            let is_source = matches!(
+                e,
+                TraceEvent::SourceStarted { .. } | TraceEvent::SourceStopped { .. }
+            );
+            // The one message in `one_of_each` is sent by node 2.
+            let is_message = matches!(e, TraceEvent::MessageSent { .. });
+            assert_eq!(concerns_node_0, !is_source && !is_message, "{e:?}");
+        }
     }
 }

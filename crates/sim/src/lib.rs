@@ -30,12 +30,12 @@
 //! ```
 //! use enviromic_runtime::Runtime;
 //! use enviromic_sim::{Application, World, WorldConfig};
-//! use enviromic_types::Position;
+//! use enviromic_types::{MsgKind, Position};
 //!
 //! struct Hello;
 //! impl Application for Hello {
 //!     fn on_start(&mut self, ctx: &mut dyn Runtime) {
-//!         ctx.broadcast("HELLO", vec![0x01].into());
+//!         ctx.broadcast(MsgKind::Sensing.label(), vec![0x01].into());
 //!     }
 //!     fn as_any(&self) -> &dyn core::any::Any { self }
 //!     fn as_any_mut(&mut self) -> &mut dyn core::any::Any { self }
@@ -45,7 +45,7 @@
 //! world.add_node(Position::new(0.0, 0.0), Box::new(Hello));
 //! world.add_node(Position::new(1.0, 0.0), Box::new(Hello));
 //! world.run_for_secs(1.0);
-//! assert_eq!(world.trace().len(), 2); // two HELLO sends recorded
+//! assert_eq!(world.trace().len(), 2); // two SENSING sends recorded
 //! ```
 
 #![forbid(unsafe_code)]
@@ -62,8 +62,8 @@ mod world;
 
 pub use config::{AcousticsConfig, ClockConfig, EnergyConfig, RadioConfig, WorldConfig};
 pub use enviromic_runtime::{
-    Application, AudioBlock, DropReason, RecordKind, Runtime, StorageOccupancy, Timer, TimerHandle,
-    Trace, TraceEvent,
+    Application, AudioBlock, DropReason, FaultKind, RecordKind, Runtime, StorageOccupancy, Timer,
+    TimerHandle, Trace, TraceEvent,
 };
 pub use faults::{FaultEvent, FaultPlan, FaultScope};
 pub use world::{Context, World};

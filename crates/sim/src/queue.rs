@@ -5,8 +5,8 @@
 //! O(log n), which is what keeps 10k-node worlds with millions of pending
 //! events affordable. The observable contract is unchanged and pinned by
 //! property tests against the old heap as an oracle: entries pop in
-//! ascending `(SimTime, seq)` order, where `seq` is a monotone insertion
-//! counter — same-time entries fire in scheduling order, which keeps
+//! ascending `(SimTime, seq)` order, where `seq` is the scheduling order —
+//! same-time entries fire in the order they were scheduled, which keeps
 //! whole-simulation runs bit-reproducible across platforms.
 //!
 //! # Structure
@@ -25,29 +25,29 @@
 //! Popping must reproduce the heap's total `(time, seq)` order exactly:
 //!
 //! * Within any slot, entries are only ever *appended* — directly by
-//!   [`EventQueue::schedule`] (seq is monotone, so appends are
-//!   seq-ascending) or by a cascade, which replays a higher slot's Vec in
-//!   order. A destination slot is always empty or populated exclusively by
-//!   earlier appends with smaller seq (a cascade into a frame happens once,
-//!   when the wheel enters the frame, strictly before any direct insert
-//!   into that frame can occur). Slot Vecs are therefore seq-sorted by
-//!   construction and never need sorting.
+//!   [`EventQueue::schedule`] (appends arrive in scheduling order) or by a
+//!   cascade, which replays a higher slot's Vec in order. A destination
+//!   slot is always empty or populated exclusively by entries scheduled
+//!   earlier (a cascade into a frame happens once, when the wheel enters
+//!   the frame, strictly before any direct insert into that frame can
+//!   occur). Slot Vecs are therefore in scheduling order by construction,
+//!   so entries carry no sequence number and are never sorted.
 //! * Level-0 slots span exactly one jiffy, so draining one yields entries
-//!   of a single firing time in seq order.
+//!   of a single firing time in scheduling order.
 //! * Every pending entry's firing time is `>= elapsed` (the wheel position
 //!   only advances to the firing time of a popped minimum), so bottom-up
 //!   slot scans always find the global minimum: level-`L` entries fire
 //!   strictly before any level-`L+1` entry.
 //!
-//! Entries scheduled *before* the wheel position — legal for the public
-//! queue API (the old heap allowed it), though the simulator never does it
-//! because events only schedule at `now + delay` — fall back to a small
-//! auxiliary binary heap that is checked first on pop, preserving exact
-//! heap semantics at zero cost to the hot path (one `is_empty` test).
+//! The last point needs every schedule to fire at or after the wheel
+//! position, i.e. at or after the last popped entry. The simulator only
+//! schedules at `now + delay`, and `World::add_source` rejects a source
+//! that would start in the past before scheduling it, so an earlier
+//! firing time is a caller bug: [`EventQueue::schedule`] panics on it.
 
 use enviromic_types::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Log2 of the slot count per level.
 const SLOT_BITS: u32 = 6;
@@ -64,29 +64,7 @@ const HORIZON_BITS: u32 = SLOT_BITS * LEVELS as u32;
 #[derive(Debug)]
 struct Scheduled<E> {
     at: SimTime,
-    seq: u64,
     payload: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// A deterministic min-priority event queue keyed by [`SimTime`].
@@ -108,30 +86,25 @@ impl<E> Ord for Scheduled<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// `LEVELS * SLOTS` buckets, level-major. Each bucket Vec is
-    /// seq-ascending by construction (appends only — see module docs).
+    /// `LEVELS * SLOTS` buckets, level-major. Each bucket Vec is in
+    /// scheduling order by construction (appends only — see module docs).
     slots: Vec<Vec<Scheduled<E>>>,
     /// Per-level occupancy bitmask: bit `s` set iff `slots[L * SLOTS + s]`
     /// is non-empty. All occupied slots sit at or after the wheel cursor,
     /// so `trailing_zeros` finds the next one.
     occupied: [u64; LEVELS],
-    /// Entries firing exactly at jiffy `elapsed`, seq-ascending. Popped
-    /// from the front; same-instant schedules append at the back (their
-    /// seq is larger than everything pending).
+    /// Entries firing exactly at jiffy `elapsed`, in scheduling order.
+    /// Popped from the front; same-instant schedules append at the back
+    /// (they were scheduled after everything pending).
     front: VecDeque<Scheduled<E>>,
-    /// Entries farther than the wheel horizon, in insertion (seq) order.
+    /// Entries farther than the wheel horizon, in scheduling order.
     overflow: Vec<Scheduled<E>>,
     /// Exact minimum firing jiffy over `overflow` (u64::MAX when empty).
     overflow_min: u64,
-    /// Entries scheduled before `elapsed` (time-travel; never happens in
-    /// simulation runs). Ordered min-first by `(at, seq)`.
-    past: BinaryHeap<Scheduled<E>>,
     /// The wheel position in jiffies: the firing time of the most recent
-    /// entry popped *from the wheel*. Every wheel entry fires at or after
-    /// this.
+    /// entry popped. Every pending entry fires at or after this.
     elapsed: u64,
     len: usize,
-    next_seq: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -142,10 +115,8 @@ impl<E> Default for EventQueue<E> {
             front: VecDeque::new(),
             overflow: Vec::new(),
             overflow_min: u64::MAX,
-            past: BinaryHeap::new(),
             elapsed: 0,
             len: 0,
-            next_seq: 0,
         }
     }
 }
@@ -160,34 +131,25 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` to fire at `at`. Entries scheduled for the same
     /// instant fire in scheduling order.
     ///
-    /// The scheduling order is a strictly monotone `u64` sequence number:
-    /// same-time entries compare by it, so a silent wrap would reorder
-    /// events and break trace reproducibility. 2^64 schedules can't happen
-    /// in practice, but in release builds plain `+= 1` would wrap rather
-    /// than fail — so the increment is checked in every profile.
-    ///
     /// # Panics
     ///
-    /// Panics if 2^64 entries have been scheduled over the queue's
-    /// lifetime.
+    /// Panics if `at` is earlier than the last popped entry's firing time.
     pub fn schedule(&mut self, at: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq = self
-            .next_seq
-            .checked_add(1)
-            .expect("EventQueue sequence overflow: tie-break order would wrap");
         self.len += 1;
-        self.insert(Scheduled { at, seq, payload });
+        self.insert(Scheduled { at, payload });
     }
 
     /// Places one entry into the right tier relative to the wheel cursor.
     /// Used both by [`EventQueue::schedule`] and by cascades, and both
-    /// preserve seq order because the entry stream each replays is itself
-    /// seq-ascending.
+    /// preserve scheduling order because the entry stream each replays is
+    /// itself in scheduling order.
     fn insert(&mut self, e: Scheduled<E>) {
         let t = e.at.as_jiffies();
         match t.cmp(&self.elapsed) {
-            Ordering::Less => self.past.push(e),
+            Ordering::Less => panic!(
+                "EventQueue: scheduled at jiffy {t}, before the queue position {}",
+                self.elapsed
+            ),
             Ordering::Equal => self.front.push_back(e),
             Ordering::Greater => {
                 let xor = t ^ self.elapsed;
@@ -207,12 +169,6 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest entry.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // Time-travelled entries fire strictly before anything in the
-        // wheel (`past` times < elapsed <= wheel times).
-        if let Some(e) = self.past.pop() {
-            self.len -= 1;
-            return Some((e.at, e.payload));
-        }
         loop {
             if let Some(e) = self.front.pop_front() {
                 self.len -= 1;
@@ -246,7 +202,7 @@ impl<E> EventQueue<E> {
                 self.front.extend(bucket.drain(..));
             } else {
                 // Enter the slot's range, then redistribute its entries
-                // into lower levels (their order replays seq-ascending).
+                // into lower levels (replayed in scheduling order).
                 let shift = SLOT_BITS * level as u32;
                 let frame = !((1u64 << (shift + SLOT_BITS)) - 1);
                 let base = (self.elapsed & frame) | ((slot as u64) << shift);
@@ -278,10 +234,6 @@ impl<E> EventQueue<E> {
     /// The firing time of the earliest entry without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.past.peek() {
-            // Past entries fire strictly before every wheel entry.
-            return Some(e.at);
-        }
         if let Some(e) = self.front.front() {
             return Some(e.at);
         }
@@ -297,7 +249,8 @@ impl<E> EventQueue<E> {
                 ));
             }
             // Higher-level slots span a range; the earliest entry inside
-            // needs a scan (buckets are seq-sorted, not time-sorted).
+            // needs a scan (buckets are in scheduling order, not time
+            // order).
             let min = self.slots[level * SLOTS + slot]
                 .iter()
                 .map(|e| e.at)
@@ -412,23 +365,16 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    /// Scheduling before the wheel position (allowed by the public API,
-    /// unused by the simulator) still pops in global (time, seq) order.
+    /// Scheduling before the wheel position is a caller bug and fails
+    /// loudly instead of reordering time.
     #[test]
-    fn past_schedules_fire_before_pending_future_entries() {
+    #[should_panic(expected = "before the queue position")]
+    fn scheduling_before_the_queue_position_panics() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_jiffies(100), "t100");
         q.schedule(SimTime::from_jiffies(200), "t200");
         assert_eq!(q.pop(), Some((SimTime::from_jiffies(100), "t100")));
         // The wheel now sits at jiffy 100; schedule earlier than that.
-        q.schedule(SimTime::from_jiffies(40), "t40 a");
-        q.schedule(SimTime::from_jiffies(30), "t30");
-        q.schedule(SimTime::from_jiffies(40), "t40 b");
-        assert_eq!(q.peek_time(), Some(SimTime::from_jiffies(30)));
-        assert_eq!(q.pop(), Some((SimTime::from_jiffies(30), "t30")));
-        assert_eq!(q.pop(), Some((SimTime::from_jiffies(40), "t40 a")));
-        assert_eq!(q.pop(), Some((SimTime::from_jiffies(40), "t40 b")));
-        assert_eq!(q.pop(), Some((SimTime::from_jiffies(200), "t200")));
-        assert_eq!(q.len(), 0);
+        q.schedule(SimTime::from_jiffies(40), "t40");
     }
 }

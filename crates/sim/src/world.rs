@@ -8,10 +8,10 @@ use crate::queue::EventQueue;
 use crate::rng::RngStreams;
 use crate::spatial::{AudibleIndex, NodeGrid};
 use enviromic_runtime::{
-    Application, AudioBlock, EnergyModel, Runtime, Timer, TimerHandle, Trace, TraceEvent,
+    Application, AudioBlock, EnergyModel, FaultKind, Runtime, Timer, TimerHandle, Trace, TraceEvent,
 };
 use enviromic_telemetry::{Counter, Registry, TelemetryReport, Timeline, TimelineReport};
-use enviromic_types::{audio, Bytes, NodeId, Position, SimDuration, SimTime};
+use enviromic_types::{audio, Bytes, MsgKind, NodeId, Position, SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::HashSet;
@@ -329,11 +329,20 @@ impl World {
     ///
     /// # Errors
     ///
-    /// Propagates [`SourceSpec::validate`] failures.
+    /// Propagates [`SourceSpec::validate`] failures, and rejects a source
+    /// that would start before the current simulation time.
     pub fn add_source(&mut self, spec: SourceSpec) -> Result<(), String> {
         // Validate before scheduling: a rejected spec must not leave its
         // start/stop marks on the queue.
         spec.validate()?;
+        if spec.start < self.inner.now {
+            return Err(format!(
+                "source {} starts at {:.3} s, before the world clock ({:.3} s)",
+                spec.id,
+                spec.start.as_secs_f64(),
+                self.inner.now.as_secs_f64()
+            ));
+        }
         let index = self.inner.field.sources().len() as u32;
         self.inner.queue.schedule(
             spec.start,
@@ -775,36 +784,36 @@ impl World {
     fn apply_fault(&mut self, action: FaultAction) {
         let t = self.inner.now;
         self.inner.metrics.faults_injected.inc();
-        let mark = |inner: &mut Inner, kind: &'static str, node: Option<NodeId>| {
+        let mark = |inner: &mut Inner, kind: FaultKind, node: Option<NodeId>| {
             inner
                 .trace
                 .push(TraceEvent::FaultInjected { kind, node, t });
         };
         match action {
             FaultAction::Crash { node } => {
-                mark(&mut self.inner, "CRASH", Some(node));
+                mark(&mut self.inner, FaultKind::Crash, Some(node));
                 self.inner.crash(node);
             }
             FaultAction::Reboot { node } => {
-                mark(&mut self.inner, "REBOOT", Some(node));
+                mark(&mut self.inner, FaultKind::Reboot, Some(node));
                 if self.inner.reboot(node) {
                     self.with_app(node, |app, ctx| app.on_reboot(ctx));
                 }
             }
             FaultAction::BlackoutStart { scope } => {
-                mark(&mut self.inner, "BLACKOUT_START", scope_node(scope));
+                mark(&mut self.inner, FaultKind::BlackoutStart, scope_node(scope));
                 self.inner.set_blackout(scope, true);
             }
             FaultAction::BlackoutEnd { scope } => {
-                mark(&mut self.inner, "BLACKOUT_END", scope_node(scope));
+                mark(&mut self.inner, FaultKind::BlackoutEnd, scope_node(scope));
                 self.inner.set_blackout(scope, false);
             }
             FaultAction::DegradeStart { loss_prob } => {
-                mark(&mut self.inner, "DEGRADE_START", None);
+                mark(&mut self.inner, FaultKind::DegradeStart, None);
                 self.inner.active_degrades.push(loss_prob);
             }
             FaultAction::DegradeEnd { loss_prob } => {
-                mark(&mut self.inner, "DEGRADE_END", None);
+                mark(&mut self.inner, FaultKind::DegradeEnd, None);
                 if let Some(i) = self
                     .inner
                     .active_degrades
@@ -815,7 +824,7 @@ impl World {
                 }
             }
             FaultAction::BadBlock { node, block } => {
-                mark(&mut self.inner, "FLASH_BAD_BLOCK", Some(node));
+                mark(&mut self.inner, FaultKind::FlashBadBlock, Some(node));
                 self.with_app(node, |app, ctx| app.on_flash_bad_block(ctx, block));
             }
         }
@@ -1139,8 +1148,8 @@ impl Runtime for Context<'_> {
         self.inner.nodes.radio_on[self.node.index()]
     }
 
-    // `kind` is a protocol-level label recorded in the trace (the message
-    // census of Fig. 12 is computed from it).
+    // `kind` is a `MsgKind` label recorded in the trace (the message census
+    // of Fig. 12 is computed from it).
     fn broadcast(&mut self, kind: &'static str, bytes: Bytes) -> bool {
         let idx = self.node.index();
         if !self.inner.nodes.alive[idx] || !self.inner.nodes.radio_on[idx] {
@@ -1162,7 +1171,7 @@ impl Runtime for Context<'_> {
         self.inner.metrics.packets_sent.inc();
         self.inner.trace.push(TraceEvent::MessageSent {
             node: self.node,
-            kind,
+            kind: MsgKind::from_label(kind).expect("broadcast kind is a MsgKind label"),
             bytes: bytes.len() as u32,
             t: self.inner.now,
         });
@@ -1335,7 +1344,7 @@ mod tests {
     struct Chatter;
     impl Application for Chatter {
         fn on_start(&mut self, ctx: &mut dyn Runtime) {
-            ctx.broadcast("HELLO", vec![1, 2, 3].into());
+            ctx.broadcast(MsgKind::Sensing.label(), vec![1, 2, 3].into());
             ctx.set_timer(SimDuration::from_millis(100), 7);
         }
         fn as_any(&self) -> &dyn Any {
@@ -1549,7 +1558,7 @@ mod tests {
                 ctx.set_timer(SimDuration::from_secs_f64(1.0), 0);
             }
             fn on_timer(&mut self, ctx: &mut dyn Runtime, _t: Timer) {
-                ctx.broadcast("LATE", vec![9].into());
+                ctx.broadcast(MsgKind::Sensing.label(), vec![9].into());
             }
             fn as_any(&self) -> &dyn Any {
                 self
@@ -1597,6 +1606,35 @@ mod tests {
     }
 
     #[test]
+    fn add_source_rejects_a_start_in_the_past_without_scheduling() {
+        let spec = |start: f64| SourceSpec {
+            id: SourceId(4),
+            start: SimTime::ZERO + SimDuration::from_secs_f64(start),
+            stop: SimTime::ZERO + SimDuration::from_secs_f64(start + 1.0),
+            amplitude: 10.0,
+            range_ft: 5.0,
+            motion: Motion::Static(Position::new(0.0, 0.0)),
+            waveform: Waveform::Noise,
+        };
+        let mut w = World::new(quiet_cfg(5));
+        w.add_node(Position::new(0.0, 0.0), Box::new(Probe::default()));
+        w.run_for_secs(2.0);
+        let err = w.add_source(spec(1.0)).expect_err("start before now");
+        assert!(err.contains("before the world clock"), "{err}");
+        assert!(w.add_source(spec(2.0)).is_ok(), "starting now is fine");
+        w.run_for_secs(2.0);
+        let marks: Vec<SourceId> = w
+            .trace()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::SourceStarted { source, .. } => Some(*source),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(marks, vec![SourceId(4)], "only the accepted source ran");
+    }
+
+    #[test]
     fn trace_records_messages_and_sources() {
         let mut w = World::new(quiet_cfg(9));
         w.add_node(Position::new(0.0, 0.0), Box::new(Chatter));
@@ -1611,7 +1649,7 @@ mod tests {
         })
         .unwrap();
         w.run_for_secs(1.0);
-        let kinds: Vec<&str> = w
+        let kinds: Vec<MsgKind> = w
             .trace()
             .iter()
             .filter_map(|e| match e {
@@ -1619,7 +1657,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(kinds, vec!["HELLO"]);
+        assert_eq!(kinds, vec![MsgKind::Sensing]);
         let marks = w
             .trace()
             .iter()
@@ -1722,7 +1760,7 @@ mod tests {
         }
     }
 
-    /// Broadcasts one `PING` at each scheduled second.
+    /// Broadcasts one `TIME_SYNC` at each scheduled second.
     struct Pinger(Vec<f64>);
     impl Application for Pinger {
         fn on_start(&mut self, ctx: &mut dyn Runtime) {
@@ -1731,7 +1769,7 @@ mod tests {
             }
         }
         fn on_timer(&mut self, ctx: &mut dyn Runtime, timer: Timer) {
-            ctx.broadcast("PING", vec![timer.token as u8].into());
+            ctx.broadcast(MsgKind::TimeSync.label(), vec![timer.token as u8].into());
         }
         fn as_any(&self) -> &dyn Any {
             self
@@ -1786,7 +1824,7 @@ mod tests {
         );
         assert_eq!(probe.packets[0].1, vec![1], "it is the second ping");
         assert!(w.energy_of(rx) > 0.0, "crash preserves the battery");
-        let kinds: Vec<&str> = w
+        let kinds: Vec<FaultKind> = w
             .trace()
             .iter()
             .filter_map(|e| match e {
@@ -1794,7 +1832,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(kinds, vec!["CRASH", "REBOOT"]);
+        assert_eq!(kinds, vec![FaultKind::Crash, FaultKind::Reboot]);
     }
 
     #[test]

@@ -80,8 +80,10 @@ proptest! {
     #[test]
     fn interleaved_ops_match_reference_model(
         ops in proptest::collection::vec(
-            // None = pop; Some(t) = schedule at time t. Times collide often
-            // (0..50) so the insertion-order tie-break is exercised hard.
+            // None = pop; Some(d) = schedule d jiffies after the last
+            // popped time (the queue's contract: nothing fires in the
+            // past). Delays collide often (0..50) so the insertion-order
+            // tie-break is exercised hard.
             proptest::option::of(0u64..50),
             0..300,
         )
@@ -91,9 +93,11 @@ proptest! {
         // seq) via stable insertion; pop takes the front.
         let mut model: Vec<(u64, usize)> = Vec::new();
         let mut next_insert = 0usize;
+        let mut now = 0u64;
         for op in ops {
             match op {
-                Some(t) => {
+                Some(delay) => {
+                    let t = now + delay;
                     q.schedule(SimTime::from_jiffies(t), next_insert);
                     // Insert after every existing entry with time <= t:
                     // stable w.r.t. insertion order.
@@ -109,6 +113,9 @@ proptest! {
                         Some(model.remove(0))
                     };
                     prop_assert_eq!(got, expect);
+                    if let Some((t, _)) = got {
+                        now = t;
+                    }
                 }
             }
             prop_assert_eq!(q.len(), model.len());

@@ -14,6 +14,7 @@
 //! * [`Position`] — planar deployment coordinates, in feet (the paper's
 //!   testbeds are specified in feet).
 //! * [`SourceId`] — the identity of a ground-truth acoustic source.
+//! * [`MsgKind`] — the kind of a protocol message, as traces label it.
 //! * [`Bytes`] — a cheaply clonable immutable byte buffer, used for radio
 //!   payloads shared across a broadcast fan-out.
 //! * [`audio`] — constants tying sampling rate to storage volume.
@@ -37,6 +38,7 @@ pub mod audio;
 mod bytes;
 mod event;
 mod geometry;
+mod msg_kind;
 mod node;
 mod source;
 mod time;
@@ -44,6 +46,7 @@ mod time;
 pub use bytes::Bytes;
 pub use event::EventId;
 pub use geometry::Position;
+pub use msg_kind::MsgKind;
 pub use node::NodeId;
 pub use source::SourceId;
 pub use time::{SimDuration, SimTime, JIFFIES_PER_SEC};

@@ -27,8 +27,12 @@
 //!
 //! With no options, prints a per-run summary: digest, event count, time
 //! span, and the event-kind census.
+//!
+//! A dump's events are the run's `TraceEvent`s, read back exactly as
+//! recorded; `--json` prints the filtered ones in the dump's JSON form.
 
 use enviromic::observe::{kind_counts, render_ledger, DumpFile, RunDump, TraceFilter};
+use enviromic::runtime::TraceEvent;
 use enviromic::telemetry::TimelineReport;
 use enviromic_telemetry::{log, log_warn};
 
@@ -101,7 +105,7 @@ fn selected(run: &RunDump, index: usize, selector: &str) -> bool {
     }
 }
 
-fn print_summary(run: &RunDump, events: &[&enviromic::observe::TraceRecord], filtered: bool) {
+fn print_summary(run: &RunDump, events: &[&TraceEvent], filtered: bool) {
     println!(
         "run {}/{}: digest {}  {} events{}",
         run.label,
@@ -192,8 +196,7 @@ fn main() {
         }
         let events = opts.filter.apply(&run.events);
         if opts.json {
-            let owned: Vec<_> = events.iter().map(|e| (*e).clone()).collect();
-            println!("{}", serde::Serialize::to_value(&owned).to_json_pretty());
+            println!("{}", serde::Serialize::to_value(&events).to_json_pretty());
             continue;
         }
         print_summary(run, &events, filtered);

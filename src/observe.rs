@@ -1,374 +1,20 @@
 //! Run dumps and offline trace exploration.
 //!
-//! The simulator's [`Trace`](crate::sim::Trace) is serialize-only (its
-//! message kinds are `&'static str` labels), which is fine for writing a
-//! run out but useless for reading one back. This module owns the
-//! round-trippable mirror: [`TraceRecord`] (owned, `String`-labeled) and
-//! the [`RunDump`]/[`DumpFile`] containers the `--timeline-out` flags
-//! write and the `trace` explorer binary reads. [`TraceFilter`] answers
-//! the explorer's node / event-kind / time-window queries, and the
-//! rendering helpers produce the per-node ledgers and summaries it
-//! prints.
+//! A dump holds a run's [`TraceEvent`]s as they were recorded: the
+//! records serialize and deserialize losslessly, so the explorer reads
+//! back exactly what the simulator emitted. This module owns the
+//! [`RunDump`]/[`DumpFile`] containers the `--timeline-out` flags write
+//! and the `trace` explorer binary reads. [`TraceFilter`] answers the
+//! explorer's node / event-kind / time-window queries, and the rendering
+//! helpers produce the per-node ledgers and summaries it prints.
 
 use crate::harness::ExperimentRun;
 use crate::sim::TraceEvent;
 use enviromic_archive::{ArchiveBuilder, ArchiveRecord, ArchiveStore, GapRange};
 use enviromic_core::{MissingRange, RerequestPlan};
-use enviromic_runtime::{DropReason, RecordKind};
 use enviromic_telemetry::TimelineReport;
-use enviromic_types::{EventId, NodeId, SimDuration, SimTime, SourceId};
+use enviromic_types::{NodeId, SimDuration};
 use serde::{Deserialize, Serialize};
-
-/// An owned, round-trippable trace record: field-for-field the same shape
-/// as [`TraceEvent`], with `&'static str` labels widened to `String` so
-/// dumps can be read back by the explorer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum TraceRecord {
-    /// A node stored an interval of audio in its local chunk store.
-    Recorded {
-        /// Recording node.
-        node: NodeId,
-        /// The event file the data was labeled with, if any.
-        event: Option<EventId>,
-        /// Interval start (global clock).
-        t0: SimTime,
-        /// Interval end (global clock).
-        t1: SimTime,
-        /// Stored payload bytes.
-        bytes: u64,
-        /// What produced the recording.
-        kind: RecordKind,
-    },
-    /// A node wanted to record but had to drop the audio.
-    RecordDropped {
-        /// Node that dropped.
-        node: NodeId,
-        /// Interval start (global clock).
-        t0: SimTime,
-        /// Interval end (global clock).
-        t1: SimTime,
-        /// Why the data was dropped.
-        reason: DropReason,
-    },
-    /// A node erased a previously stored interval.
-    Erased {
-        /// Erasing node.
-        node: NodeId,
-        /// Interval start (global clock).
-        t0: SimTime,
-        /// Interval end (global clock).
-        t1: SimTime,
-        /// Erased payload bytes.
-        bytes: u64,
-    },
-    /// A control or data message left a node's radio.
-    MessageSent {
-        /// Sending node.
-        node: NodeId,
-        /// Protocol-level message kind (e.g. `"TASK_REQUEST"`).
-        kind: String,
-        /// Encoded size in bytes.
-        bytes: u32,
-        /// Send time (global clock).
-        t: SimTime,
-    },
-    /// A chunk entered a node's store.
-    ChunkStored {
-        /// The storing node.
-        node: NodeId,
-        /// The node that originally recorded the audio.
-        origin: NodeId,
-        /// Event file the chunk belongs to, if labeled.
-        event: Option<EventId>,
-        /// Audio interval start.
-        audio_t0: SimTime,
-        /// Audio interval end.
-        audio_t1: SimTime,
-        /// Payload bytes.
-        bytes: u32,
-        /// Store time (global clock).
-        t: SimTime,
-    },
-    /// A chunk left a node's store.
-    ChunkRemoved {
-        /// The node the chunk left.
-        node: NodeId,
-        /// The original recorder.
-        origin: NodeId,
-        /// Audio interval start.
-        audio_t0: SimTime,
-        /// Audio interval end.
-        audio_t1: SimTime,
-        /// Removal time (global clock).
-        t: SimTime,
-    },
-    /// A bulk storage-balancing transfer finished.
-    Migrated {
-        /// Donor node.
-        from: NodeId,
-        /// Recipient node.
-        to: NodeId,
-        /// Chunks moved.
-        chunks: u32,
-        /// Payload bytes moved.
-        bytes: u64,
-        /// True when the transfer duplicated data (lost final ACK).
-        duplicated: bool,
-        /// Completion time (global clock).
-        t: SimTime,
-    },
-    /// A node became leader for an event.
-    LeaderElected {
-        /// The new leader.
-        node: NodeId,
-        /// The event it minted or adopted.
-        event: EventId,
-        /// True when this was a handoff rather than a fresh election.
-        handoff: bool,
-        /// Election time (global clock).
-        t: SimTime,
-    },
-    /// Periodic storage occupancy poll.
-    Occupancy {
-        /// Polled node.
-        node: NodeId,
-        /// Used chunk slots.
-        used: u64,
-        /// Total chunk slots.
-        capacity: u64,
-        /// Poll time (global clock).
-        t: SimTime,
-    },
-    /// Ground-truth: a source became active.
-    SourceStarted {
-        /// The source.
-        source: SourceId,
-        /// Activation time.
-        t: SimTime,
-    },
-    /// Ground-truth: a source went silent.
-    SourceStopped {
-        /// The source.
-        source: SourceId,
-        /// Deactivation time.
-        t: SimTime,
-    },
-    /// Ground-truth: a scheduled fault fired.
-    FaultInjected {
-        /// Fault kind (e.g. `"CRASH"`, `"REBOOT"`).
-        kind: String,
-        /// Afflicted node, when the fault is node-scoped.
-        node: Option<NodeId>,
-        /// Injection time (global clock).
-        t: SimTime,
-    },
-}
-
-impl From<&TraceEvent> for TraceRecord {
-    fn from(e: &TraceEvent) -> TraceRecord {
-        match *e {
-            TraceEvent::Recorded {
-                node,
-                event,
-                t0,
-                t1,
-                bytes,
-                kind,
-            } => TraceRecord::Recorded {
-                node,
-                event,
-                t0,
-                t1,
-                bytes,
-                kind,
-            },
-            TraceEvent::RecordDropped {
-                node,
-                t0,
-                t1,
-                reason,
-            } => TraceRecord::RecordDropped {
-                node,
-                t0,
-                t1,
-                reason,
-            },
-            TraceEvent::Erased {
-                node,
-                t0,
-                t1,
-                bytes,
-            } => TraceRecord::Erased {
-                node,
-                t0,
-                t1,
-                bytes,
-            },
-            TraceEvent::MessageSent {
-                node,
-                kind,
-                bytes,
-                t,
-            } => TraceRecord::MessageSent {
-                node,
-                kind: kind.to_string(),
-                bytes,
-                t,
-            },
-            TraceEvent::ChunkStored {
-                node,
-                origin,
-                event,
-                audio_t0,
-                audio_t1,
-                bytes,
-                t,
-            } => TraceRecord::ChunkStored {
-                node,
-                origin,
-                event,
-                audio_t0,
-                audio_t1,
-                bytes,
-                t,
-            },
-            TraceEvent::ChunkRemoved {
-                node,
-                origin,
-                audio_t0,
-                audio_t1,
-                t,
-            } => TraceRecord::ChunkRemoved {
-                node,
-                origin,
-                audio_t0,
-                audio_t1,
-                t,
-            },
-            TraceEvent::Migrated {
-                from,
-                to,
-                chunks,
-                bytes,
-                duplicated,
-                t,
-            } => TraceRecord::Migrated {
-                from,
-                to,
-                chunks,
-                bytes,
-                duplicated,
-                t,
-            },
-            TraceEvent::LeaderElected {
-                node,
-                event,
-                handoff,
-                t,
-            } => TraceRecord::LeaderElected {
-                node,
-                event,
-                handoff,
-                t,
-            },
-            TraceEvent::Occupancy {
-                node,
-                used,
-                capacity,
-                t,
-            } => TraceRecord::Occupancy {
-                node,
-                used,
-                capacity,
-                t,
-            },
-            TraceEvent::SourceStarted { source, t } => TraceRecord::SourceStarted { source, t },
-            TraceEvent::SourceStopped { source, t } => TraceRecord::SourceStopped { source, t },
-            TraceEvent::FaultInjected { kind, node, t } => TraceRecord::FaultInjected {
-                kind: kind.to_string(),
-                node,
-                t,
-            },
-        }
-    }
-}
-
-impl TraceRecord {
-    /// The record's variant name (the explorer's `--kind` vocabulary).
-    #[must_use]
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            TraceRecord::Recorded { .. } => "Recorded",
-            TraceRecord::RecordDropped { .. } => "RecordDropped",
-            TraceRecord::Erased { .. } => "Erased",
-            TraceRecord::MessageSent { .. } => "MessageSent",
-            TraceRecord::ChunkStored { .. } => "ChunkStored",
-            TraceRecord::ChunkRemoved { .. } => "ChunkRemoved",
-            TraceRecord::Migrated { .. } => "Migrated",
-            TraceRecord::LeaderElected { .. } => "LeaderElected",
-            TraceRecord::Occupancy { .. } => "Occupancy",
-            TraceRecord::SourceStarted { .. } => "SourceStarted",
-            TraceRecord::SourceStopped { .. } => "SourceStopped",
-            TraceRecord::FaultInjected { .. } => "FaultInjected",
-        }
-    }
-
-    /// The global-clock time the record refers to (interval records use
-    /// their start).
-    #[must_use]
-    pub fn time(&self) -> SimTime {
-        match *self {
-            TraceRecord::Recorded { t0, .. }
-            | TraceRecord::RecordDropped { t0, .. }
-            | TraceRecord::Erased { t0, .. } => t0,
-            TraceRecord::MessageSent { t, .. }
-            | TraceRecord::ChunkStored { t, .. }
-            | TraceRecord::ChunkRemoved { t, .. }
-            | TraceRecord::Migrated { t, .. }
-            | TraceRecord::LeaderElected { t, .. }
-            | TraceRecord::Occupancy { t, .. }
-            | TraceRecord::SourceStarted { t, .. }
-            | TraceRecord::SourceStopped { t, .. }
-            | TraceRecord::FaultInjected { t, .. } => t,
-        }
-    }
-
-    /// True when the record concerns `node` (either endpoint of a
-    /// migration; the afflicted node of a node-scoped fault; source
-    /// markers concern no node).
-    #[must_use]
-    pub fn involves(&self, node: NodeId) -> bool {
-        match *self {
-            TraceRecord::Recorded { node: n, .. }
-            | TraceRecord::RecordDropped { node: n, .. }
-            | TraceRecord::Erased { node: n, .. }
-            | TraceRecord::MessageSent { node: n, .. }
-            | TraceRecord::LeaderElected { node: n, .. }
-            | TraceRecord::Occupancy { node: n, .. } => n == node,
-            TraceRecord::ChunkStored {
-                node: n, origin, ..
-            }
-            | TraceRecord::ChunkRemoved {
-                node: n, origin, ..
-            } => n == node || origin == node,
-            TraceRecord::Migrated { from, to, .. } => from == node || to == node,
-            TraceRecord::FaultInjected { node: n, .. } => n == Some(node),
-            TraceRecord::SourceStarted { .. } | TraceRecord::SourceStopped { .. } => false,
-        }
-    }
-
-    /// The record's protocol-level label, when it has one (`MessageSent`
-    /// message kinds, `FaultInjected` fault kinds).
-    #[must_use]
-    pub fn label(&self) -> Option<&str> {
-        match self {
-            TraceRecord::MessageSent { kind, .. } | TraceRecord::FaultInjected { kind, .. } => {
-                Some(kind)
-            }
-            _ => None,
-        }
-    }
-}
 
 /// One dumped run: identity, golden digest, and (optionally) the full
 /// event ledger and metric timeline.
@@ -380,9 +26,9 @@ pub struct RunDump {
     pub seed: u64,
     /// Trace digest as a `0x`-prefixed hex string.
     pub digest: String,
-    /// The trace, mirrored into owned records; empty when the dump was
-    /// written timeline-only.
-    pub events: Vec<TraceRecord>,
+    /// The trace's records; empty when the dump was written
+    /// timeline-only.
+    pub events: Vec<TraceEvent>,
     /// The run's sim-time metric timeline, when sampling was enabled.
     pub timeline: Option<TimelineReport>,
 }
@@ -397,7 +43,7 @@ impl RunDump {
             seed,
             digest: format!("{:#018x}", run.trace.digest()),
             events: if with_events {
-                run.trace.iter().map(TraceRecord::from).collect()
+                run.trace.events().to_vec()
             } else {
                 Vec::new()
             },
@@ -451,38 +97,20 @@ impl DumpFile {
 /// [`ArchiveStore`].
 #[must_use]
 pub fn archive_run(run: &ExperimentRun) -> ArchiveStore {
-    let mut builder = ArchiveBuilder::new();
-    for e in &run.trace {
-        if let TraceEvent::ChunkStored {
-            node,
-            origin,
-            event,
-            audio_t0,
-            audio_t1,
-            bytes,
-            ..
-        } = *e
-        {
-            builder.ingest(ArchiveRecord {
-                origin,
-                event,
-                t0: audio_t0,
-                t1: audio_t1,
-                bytes,
-                holder: node,
-            });
-        }
-    }
-    builder.build()
+    archive_events(&run.trace)
 }
 
 /// Like [`archive_run`], from a previously written [`RunDump`] — the
 /// offline path: dump a run once, rebuild the archive from the file.
 #[must_use]
 pub fn archive_dump(dump: &RunDump) -> ArchiveStore {
+    archive_events(&dump.events)
+}
+
+fn archive_events<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> ArchiveStore {
     let mut builder = ArchiveBuilder::new();
-    for e in &dump.events {
-        if let TraceRecord::ChunkStored {
+    for e in events {
+        if let TraceEvent::ChunkStored {
             node,
             origin,
             event,
@@ -526,7 +154,7 @@ pub fn rerequest_plan(
     RerequestPlan::build(&gaps, slack)
 }
 
-/// A node / event-kind / time-window query over dumped trace records.
+/// A node / event-kind / time-window query over trace records.
 /// `None` fields match everything.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceFilter {
@@ -544,7 +172,7 @@ pub struct TraceFilter {
 impl TraceFilter {
     /// Does `record` pass every set criterion?
     #[must_use]
-    pub fn matches(&self, record: &TraceRecord) -> bool {
+    pub fn matches(&self, record: &TraceEvent) -> bool {
         if let Some(node) = self.node {
             if !record.involves(NodeId(node)) {
                 return false;
@@ -569,7 +197,7 @@ impl TraceFilter {
 
     /// The records of `events` passing the filter, in order.
     #[must_use]
-    pub fn apply<'a>(&self, events: &'a [TraceRecord]) -> Vec<&'a TraceRecord> {
+    pub fn apply<'a>(&self, events: &'a [TraceEvent]) -> Vec<&'a TraceEvent> {
         events.iter().filter(|e| self.matches(e)).collect()
     }
 }
@@ -577,7 +205,7 @@ impl TraceFilter {
 /// `(kind, count)` for every record kind present, sorted by descending
 /// count then name.
 #[must_use]
-pub fn kind_counts<'a>(events: impl IntoIterator<Item = &'a TraceRecord>) -> Vec<(String, usize)> {
+pub fn kind_counts<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> Vec<(String, usize)> {
     let mut counts: Vec<(String, usize)> = Vec::new();
     for e in events {
         let key = match e.label() {
@@ -595,7 +223,7 @@ pub fn kind_counts<'a>(events: impl IntoIterator<Item = &'a TraceRecord>) -> Vec
 
 /// Renders records as a time-ordered ledger, one line per record.
 #[must_use]
-pub fn render_ledger<'a>(events: impl IntoIterator<Item = &'a TraceRecord>) -> String {
+pub fn render_ledger<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> String {
     let mut out = String::new();
     for e in events {
         out.push_str(&format!("  {:>10.3}s  {e:?}\n", e.time().as_secs_f64()));
@@ -634,7 +262,11 @@ mod tests {
         let back = DumpFile::from_json(&dump.to_json()).expect("parses");
         assert_eq!(back, dump);
         let r = &back.runs[0];
-        assert_eq!(r.events.len(), run.trace.len());
+        assert_eq!(
+            r.events,
+            run.trace.events(),
+            "the dump reads back the trace"
+        );
         assert!(r.digest.starts_with("0x"));
         assert!(r.timeline.is_some(), "timeline captured");
         assert!(r.span_secs().is_some());
@@ -650,27 +282,15 @@ mod tests {
     }
 
     #[test]
-    fn records_mirror_every_trace_event() {
-        let run = quick_run(false);
-        for (orig, rec) in run
-            .trace
-            .iter()
-            .zip(run.trace.iter().map(TraceRecord::from))
-        {
-            assert_eq!(orig.time(), rec.time(), "time preserved: {orig:?}");
-        }
-    }
-
-    #[test]
     fn filter_answers_node_kind_and_window_queries() {
         let run = quick_run(false);
-        let events: Vec<TraceRecord> = run.trace.iter().map(TraceRecord::from).collect();
+        let events = run.trace.events();
 
         let by_node = TraceFilter {
             node: Some(0),
             ..TraceFilter::default()
         };
-        let node_events = by_node.apply(&events);
+        let node_events = by_node.apply(events);
         assert!(!node_events.is_empty(), "node 0 did something");
         assert!(node_events.iter().all(|e| e.involves(NodeId(0))));
 
@@ -678,25 +298,25 @@ mod tests {
             kind: Some("messagesent".into()),
             ..TraceFilter::default()
         };
-        let sent = by_kind.apply(&events);
+        let sent = by_kind.apply(events);
         assert!(!sent.is_empty());
         assert!(sent
             .iter()
-            .all(|e| matches!(e, TraceRecord::MessageSent { .. })));
+            .all(|e| matches!(e, TraceEvent::MessageSent { .. })));
 
         // A protocol label narrows further than the variant name.
         let by_label = TraceFilter {
             kind: Some("SENSING".into()),
             ..TraceFilter::default()
         };
-        assert!(by_label.apply(&events).len() <= sent.len());
+        assert!(by_label.apply(events).len() <= sent.len());
 
         let windowed = TraceFilter {
             from_secs: Some(5.0),
             to_secs: Some(10.0),
             ..TraceFilter::default()
         };
-        let in_window = windowed.apply(&events);
+        let in_window = windowed.apply(events);
         assert!(!in_window.is_empty());
         assert!(in_window
             .iter()
@@ -709,7 +329,7 @@ mod tests {
             from_secs: Some(5.0),
             to_secs: Some(10.0),
         };
-        for e in both.apply(&events) {
+        for e in both.apply(events) {
             assert!(e.involves(NodeId(0)));
             assert_eq!(e.kind_name(), "MessageSent");
         }
@@ -718,8 +338,8 @@ mod tests {
     #[test]
     fn counts_and_ledger_render() {
         let run = quick_run(false);
-        let events: Vec<TraceRecord> = run.trace.iter().map(TraceRecord::from).collect();
-        let counts = kind_counts(&events);
+        let events = run.trace.events();
+        let counts = kind_counts(events);
         assert!(!counts.is_empty());
         let total: usize = counts.iter().map(|(_, n)| n).sum();
         assert_eq!(total, events.len(), "every record counted once");

@@ -11,7 +11,7 @@
 use enviromic::core::{recover_collected_mote, EnviroMicNode, Mode, NodeConfig};
 use enviromic::harness::{build_world, indoor_world_config};
 use enviromic::sim::acoustics::{Motion, SourceId, SourceSpec, Waveform};
-use enviromic::sim::{FaultEvent, FaultPlan, FaultScope, TraceEvent, World};
+use enviromic::sim::{FaultEvent, FaultKind, FaultPlan, FaultScope, TraceEvent, World};
 use enviromic::sweep::{run_sweep, JobInput, ScenarioSpec, SweepPlan};
 use enviromic::types::{NodeId, Position, SimDuration, SimTime};
 use enviromic::workloads::{indoor_scenario, mobile_scenario, IndoorParams, MobileParams};
@@ -86,7 +86,7 @@ fn network_survives_a_node_dying_mid_run() {
     world.inject_faults(&plan).expect("valid plan");
     world.run_for_secs(180.0);
 
-    let kinds: Vec<&str> = world
+    let kinds: Vec<FaultKind> = world
         .trace()
         .iter()
         .filter_map(|e| match e {
@@ -94,7 +94,11 @@ fn network_survives_a_node_dying_mid_run() {
             _ => None,
         })
         .collect();
-    assert_eq!(kinds, vec!["CRASH", "REBOOT"], "both faults fired");
+    assert_eq!(
+        kinds,
+        vec![FaultKind::Crash, FaultKind::Reboot],
+        "both faults fired"
+    );
 
     // The group kept recording the first event after losing its leader...
     let survived = world.trace().iter().any(|e| {

@@ -4,7 +4,7 @@
 use enviromic_core::{DataMule, EnviroMicNode, Mode, MuleConfig, NodeConfig, RetrievalMode};
 use enviromic_sim::acoustics::{Motion, SourceId, SourceSpec, Waveform};
 use enviromic_sim::{RecordKind, TraceEvent, World, WorldConfig};
-use enviromic_types::{NodeId, Position, SimDuration, SimTime};
+use enviromic_types::{MsgKind, NodeId, Position, SimDuration, SimTime};
 
 fn world(seed: u64) -> World {
     let mut cfg = WorldConfig::with_seed(seed);
@@ -147,7 +147,7 @@ fn uncoordinated_baseline_records_redundantly() {
         .iter()
         .filter(|e| {
             matches!(e, TraceEvent::MessageSent { kind, .. }
-                if ["SENSING", "TASK_REQUEST", "LEADER_ANNOUNCE"].contains(kind))
+                if [MsgKind::Sensing, MsgKind::TaskRequest, MsgKind::LeaderAnnounce].contains(kind))
         })
         .count();
     assert_eq!(control, 0);
