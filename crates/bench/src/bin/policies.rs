@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! policies [--seeds N] [--seed-start S] [--jobs N] [--duration SECS]
-//!          [--out PATH] [--digests-out PATH] [-q | --verbose]
+//!          [--out PATH] [-q | --verbose]
 //!
 //! --seeds N          number of consecutive seeds per cell (default 3)
 //! --seed-start S     first seed (default 42)
@@ -10,18 +10,18 @@
 //! --duration SECS    per-run duration (default 600)
 //! --out PATH         comparative report JSON
 //!                    (default target/bench/BENCH_policies.json)
-//! --digests-out PATH also write a "scenario policy seed digest events"
-//!                    text table (for CI to diff across worker counts)
 //! ```
 //!
 //! Runs every `BalancePolicy` implementation head-to-head through the
 //! indoor, forest, and chaos scenario families and writes the
-//! [`PolicyMatrix`] report. The report contains no wall-clock data, so
-//! the same seeds produce a **byte-identical** file at any `--jobs`
-//! value — CI regenerates it at `--jobs 1` and `--jobs 2`, diffs the two,
-//! and diffs the result against the committed `BENCH_policies.json`.
+//! `PolicyMatrix` report, which holds every run's trace digest. The
+//! report contains no wall-clock data, so the same seeds produce a
+//! **byte-identical** file at any `--jobs` value — CI regenerates it at
+//! `--jobs 1` and `--jobs 2`, diffs the two, and diffs the result against
+//! the committed `BENCH_policies.json`.
 
-use enviromic_bench::ablation::{run_policy_matrix, PolicyMatrix};
+use enviromic::{default_jobs, write_artifact};
+use enviromic_bench::ablation::run_policy_matrix;
 use enviromic_telemetry::{log, log_info, log_warn};
 
 struct Options {
@@ -30,13 +30,12 @@ struct Options {
     jobs: usize,
     duration: f64,
     out: String,
-    digests_out: Option<String>,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: policies [--seeds N] [--seed-start S] [--jobs N] [--duration SECS] \
-         [--out PATH] [--digests-out PATH] [-q|--quiet] [-v|--verbose]"
+         [--out PATH] [-q|--quiet] [-v|--verbose]"
     );
     std::process::exit(2);
 }
@@ -45,10 +44,9 @@ fn parse_args() -> Options {
     let mut opts = Options {
         seeds: 3,
         seed_start: 42,
-        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        jobs: default_jobs(),
         duration: 600.0,
         out: String::from("target/bench/BENCH_policies.json"),
-        digests_out: None,
     };
     let mut quiet = false;
     let mut verbose = false;
@@ -66,7 +64,6 @@ fn parse_args() -> Options {
             }
             "--duration" => opts.duration = value().parse().unwrap_or_else(|_| usage()),
             "--out" => opts.out = value(),
-            "--digests-out" => opts.digests_out = Some(value()),
             "--quiet" | "-q" => quiet = true,
             "--verbose" | "-v" => verbose = true,
             "--help" | "-h" => usage(),
@@ -80,33 +77,6 @@ fn parse_args() -> Options {
     opts
 }
 
-fn write_with_parents(path: &str, contents: &str) {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match std::fs::write(p, contents) {
-        Ok(()) => log_info!("[policies] wrote {path}"),
-        Err(e) => {
-            log_warn!("could not write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn digest_table(matrix: &PolicyMatrix) -> String {
-    let mut table = String::new();
-    for r in &matrix.rows {
-        table.push_str(&format!(
-            "{} {} {} {} {}\n",
-            r.scenario, r.policy, r.seed, r.digest, r.events
-        ));
-    }
-    table
-}
-
 fn main() {
     let opts = parse_args();
     let seeds: Vec<u64> = (opts.seed_start..opts.seed_start + opts.seeds).collect();
@@ -118,8 +88,11 @@ fn main() {
     );
     let matrix = run_policy_matrix(&seeds, opts.duration, opts.jobs);
     print!("{}", matrix.render());
-    write_with_parents(&opts.out, &matrix.to_json());
-    if let Some(path) = &opts.digests_out {
-        write_with_parents(path, &digest_table(&matrix));
+    match write_artifact(&opts.out, &matrix.to_json()) {
+        Ok(()) => log_info!("[policies] wrote {}", opts.out),
+        Err(e) => {
+            log_warn!("could not write {}: {e}", opts.out);
+            std::process::exit(1);
+        }
     }
 }

@@ -28,6 +28,7 @@
 
 use enviromic::metrics::render_series;
 use enviromic::observe::{DumpFile, RunDump};
+use enviromic::{default_jobs, write_artifact};
 use enviromic_bench::{ablation, fig03, fig06, fig08, indoor, outdoor};
 use enviromic_telemetry::{log, log_info, log_warn, Registry, TelemetryReport};
 use std::collections::BTreeSet;
@@ -40,11 +41,6 @@ struct Options {
     telemetry_out: String,
     timeline: Option<f64>,
     timeline_out: String,
-}
-
-/// Default worker count: one per available core.
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 fn parse_args() -> Options {
@@ -154,13 +150,7 @@ fn run_timeline_capture(opts: &Options, registry: &Registry) {
     let dump = DumpFile {
         runs: vec![RunDump::from_run("quick-indoor", opts.seed, &run, true)],
     };
-    let path = std::path::Path::new(&opts.timeline_out);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match std::fs::write(path, dump.to_json()) {
+    match write_artifact(&opts.timeline_out, &dump.to_json()) {
         Ok(()) => log_info!("[repro] timeline dump written to {}", opts.timeline_out),
         Err(e) => log_warn!("could not write {}: {e}", opts.timeline_out),
     }
@@ -338,13 +328,7 @@ fn main() {
     if log::enabled(log::Level::Debug) {
         eprint!("{dashboard}");
     }
-    let path = std::path::Path::new(&opts.telemetry_out);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match std::fs::write(path, report.to_json()) {
+    match write_artifact(&opts.telemetry_out, &report.to_json()) {
         Ok(()) => log_info!("[repro] telemetry report written to {}", opts.telemetry_out),
         Err(e) => log_warn!("could not write {}: {e}", opts.telemetry_out),
     }

@@ -2,41 +2,41 @@
 //!
 //! ```text
 //! retrieval [--queries N] [--cache N] [--jobs N] [--out PATH]
-//!           [--digests-out PATH] [--telemetry-out PATH] [-q | --verbose]
+//!           [--telemetry-out PATH] [-q | --verbose]
 //!
 //! --queries N         workload size (default 600)
 //! --cache N           LRU capacity in distinct queries (default 256; 0 disables)
 //! --jobs N            worker threads serving the workload (default: cores)
 //! --out PATH          committed report JSON
 //!                     (default target/bench/BENCH_retrieval.json)
-//! --digests-out PATH  also write an "index 0xdigest" per-query table
-//!                     (for CI to diff across worker counts)
 //! --telemetry-out PATH also write the archive.* telemetry report
+//!                     (holds wall-clock serve latencies)
 //! ```
 //!
 //! Builds the basestation archive from the golden seed-42 `quick-indoor`
 //! run, serves the committed query workload cached *and* uncached, and
 //! refuses to write anything if the two disagree or the cache never hit.
-//! The report contains no wall-clock data, so the same constants produce
+//! The report's result digest is order-sensitive over every per-query
+//! digest. It contains no wall-clock data, so the same constants produce
 //! a **byte-identical** file at any `--jobs` value — CI regenerates it at
 //! `--jobs 1` and `--jobs 2`, diffs the two, and diffs the result against
 //! the committed `BENCH_retrieval.json`. Throughput and latency stay on
 //! the console.
 
-use enviromic_bench::retrieval::{digest_table, run_retrieval, RetrievalOptions};
+use enviromic::{default_jobs, write_artifact};
+use enviromic_bench::retrieval::{run_retrieval, RetrievalOptions};
 use enviromic_telemetry::{log, log_info, log_warn};
 
 struct Options {
     bench: RetrievalOptions,
     out: String,
-    digests_out: Option<String>,
     telemetry_out: Option<String>,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: retrieval [--queries N] [--cache N] [--jobs N] [--out PATH] \
-         [--digests-out PATH] [--telemetry-out PATH] [-q|--quiet] [-v|--verbose]"
+         [--telemetry-out PATH] [-q|--quiet] [-v|--verbose]"
     );
     std::process::exit(2);
 }
@@ -44,11 +44,10 @@ fn usage() -> ! {
 fn parse_args() -> Options {
     let mut opts = Options {
         bench: RetrievalOptions {
-            jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            jobs: default_jobs(),
             ..RetrievalOptions::default()
         },
         out: String::from("target/bench/BENCH_retrieval.json"),
-        digests_out: None,
         telemetry_out: None,
     };
     let mut quiet = false;
@@ -66,7 +65,6 @@ fn parse_args() -> Options {
                 }
             }
             "--out" => opts.out = value(),
-            "--digests-out" => opts.digests_out = Some(value()),
             "--telemetry-out" => opts.telemetry_out = Some(value()),
             "--quiet" | "-q" => quiet = true,
             "--verbose" | "-v" => verbose = true,
@@ -81,14 +79,8 @@ fn parse_args() -> Options {
     opts
 }
 
-fn write_with_parents(path: &str, contents: &str) {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match std::fs::write(p, contents) {
+fn write_or_exit(path: &str, contents: &str) {
+    match write_artifact(path, contents) {
         Ok(()) => log_info!("[retrieval] wrote {path}"),
         Err(e) => {
             log_warn!("could not write {path}: {e}");
@@ -133,11 +125,8 @@ fn main() {
         run.outcome.latency.p50_us,
         run.outcome.latency.p99_us,
     );
-    write_with_parents(&opts.out, &run.report.to_json());
-    if let Some(path) = &opts.digests_out {
-        write_with_parents(path, &digest_table(&run));
-    }
+    write_or_exit(&opts.out, &run.report.to_json());
     if let Some(path) = &opts.telemetry_out {
-        write_with_parents(path, &run.telemetry.to_json());
+        write_or_exit(path, &run.telemetry.to_json());
     }
 }

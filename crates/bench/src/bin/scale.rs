@@ -1,33 +1,28 @@
 //! Scale smoke driver: the city-block workload at 1k–100k nodes.
 //!
 //! ```text
-//! scale [--seed S] [--jobs N] [--duration SECS] [--max-nodes N]
-//!       [--out PATH] [--check PATH] [-q | --verbose]
+//! scale [--seed S] [--jobs N] [--duration SECS] [--out PATH]
+//!       [-q | --verbose]
 //!
 //! --seed S           seed for every run (default 42)
 //! --jobs N           worker threads (default: available cores)
 //! --duration SECS    per-run duration (default 10)
-//! --max-nodes N      drop ladder rungs above N nodes (default: all)
 //! --out PATH         report JSON (default target/bench/BENCH_scale.json)
-//! --check PATH       compare the produced rows against a committed report
-//!                    by scenario label and exit 1 on any mismatch
 //! ```
 //!
 //! Runs [`ScenarioSpec::city`] at each node count through the sweep pool
 //! and writes one row per size: node count, trace length, and trace
 //! digest. The report contains no wall-clock data, so the same seed
 //! produces a **byte-identical** file at any `--jobs` value — CI
-//! regenerates it at `--jobs 1` and `--jobs 2`, diffs the two, and checks
-//! the rows against the committed `BENCH_scale.json` with `--check`.
-//! `--check` matches by label, so a PR-path run truncated with
-//! `--max-nodes 40000` still validates its four rungs against the full
-//! committed five-rung ladder (the nightly job regenerates all five).
-//! (Wall-clock throughput at these sizes lives in `BENCH_world.json`,
-//! which is an uploaded artifact, not a diffed one.)
+//! regenerates the whole five-rung ladder at `--jobs 1` and `--jobs 2`,
+//! diffs the two, and diffs the result against the committed
+//! `BENCH_scale.json`. (Wall-clock throughput at these sizes lives in
+//! `BENCH_world.json`, which is an uploaded artifact, not a diffed one.)
 
 use enviromic::sweep::{run_sweep, ScenarioSpec, SweepPlan};
+use enviromic::{default_jobs, write_artifact};
 use enviromic_telemetry::{log, log_info, log_warn};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The node counts of the scale ladder. The 40k and 100k rungs exist
 /// because of sparse flash backing: city nodes address 64 chunks each, and
@@ -39,15 +34,13 @@ struct Options {
     seed: u64,
     jobs: usize,
     duration: f64,
-    max_nodes: usize,
     out: String,
-    check: Option<String>,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: scale [--seed S] [--jobs N] [--duration SECS] [--max-nodes N] \
-         [--out PATH] [--check PATH] [-q|--quiet] [-v|--verbose]"
+        "usage: scale [--seed S] [--jobs N] [--duration SECS] [--out PATH] \
+         [-q|--quiet] [-v|--verbose]"
     );
     std::process::exit(2);
 }
@@ -55,11 +48,9 @@ fn usage() -> ! {
 fn parse_args() -> Options {
     let mut opts = Options {
         seed: 42,
-        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        jobs: default_jobs(),
         duration: 10.0,
-        max_nodes: usize::MAX,
         out: String::from("target/bench/BENCH_scale.json"),
-        check: None,
     };
     let mut quiet = false;
     let mut verbose = false;
@@ -75,14 +66,7 @@ fn parse_args() -> Options {
                 }
             }
             "--duration" => opts.duration = value().parse().unwrap_or_else(|_| usage()),
-            "--max-nodes" => {
-                opts.max_nodes = value().parse().unwrap_or_else(|_| usage());
-                if !SIZES.iter().any(|&n| n <= opts.max_nodes) {
-                    usage();
-                }
-            }
             "--out" => opts.out = value(),
-            "--check" => opts.check = Some(value()),
             "--quiet" | "-q" => quiet = true,
             "--verbose" | "-v" => verbose = true,
             "--help" | "-h" => usage(),
@@ -94,7 +78,7 @@ fn parse_args() -> Options {
 }
 
 /// One deterministic row of the scale report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Serialize)]
 struct ScaleRow {
     /// Scenario point label (`city-1k`, ...).
     scenario: String,
@@ -109,7 +93,7 @@ struct ScaleRow {
 }
 
 /// The scale report: sim-time duration plus one row per ladder size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Serialize)]
 struct ScaleReport {
     /// Per-run sim-time duration, seconds.
     duration_secs: f64,
@@ -117,74 +101,20 @@ struct ScaleReport {
     rows: Vec<ScaleRow>,
 }
 
-fn write_with_parents(path: &str, contents: &str) {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match std::fs::write(p, contents) {
-        Ok(()) => log_info!("[scale] wrote {path}"),
-        Err(e) => {
-            log_warn!("could not write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Checks every produced row against its same-label committed row. A
-/// produced row with no committed counterpart is itself a mismatch — a
-/// renamed rung must not silently skip validation.
-fn check_rows(produced: &ScaleReport, committed_path: &str) -> Result<usize, String> {
-    let text = std::fs::read_to_string(committed_path)
-        .map_err(|e| format!("could not read {committed_path}: {e}"))?;
-    let value = serde::Value::from_json(&text).map_err(|e| format!("{committed_path}: {e}"))?;
-    let committed: ScaleReport = serde::Deserialize::from_value(&value)
-        .map_err(|e: serde::DeError| format!("{committed_path}: {e}"))?;
-    if produced.duration_secs != committed.duration_secs {
-        return Err(format!(
-            "duration {}s differs from committed {}s",
-            produced.duration_secs, committed.duration_secs
-        ));
-    }
-    let mut mismatches = Vec::new();
-    for row in &produced.rows {
-        match committed.rows.iter().find(|c| c.scenario == row.scenario) {
-            None => mismatches.push(format!("{}: not in committed report", row.scenario)),
-            Some(c) if c != row => mismatches.push(format!(
-                "{}: got {} events / {}, committed {} events / {}",
-                row.scenario, row.events, row.digest, c.events, c.digest
-            )),
-            Some(_) => {}
-        }
-    }
-    if mismatches.is_empty() {
-        Ok(produced.rows.len())
-    } else {
-        Err(mismatches.join("\n"))
-    }
-}
-
 fn main() {
     let opts = parse_args();
-    let sizes: Vec<usize> = SIZES
-        .iter()
-        .copied()
-        .filter(|&n| n <= opts.max_nodes)
-        .collect();
-    let specs: Vec<ScenarioSpec> = sizes
+    let specs: Vec<ScenarioSpec> = SIZES
         .iter()
         .map(|&n| ScenarioSpec::city(n, opts.duration))
         .collect();
     log_info!(
-        "[scale] city ladder {sizes:?} at seed {} for {:.0}s on {} workers...",
+        "[scale] city ladder {SIZES:?} at seed {} for {:.0}s on {} workers...",
         opts.seed,
         opts.duration,
         opts.jobs,
     );
     let out = run_sweep(&SweepPlan::new(vec![opts.seed], specs), opts.jobs);
-    let rows: Vec<ScaleRow> = sizes
+    let rows: Vec<ScaleRow> = SIZES
         .iter()
         .zip(&out.jobs)
         .map(|(&nodes, job)| ScaleRow {
@@ -205,17 +135,12 @@ fn main() {
         duration_secs: opts.duration,
         rows,
     };
-    write_with_parents(
-        &opts.out,
-        &serde::Serialize::to_value(&report).to_json_pretty(),
-    );
-    if let Some(path) = &opts.check {
-        match check_rows(&report, path) {
-            Ok(n) => println!("scale check: OK — {n} row(s) match {path}"),
-            Err(e) => {
-                eprintln!("scale check: MISMATCH vs {path}:\n{e}");
-                std::process::exit(1);
-            }
+    let json = serde::Serialize::to_value(&report).to_json_pretty();
+    match write_artifact(&opts.out, &json) {
+        Ok(()) => log_info!("[scale] wrote {}", opts.out),
+        Err(e) => {
+            log_warn!("could not write {}: {e}", opts.out);
+            std::process::exit(1);
         }
     }
 }

@@ -3,8 +3,8 @@
 //! ```text
 //! sweep [--seeds N] [--seed-start S] [--jobs N] [--duration SECS]
 //!       [--scenario indoor|forest|both] [--policy NAME] [--chaos]
-//!       [--out PATH] [--digests-out PATH] [--timeline SECS]
-//!       [--timeline-out PATH] [-q | --verbose]
+//!       [--out PATH] [--timeline SECS] [--timeline-out PATH]
+//!       [-q | --verbose]
 //!
 //! --seeds N            number of consecutive seeds (default 8)
 //! --seed-start S       first seed (default 42, the golden-digest seed)
@@ -19,8 +19,6 @@
 //!                      degradation, bad flash blocks)
 //! --out PATH           machine-readable summary JSON
 //!                      (default target/bench/BENCH_sweep.json)
-//! --digests-out PATH   also write a "label seed digest events" text table
-//!                      (for CI to diff across worker counts)
 //! --timeline SECS      sample a sim-time metric timeline every SECS in
 //!                      every job (per-seed digests stay bit-identical)
 //! --timeline-out PATH  write the per-job timelines as a `trace`-explorer
@@ -29,11 +27,16 @@
 //!
 //! Every job owns its own world, RNG, and telemetry registry, so the
 //! per-seed trace digests printed here are bit-identical for any `--jobs`
-//! value — CI runs the same grid at `--jobs 1` and `--jobs 2` and diffs
-//! the `--digests-out` tables to enforce that.
+//! value. The `--out` summary holds every job's digest and the merged
+//! telemetry but no wall-clock figure, so it is **byte-identical** at any
+//! `--jobs` value — CI regenerates it at `--jobs 1` and `--jobs 2`, diffs
+//! the two, and diffs the result against the committed `BENCH_sweep.json`
+//! (`BENCH_chaos.json` with `--chaos --seeds 8`). Timings stay on the
+//! console.
 
 use enviromic::observe::{DumpFile, RunDump};
 use enviromic::sweep::{run_sweep, ScenarioSpec, SweepPlan};
+use enviromic::{default_jobs, write_artifact};
 use enviromic_core::PolicyKind;
 use enviromic_telemetry::{log, log_info, log_warn};
 
@@ -46,7 +49,6 @@ struct Options {
     policy: PolicyKind,
     chaos: bool,
     out: String,
-    digests_out: Option<String>,
     timeline: Option<f64>,
     timeline_out: Option<String>,
 }
@@ -55,8 +57,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: sweep [--seeds N] [--seed-start S] [--jobs N] [--duration SECS] \
          [--scenario indoor|forest|both] [--policy beta-ttl|no-migration|coordinated|flooding] \
-         [--chaos] [--out PATH] [--digests-out PATH] \
-         [--timeline SECS] [--timeline-out PATH] [-q|--quiet] [-v|--verbose]"
+         [--chaos] [--out PATH] [--timeline SECS] [--timeline-out PATH] \
+         [-q|--quiet] [-v|--verbose]"
     );
     std::process::exit(2);
 }
@@ -65,13 +67,12 @@ fn parse_args() -> Options {
     let mut opts = Options {
         seeds: 8,
         seed_start: 42,
-        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        jobs: default_jobs(),
         duration: 120.0,
         scenario: "both".into(),
         policy: PolicyKind::default(),
         chaos: false,
         out: String::from("target/bench/BENCH_sweep.json"),
-        digests_out: None,
         timeline: None,
         timeline_out: None,
     };
@@ -99,7 +100,6 @@ fn parse_args() -> Options {
             }
             "--chaos" => opts.chaos = true,
             "--out" => opts.out = value(),
-            "--digests-out" => opts.digests_out = Some(value()),
             "--timeline" => {
                 opts.timeline = Some(value().parse().unwrap_or_else(|_| usage()));
             }
@@ -117,14 +117,8 @@ fn parse_args() -> Options {
     opts
 }
 
-fn write_with_parents(path: &str, contents: &str) {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match std::fs::write(p, contents) {
+fn write_or_exit(path: &str, contents: &str) {
+    match write_artifact(path, contents) {
         Ok(()) => log_info!("[sweep] wrote {path}"),
         Err(e) => {
             log_warn!("could not write {path}: {e}");
@@ -171,10 +165,9 @@ fn main() {
     );
 
     let outcome = run_sweep(&plan, opts.jobs);
-    let summary = outcome.summary();
-    print!("{}", summary.render());
+    print!("{}", outcome.render());
 
-    write_with_parents(&opts.out, &summary.to_json());
+    write_or_exit(&opts.out, &outcome.summary().to_json());
     if let Some(path) = &opts.timeline_out {
         // Digest + timeline per job; the event ledgers would dwarf the file.
         let dump = DumpFile {
@@ -184,16 +177,6 @@ fn main() {
                 .map(|j| RunDump::from_run(&j.label, j.seed, &j.run, false))
                 .collect(),
         };
-        write_with_parents(path, &dump.to_json());
-    }
-    if let Some(path) = &opts.digests_out {
-        let mut table = String::new();
-        for j in &summary.jobs {
-            table.push_str(&format!(
-                "{} {} {} {}\n",
-                j.label, j.seed, j.digest, j.events
-            ));
-        }
-        write_with_parents(path, &table);
+        write_or_exit(path, &dump.to_json());
     }
 }

@@ -10,7 +10,6 @@
 //! | [`indoor`] | Figs. 10–14 and the headline 4× claim |
 //! | [`outdoor`] | Figs. 16–18 — the forest deployment |
 //! | [`ablation`] | design-choice and future-work ablations |
-//! | [`gate`] | telemetry regression gate (`telemetry-diff` binary) |
 //! | [`retrieval`] | archive serving benchmark (`retrieval` binary) |
 //!
 //! Run `cargo run --release -p enviromic-bench --bin repro -- all` to
@@ -24,7 +23,6 @@ pub mod ablation;
 pub mod fig03;
 pub mod fig06;
 pub mod fig08;
-pub mod gate;
 pub mod indoor;
 pub mod outdoor;
 pub mod retrieval;

@@ -210,8 +210,6 @@ pub struct RetrievalRun {
     pub build_secs: f64,
     /// `archive.*` telemetry recorded during the cached pass.
     pub telemetry: TelemetryReport,
-    /// The generated workload (for per-query digest tables).
-    pub queries: Vec<RangeQuery>,
     /// The batched re-request plan derived from the archive's gaps.
     pub plan: RerequestPlan,
 }
@@ -373,20 +371,8 @@ pub fn run_retrieval_on(
         uncached_digest: uncached.digest(),
         build_secs,
         telemetry: registry.report(),
-        queries,
         plan,
     }
-}
-
-/// Per-query digest table ("index 0xdigest" lines) for CI to diff across
-/// worker counts.
-#[must_use]
-pub fn digest_table(run: &RetrievalRun) -> String {
-    let mut table = String::new();
-    for (i, r) in run.outcome.results.iter().enumerate() {
-        table.push_str(&format!("{} 0x{:016x}\n", i, r.digest));
-    }
-    table
 }
 
 #[cfg(test)]
@@ -423,7 +409,10 @@ mod tests {
         let one = run_retrieval_on(&store, 0.0, &base);
         let four = run_retrieval_on(&store, 0.0, &RetrievalOptions { jobs: 4, ..base });
         assert_eq!(one.report.to_json(), four.report.to_json());
-        assert_eq!(digest_table(&one), digest_table(&four));
+        let per_query = |run: &RetrievalRun| -> Vec<u64> {
+            run.outcome.results.iter().map(|r| r.digest).collect()
+        };
+        assert_eq!(per_query(&one), per_query(&four));
     }
 
     #[test]

@@ -45,6 +45,6 @@ mod wear;
 
 pub use device::{Flash, FlashError, BLOCK_BYTES};
 pub use eeprom::{Checkpoint, Eeprom, EepromWornOut};
-pub use meta::{Chunk, ChunkMeta, DecodeError};
+pub use meta::{Chunk, ChunkMeta, DecodeError, MAX_LEADER_ID, MAX_ORIGIN_ID};
 pub use store::{ChunkStore, StoreError};
 pub use wear::record_wear;

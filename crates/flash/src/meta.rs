@@ -38,11 +38,12 @@ const MAGIC: u8 = 0xEC;
 const FLAG_HAS_EVENT: u8 = 0x01;
 
 /// Widest origin node ID the header can carry: 16 base bits plus the
-/// 8 extension bits at offset 21.
-const MAX_ORIGIN_ID: u32 = (1 << 24) - 1;
+/// 8 extension bits at offset 21. Decoders of chunks that will be stored
+/// reject wider IDs.
+pub const MAX_ORIGIN_ID: u32 = (1 << 24) - 1;
 /// Widest event-leader node ID the header can carry: 16 base bits plus the
 /// 7 extension bits in the upper flags.
-const MAX_LEADER_ID: u32 = (1 << 23) - 1;
+pub const MAX_LEADER_ID: u32 = (1 << 23) - 1;
 
 /// Metadata attached to every stored chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]

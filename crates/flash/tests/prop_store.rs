@@ -1,7 +1,7 @@
 //! Property tests for the chunk store: FIFO integrity, wear leveling, and
 //! crash-recovery safety under arbitrary operation interleavings.
 
-use enviromic_flash::{Chunk, ChunkMeta, ChunkStore, StoreError};
+use enviromic_flash::{Chunk, ChunkMeta, ChunkStore, StoreError, MAX_LEADER_ID, MAX_ORIGIN_ID};
 use enviromic_types::{EventId, NodeId, SimTime};
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -132,9 +132,9 @@ proptest! {
     /// node IDs up to the header's 24-bit origin and 23-bit leader limits.
     #[test]
     fn chunk_codec_round_trips(
-        origin in 0u32..=(1 << 24) - 1,
+        origin in 0u32..=MAX_ORIGIN_ID,
         has_event in any::<bool>(),
-        leader in 0u32..=(1 << 23) - 1,
+        leader in 0u32..=MAX_LEADER_ID,
         evseq in any::<u32>(),
         jiffies in 0u64..(1u64 << 48),
         payload in proptest::collection::vec(any::<u8>(), 0..=232),

@@ -11,7 +11,7 @@
 //! ([`encode_envelope`] / [`decode_envelope`]).
 
 use crate::wire::{Reader, WireError, Writer};
-use enviromic_flash::{Chunk, ChunkMeta};
+use enviromic_flash::{Chunk, ChunkMeta, MAX_LEADER_ID, MAX_ORIGIN_ID};
 use enviromic_types::{Bytes, EventId, MsgKind, NodeId, SimDuration, SimTime};
 
 /// A protocol message.
@@ -278,9 +278,25 @@ fn write_chunk(w: &mut Writer, chunk: &Chunk) {
     w.bytes8(&chunk.payload);
 }
 
+/// Reads a chunk, rejecting IDs wider than the flash header that will
+/// store it can hold (`Chunk::encode` would panic on them).
 fn read_chunk(r: &mut Reader<'_>) -> Result<Chunk, WireError> {
+    let at = r.position();
     let origin = read_node(r)?;
+    if u32::from(origin) > MAX_ORIGIN_ID {
+        return Err(WireError {
+            at,
+            expected: "chunk origin within the 24-bit flash header",
+        });
+    }
+    let at = r.position();
     let event = read_opt_event(r)?;
+    if event.is_some_and(|ev| u32::from(ev.leader()) > MAX_LEADER_ID) {
+        return Err(WireError {
+            at,
+            expected: "event leader within the 23-bit flash header",
+        });
+    }
     let t_start = r.time()?;
     let at = r.position();
     let payload = r.bytes8()?.to_vec();
@@ -900,6 +916,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn chunks_wider_than_the_flash_header_are_rejected() {
+        let bulk = |origin: u32, leader: u32| {
+            let mut chunk = sample_chunk();
+            chunk.meta.origin = NodeId(origin);
+            chunk.meta.event = Some(EventId::new(NodeId(leader), 8));
+            Message::BulkData {
+                to: NodeId(3),
+                session: 77,
+                seq: 4,
+                last: false,
+                chunk,
+            }
+            .encode()
+        };
+        assert!(decode_envelope(&bulk(MAX_ORIGIN_ID, MAX_LEADER_ID)).is_ok());
+        let err = decode_envelope(&bulk(1 << 24, 2)).unwrap_err();
+        assert_eq!(err.expected, "chunk origin within the 24-bit flash header");
+        let err = decode_envelope(&bulk(5, 1 << 23)).unwrap_err();
+        assert_eq!(err.expected, "event leader within the 23-bit flash header");
     }
 
     #[test]

@@ -1,17 +1,23 @@
 //! Property tests: every expressible message survives a wire round trip,
 //! in arbitrary envelope groupings, and the decoder never panics on junk
 //! or truncated input. Node IDs mix the two-byte form with the
-//! escape-coded wide form (sentinel plus `u32`).
+//! escape-coded wide form (sentinel plus `u32`); chunk IDs stay within
+//! the flash header's widths, and wider ones are rejected.
 
-use enviromic_flash::{Chunk, ChunkMeta};
+use enviromic_flash::{Chunk, ChunkMeta, MAX_LEADER_ID, MAX_ORIGIN_ID};
 use enviromic_net::{decode_envelope, encode_envelope, Message};
 use enviromic_types::{EventId, NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
 
 fn arb_node() -> impl Strategy<Value = NodeId> {
+    arb_node_upto(u32::MAX)
+}
+
+/// A node ID in `0..=max`, in both the two-byte and the escape-coded form.
+fn arb_node_upto(max: u32) -> impl Strategy<Value = NodeId> {
     prop_oneof![
         any::<u16>().prop_map(NodeId::from),
-        (0xFFFFu32..=u32::MAX).prop_map(NodeId::from),
+        (0xFFFFu32..=max).prop_map(NodeId::from),
     ]
 }
 
@@ -27,10 +33,12 @@ fn arb_duration() -> impl Strategy<Value = SimDuration> {
     (0u64..u64::from(u32::MAX)).prop_map(SimDuration::from_jiffies)
 }
 
+/// A chunk whose IDs fit the flash header it will be stored under.
 fn arb_chunk() -> impl Strategy<Value = Chunk> {
+    let leader = (arb_node_upto(MAX_LEADER_ID), any::<u32>()).prop_map(|(l, s)| EventId::new(l, s));
     (
-        arb_node(),
-        proptest::option::of(arb_event()),
+        arb_node_upto(MAX_ORIGIN_ID),
+        proptest::option::of(leader),
         arb_time(),
         proptest::collection::vec(any::<u8>(), 0..=232),
     )
@@ -224,5 +232,27 @@ proptest! {
     #[test]
     fn encoded_len_is_exact(m in arb_message()) {
         prop_assert_eq!(m.encode().len(), m.encoded_len() + 1);
+    }
+
+    #[test]
+    fn chunks_with_ids_wider_than_flash_are_rejected(
+        chunk in arb_chunk(),
+        origin in (MAX_ORIGIN_ID + 1)..=u32::MAX,
+        leader in (MAX_LEADER_ID + 1)..=u32::MAX,
+        widen_origin in any::<bool>(),
+    ) {
+        let mut wide = chunk;
+        if widen_origin {
+            wide.meta.origin = NodeId::from(origin);
+        } else {
+            wide.meta.event = Some(EventId::new(NodeId::from(leader), 1));
+        }
+        let carriers = [
+            Message::BulkData { to: NodeId(1), session: 2, seq: 3, last: true, chunk: wide.clone() },
+            Message::QueryData { to: NodeId(1), root: NodeId(0), query_id: 4, chunk: wide },
+        ];
+        for m in carriers {
+            prop_assert!(decode_envelope(&m.encode()).is_err(), "{:?} decoded", m.kind());
+        }
     }
 }

@@ -185,11 +185,11 @@ struct Inner {
     medium_rng: SmallRng,
     telemetry: Registry,
     metrics: SimMetrics,
-    /// Uniform-grid index over alive node positions; built when the world
-    /// starts (nodes are fixed by then), evicted on node death.
-    grid: Option<NodeGrid>,
-    /// Per-node candidate source sets; built when the world starts.
-    audible: Option<AudibleIndex>,
+    /// Uniform-grid index over alive node positions; empty until the
+    /// world starts (nodes are fixed by then), evicted on node death.
+    grid: NodeGrid,
+    /// Per-node candidate source sets; empty until the world starts.
+    audible: AudibleIndex,
     /// Scratch for delivery candidate indices (reused across broadcasts so
     /// the hot loop never allocates).
     deliver_scratch: Vec<u32>,
@@ -268,8 +268,8 @@ impl World {
                 medium_rng,
                 telemetry,
                 metrics,
-                grid: None,
-                audible: None,
+                grid: NodeGrid::build(&[], &[], 0.0),
+                audible: AudibleIndex::default(),
                 deliver_scratch: Vec::new(),
                 block_sources: Vec::new(),
                 noise_scratch: Vec::new(),
@@ -363,8 +363,10 @@ impl World {
         // A world that is already running patches the live audible index
         // instead of rebuilding it (sources added before the world starts
         // are folded in by the from-scratch build at startup).
-        if let Some(audible) = &mut self.inner.audible {
-            audible.add_source(&self.inner.nodes.pos, index, &spec);
+        if self.started {
+            self.inner
+                .audible
+                .add_source(&self.inner.nodes.pos, index, &spec);
         }
         self.inner.field.add_source(spec)
     }
@@ -844,12 +846,8 @@ impl Inner {
     /// Builds the spatial indexes once node and source sets are final
     /// (called when the world starts).
     fn build_spatial_index(&mut self) {
-        self.grid = Some(NodeGrid::build(
-            &self.nodes.pos,
-            &self.nodes.alive,
-            self.cfg.radio.range_ft,
-        ));
-        self.audible = Some(AudibleIndex::build(&self.nodes.pos, self.field.sources()));
+        self.grid = NodeGrid::build(&self.nodes.pos, &self.nodes.alive, self.cfg.radio.range_ft);
+        self.audible = AudibleIndex::build(&self.nodes.pos, self.field.sources());
     }
 
     /// Marks `node` dead in its slot and evicts it from the spatial
@@ -866,12 +864,8 @@ impl Inner {
         self.nodes.alive[idx] = false;
         self.nodes.radio_on[idx] = false;
         self.nodes.session[idx] = None;
-        if let Some(grid) = &mut self.grid {
-            grid.remove(idx);
-        }
-        if let Some(audible) = &mut self.audible {
-            audible.clear_node(idx);
-        }
+        self.grid.remove(idx);
+        self.audible.clear_node(idx);
     }
 
     /// Retires stopped sources whose grace window has fully passed.
@@ -881,9 +875,7 @@ impl Inner {
             return;
         }
         let now = self.now;
-        let Some(audible) = &mut self.audible else {
-            return;
-        };
+        let audible = &mut self.audible;
         self.pending_retires.retain(|&(source, safe_at)| {
             if now >= safe_at {
                 audible.retire_source(source);
@@ -907,9 +899,7 @@ impl Inner {
         self.nodes.alive[idx] = false;
         self.nodes.radio_on[idx] = false;
         self.nodes.session[idx] = None;
-        if let Some(grid) = &mut self.grid {
-            grid.remove(idx);
-        }
+        self.grid.remove(idx);
     }
 
     /// Rejoins a crashed node: volatile physical state resets, the spatial
@@ -924,9 +914,7 @@ impl Inner {
         self.nodes.radio_on[idx] = true;
         self.nodes.session[idx] = None;
         self.nodes.last_energy_update[idx] = self.now;
-        if let Some(grid) = &mut self.grid {
-            grid.insert(idx);
-        }
+        self.grid.insert(idx);
         true
     }
 
@@ -1015,10 +1003,7 @@ impl Inner {
         let idx = node.index();
         let pos = self.nodes.pos[idx];
         let gain = self.nodes.mic_gain[idx];
-        let peak = match &self.audible {
-            Some(audible) => audible.peak_level(&self.field, idx, pos, self.now),
-            None => self.field.peak_level(pos, self.now),
-        } * gain;
+        let peak = self.audible.peak_level(&self.field, idx, pos, self.now) * gain;
         let a = &self.cfg.acoustics;
         let noise =
             self.nodes.rng[idx].gen_range(-2.0 * a.background_sigma..=2.0 * a.background_sigma);
@@ -1046,13 +1031,7 @@ impl Inner {
             mix_scratch,
             ..
         } = self;
-        match audible {
-            Some(audible) => audible.block_sources(idx, t0, t1, block_sources),
-            None => {
-                block_sources.clear();
-                block_sources.extend(0..field.sources().len() as u32);
-            }
-        }
+        audible.block_sources(idx, t0, t1, block_sources);
         let pos = nodes.pos[idx];
         let audio_rng = &mut nodes.audio_rng[idx];
         // Draw the ambient noise per sample in ascending order up front —
@@ -1204,11 +1183,7 @@ impl Runtime for Context<'_> {
         // exactly the same sequence as the old full scan (the golden-digest
         // invariant). The scratch Vec is reused across broadcasts.
         let mut cand = std::mem::take(&mut self.inner.deliver_scratch);
-        self.inner
-            .grid
-            .as_ref()
-            .expect("spatial index is built when the world starts")
-            .query_sorted(sender_pos, range, &mut cand);
+        self.inner.grid.query_sorted(sender_pos, range, &mut cand);
         for &idx in &cand {
             let idx = idx as usize;
             if idx == self.node.index() {

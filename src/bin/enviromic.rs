@@ -43,6 +43,7 @@ use enviromic::workloads::{
     forest_scenario, indoor_scenario, mobile_scenario, voice_scenario, ForestParams, IndoorParams,
     MobileParams, Scenario,
 };
+use enviromic::{default_jobs, write_artifact};
 use enviromic_telemetry::{log, log_info};
 
 #[derive(Debug, Clone)]
@@ -83,7 +84,7 @@ fn parse_args() -> Options {
         duration: None,
         seed: 1,
         seeds: 1,
-        jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        jobs: default_jobs(),
         flash: None,
         beta_max: None,
         policy: PolicyKind::default(),
@@ -189,15 +190,9 @@ fn node_config(opts: &Options) -> NodeConfig {
     cfg
 }
 
-/// Writes `contents` to `path`, creating parent directories as needed.
+/// Writes the run dump to `path`; a failed write exits 1.
 fn write_dump(path: &str, contents: &str) {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-    }
-    match std::fs::write(p, contents) {
+    match write_artifact(path, contents) {
         Ok(()) => log_info!("[enviromic] run dump written to {path}"),
         Err(e) => {
             eprintln!("enviromic: could not write {path}: {e}");
@@ -232,11 +227,10 @@ fn run_seed_sweep(opts: &Options) {
         plan = plan.with_timeline(secs);
     }
     let outcome = run_sweep(&plan, opts.jobs);
-    let summary = outcome.summary();
-    print!("{}", summary.render());
+    print!("{}", outcome.render());
     if opts.stats {
         println!();
-        print!("{}", summary.aggregate.render_dashboard());
+        print!("{}", outcome.aggregate.render_dashboard());
     }
     if let Some(path) = &opts.timeline_out {
         // Timeline-only dumps: per-seed event ledgers would dwarf the file.

@@ -34,6 +34,9 @@
 //! | [`sweep`] | parallel seed × scenario sweeps with deterministic replay |
 //! | [`observe`] | run dumps, trace filtering, per-node ledgers (the `trace` explorer) |
 //!
+//! Every binary writes its files through [`write_artifact`] and takes its
+//! `--jobs` default from [`default_jobs`].
+//!
 //! # Quickstart
 //!
 //! ```
@@ -67,3 +70,25 @@ pub use enviromic_telemetry as telemetry;
 pub use enviromic_timesync as timesync;
 pub use enviromic_types as types;
 pub use enviromic_workloads as workloads;
+
+use std::path::Path;
+
+/// Writes a run artifact (report JSON, run dump) to `path`, creating its
+/// parent directories first. Each binary keeps its own failure policy.
+///
+/// # Errors
+///
+/// Returns the I/O error of the directory creation or of the write.
+pub fn write_artifact(path: impl AsRef<Path>, contents: &str) -> std::io::Result<()> {
+    let path = path.as_ref();
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    std::fs::write(path, contents)
+}
+
+/// Default sweep worker count: one per available core.
+#[must_use]
+pub fn default_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}

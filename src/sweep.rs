@@ -399,7 +399,7 @@ pub struct SweepOutcome {
 
 impl SweepOutcome {
     /// `(label, seed, digest)` per job in plan order — the determinism
-    /// fingerprint CI diffs across worker counts.
+    /// fingerprint the tests compare across worker counts.
     #[must_use]
     pub fn digests(&self) -> Vec<(String, u64, u64)> {
         self.jobs
@@ -414,16 +414,12 @@ impl SweepOutcome {
         self.jobs.iter().map(|j| j.wall_secs).sum()
     }
 
-    /// The machine-readable summary (per-job table + aggregate) written
-    /// to `BENCH_sweep.json`.
+    /// The wall-clock-free summary (per-job table + aggregate) written to
+    /// `BENCH_sweep.json`: byte-identical at any worker count.
     #[must_use]
     pub fn summary(&self) -> SweepSummary {
         SweepSummary {
-            workers: self.workers as u64,
             jobs_total: self.jobs.len() as u64,
-            wall_secs: self.wall_secs,
-            serial_secs: self.serial_secs(),
-            speedup: self.serial_secs() / self.wall_secs.max(1e-9),
             jobs: self
                 .jobs
                 .iter()
@@ -432,11 +428,35 @@ impl SweepOutcome {
                     seed: j.seed,
                     digest: format!("{:#018x}", j.digest),
                     events: j.events as u64,
-                    wall_secs: j.wall_secs,
                 })
                 .collect(),
             aggregate: self.aggregate.clone(),
         }
+    }
+
+    /// Renders the per-job table with its wall-clock column and the pool
+    /// timing line, for terminal output only.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let mut out = String::from(
+            "sweep results\n\n  scenario        seed        digest              events   wall(s)\n",
+        );
+        for j in &self.jobs {
+            out.push_str(&format!(
+                "  {:<14} {:>5}  {:#018x}  {:>8}  {:>8.3}\n",
+                j.label, j.seed, j.digest, j.events, j.wall_secs
+            ));
+        }
+        let serial = self.serial_secs();
+        out.push_str(&format!(
+            "\n  {} jobs on {} workers: {:.3}s wall ({:.3}s serial, {:.2}x speedup)\n",
+            self.jobs.len(),
+            self.workers,
+            self.wall_secs,
+            serial,
+            serial / self.wall_secs.max(1e-9)
+        ));
+        out
     }
 }
 
@@ -452,25 +472,16 @@ pub struct JobRecord {
     pub digest: String,
     /// Number of trace records.
     pub events: u64,
-    /// Wall-clock seconds the job took.
-    pub wall_secs: f64,
 }
 
-/// The machine-readable sweep artifact: per-job and aggregate timings
-/// plus the merged telemetry. Serialized to `BENCH_sweep.json` by the
-/// `sweep` driver and the `sweep` Criterion bench.
+/// The machine-readable sweep artifact: per-job digests plus the merged
+/// telemetry, with no wall-clock field, so one plan writes the same bytes
+/// at any worker count. Serialized to `BENCH_sweep.json` and
+/// `BENCH_chaos.json` by the `sweep` driver.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSummary {
-    /// Worker threads used.
-    pub workers: u64,
     /// Number of jobs executed.
     pub jobs_total: u64,
-    /// Wall-clock seconds for the whole sweep.
-    pub wall_secs: f64,
-    /// Sum of per-job wall-clock seconds.
-    pub serial_secs: f64,
-    /// `serial_secs / wall_secs` — the pool's effective speedup.
-    pub speedup: f64,
     /// Per-job rows in plan order.
     pub jobs: Vec<JobRecord>,
     /// Every job's telemetry merged in plan order.
@@ -492,25 +503,6 @@ impl SweepSummary {
     pub fn from_json(text: &str) -> Result<SweepSummary, String> {
         let value = serde::Value::from_json(text).map_err(|e| e.to_string())?;
         serde::Deserialize::from_value(&value).map_err(|e: serde::DeError| e.to_string())
-    }
-
-    /// Renders the per-job table and aggregate line for terminal output.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::from(
-            "sweep results\n\n  scenario        seed        digest              events   wall(s)\n",
-        );
-        for j in &self.jobs {
-            out.push_str(&format!(
-                "  {:<14} {:>5}  {:>18}  {:>8}  {:>8.3}\n",
-                j.label, j.seed, j.digest, j.events, j.wall_secs
-            ));
-        }
-        out.push_str(&format!(
-            "\n  {} jobs on {} workers: {:.3}s wall ({:.3}s serial, {:.2}x speedup)\n",
-            self.jobs_total, self.workers, self.wall_secs, self.serial_secs, self.speedup
-        ));
-        out
     }
 }
 
@@ -630,11 +622,11 @@ mod tests {
         let serial = run_sweep(&plan, 1);
         let pooled = run_sweep(&plan, 4);
         assert_eq!(serial.digests(), pooled.digests());
-        // Counters merge in plan order, so the aggregates agree too.
-        // Spans are excluded: they measure host timing, not simulation
-        // behaviour.
+        // Counters merge in plan order, so the aggregates agree too, and
+        // the summary the `sweep` driver commits is byte-identical.
         assert_eq!(serial.aggregate.counters, pooled.aggregate.counters);
         assert_eq!(serial.aggregate.histograms, pooled.aggregate.histograms);
+        assert_eq!(serial.summary().to_json(), pooled.summary().to_json());
     }
 
     #[test]
@@ -670,7 +662,7 @@ mod tests {
         assert_eq!(back, summary);
         assert_eq!(back.jobs.len(), 2);
         assert!(back.jobs[0].digest.starts_with("0x"));
-        let rendered = summary.render();
+        let rendered = out.render();
         assert!(rendered.contains("quick-indoor"));
         assert!(rendered.contains("workers"));
     }
