@@ -9,27 +9,7 @@
 //! once per hole (see `RerequestPlan` there).
 
 use crate::store::ArchiveStore;
-use enviromic_types::{NodeId, SimDuration, SimTime};
-use serde::Serialize;
-
-/// One missing audio range of one origin node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub struct GapRange {
-    /// The node whose audio is missing.
-    pub origin: NodeId,
-    /// Missing range start (end of the chunk before the hole).
-    pub t0: SimTime,
-    /// Missing range end (start of the chunk after the hole).
-    pub t1: SimTime,
-}
-
-impl GapRange {
-    /// The missing span.
-    #[must_use]
-    pub fn span(&self) -> SimDuration {
-        self.t1.saturating_since(self.t0)
-    }
-}
+use enviromic_types::{GapRange, NodeId, SimDuration, SimTime};
 
 /// The `[first t0, last t1]` of `origin`'s archived audio, or `None`
 /// when the archive holds nothing from it.

@@ -18,10 +18,10 @@
 //!   telemetry (`archive.cache.*`). Cache placement is decided in
 //!   workload order on the coordinator, so hit ratios are bit-identical
 //!   at any worker count.
-//! * [`find_gaps`] / [`GapRange`] — the gap detector: scans an origin's
-//!   coverage for missing chunk ranges. `enviromic-core` turns the
-//!   ranges into batched spanning-tree re-request messages instead of
-//!   one query per hole.
+//! * [`find_gaps`] — the gap detector: scans an origin's coverage for
+//!   missing chunk ranges ([`enviromic_types::GapRange`]).
+//!   `enviromic-core` turns the ranges into batched spanning-tree
+//!   re-request messages instead of one query per hole.
 //! * [`serve_queries`] — a `std::thread::scope` worker pool (the
 //!   `src/sweep.rs` shape) serving a query workload concurrently with
 //!   deterministic results regardless of worker count.
@@ -37,7 +37,7 @@ mod serve;
 mod store;
 
 pub use cache::{CacheDecision, CacheStats, QueryCache};
-pub use gaps::{coverage_span, find_gaps, GapRange};
+pub use gaps::{coverage_span, find_gaps};
 pub use serve::{serve_queries, LatencySummary, ServeOutcome};
 pub use store::{
     ArchiveBuilder, ArchiveRecord, ArchiveStore, IngestStats, QueryResult, RangeQuery,

@@ -16,8 +16,9 @@
 //! produces a **byte-identical** file at any `--jobs` value — CI
 //! regenerates the whole five-rung ladder at `--jobs 1` and `--jobs 2`,
 //! diffs the two, and diffs the result against the committed
-//! `BENCH_scale.json`. (Wall-clock throughput at these sizes lives in
-//! `BENCH_world.json`, which is an uploaded artifact, not a diffed one.)
+//! `BENCH_scale.json`. (Wall-clock throughput at 10k and 100k nodes is
+//! timed by the repository benchmark's `city-long` and `city-wide`
+//! workloads.)
 
 use enviromic::sweep::{run_sweep, ScenarioSpec, SweepPlan};
 use enviromic::{default_jobs, write_artifact};

@@ -1,6 +1,7 @@
 //! Experiment harnesses regenerating every figure of the EnviroMic
-//! paper's evaluation (§IV), plus shared plumbing for the Criterion
-//! benches.
+//! paper's evaluation (§IV). Wall-clock timing lives in one place, the
+//! `benchmark` bin, whose workloads and bounds the root `BENCHMARK.json`
+//! defines.
 //!
 //! | Module | Figures |
 //! |---|---|

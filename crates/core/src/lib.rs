@@ -64,7 +64,7 @@ pub use policy::{
     FloodingDispersalPolicy, MigrationPlan, NeighborView, NoMigrationPolicy,
 };
 pub use retrieve::{
-    recover_collected_mote, DataMule, MissingRange, MuleConfig, RerequestBatch, RerequestPlan,
-    RetrievalMode, RetrievedFile,
+    recover_collected_mote, DataMule, MuleConfig, RerequestBatch, RerequestPlan, RetrievalMode,
+    RetrievedFile,
 };
 pub use storage::TracedStore;

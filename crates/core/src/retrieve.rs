@@ -22,7 +22,7 @@ use enviromic_net::{
 };
 use enviromic_runtime::{Application, Runtime, Timer};
 use enviromic_telemetry::Counter;
-use enviromic_types::{EventId, NodeId, SimDuration, SimTime};
+use enviromic_types::{EventId, GapRange, NodeId, SimDuration, SimTime};
 use rand::Rng;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -551,18 +551,6 @@ pub fn recover_collected_mote(store: ChunkStore) -> Vec<Chunk> {
     recovered.iter().collect()
 }
 
-/// One missing audio range of one origin node, as reported by the
-/// basestation archive's gap detector (`enviromic-archive`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MissingRange {
-    /// The node whose audio is missing.
-    pub origin: NodeId,
-    /// Missing range start.
-    pub t0: SimTime,
-    /// Missing range end.
-    pub t1: SimTime,
-}
-
 /// One batched re-request window: a single spanning-tree query covering
 /// every missing range merged into it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -596,8 +584,8 @@ impl RerequestPlan {
     /// most `slack` — re-querying a short covered stretch between two
     /// holes is cheaper than flooding a second tree query.
     #[must_use]
-    pub fn build(gaps: &[MissingRange], slack: SimDuration) -> RerequestPlan {
-        let mut windows: Vec<&MissingRange> = gaps.iter().filter(|g| g.t1 > g.t0).collect();
+    pub fn build(gaps: &[GapRange], slack: SimDuration) -> RerequestPlan {
+        let mut windows: Vec<&GapRange> = gaps.iter().filter(|g| g.t1 > g.t0).collect();
         windows.sort_by_key(|g| (g.t0, g.t1, g.origin));
         let mut batches: Vec<RerequestBatch> = Vec::new();
         for gap in windows {
@@ -666,8 +654,8 @@ mod tests {
         SimTime::ZERO + SimDuration::from_secs_f64(secs)
     }
 
-    fn gap(origin: u32, t0: f64, t1: f64) -> MissingRange {
-        MissingRange {
+    fn gap(origin: u32, t0: f64, t1: f64) -> GapRange {
+        GapRange {
             origin: NodeId(origin),
             t0: t(t0),
             t1: t(t1),

@@ -10,14 +10,12 @@
 //!   Fig. 8 voice experiment;
 //! * [`mean_ci90`] — the paper's "average and 90% confidence interval"
 //!   over repeated runs;
-//! * [`ContourGrid`] / [`render_series`] — plain-text figure rendering;
-//! * [`export`] — CSV trace export for offline analysis.
+//! * [`ContourGrid`] / [`render_series`] — plain-text figure rendering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod analysis;
-pub mod export;
 mod intervals;
 mod render;
 mod stats;

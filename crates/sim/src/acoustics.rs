@@ -245,35 +245,6 @@ impl AcousticField {
             .fold(0.0, f64::max)
     }
 
-    /// Source IDs audible at `listener` at `t`, strongest first.
-    ///
-    /// Allocates a fresh `Vec` per call; hot paths should prefer
-    /// [`AcousticField::audible_sources_into`], which reuses a scratch
-    /// buffer the way the delivery and block-mixing loops do.
-    #[must_use]
-    pub fn audible_sources(&self, listener: Position, t: SimTime) -> Vec<(SourceId, f64)> {
-        let mut v = Vec::new();
-        self.audible_sources_into(listener, t, &mut v);
-        v
-    }
-
-    /// Collects into `out` the source IDs audible at `listener` at `t`,
-    /// strongest first. `out` is cleared first; its capacity is reused, so
-    /// steady-state calls do not allocate.
-    pub fn audible_sources_into(
-        &self,
-        listener: Position,
-        t: SimTime,
-        out: &mut Vec<(SourceId, f64)>,
-    ) {
-        out.clear();
-        out.extend(self.sources.iter().filter_map(|s| {
-            let lvl = s.level_at(listener, t);
-            (lvl > 0.0).then_some((s.id, lvl))
-        }));
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(core::cmp::Ordering::Equal));
-    }
-
     /// Synthesizes one 8-bit audio sample heard at `listener` at absolute
     /// time `t_s` (seconds on the global clock). `noise` is an
     /// already-drawn ambient deviation added around the 128 midpoint.
@@ -597,9 +568,6 @@ mod tests {
         let t = SimTime::from_jiffies(10);
         // Listener at origin: source 1 at full 100, source 2 at 50.
         assert_eq!(f.peak_level(Position::new(0.0, 0.0), t), 100.0);
-        let audible = f.audible_sources(Position::new(0.0, 0.0), t);
-        assert_eq!(audible.len(), 2);
-        assert_eq!(audible[0].0, SourceId(1));
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //!
 //! Everything is reproducible from a single seed.
 //!
-//! The node-facing interface — [`Application`], the
-//! [`Runtime`](enviromic_runtime::Runtime) trait, timers, audio blocks,
-//! the trace vocabulary — is defined in `enviromic-runtime`; this crate is
-//! one *backend* for it (its [`Context`] implements `Runtime`) and
-//! re-exports the shared types for convenience.
+//! The node-facing interface — [`Application`], the [`Runtime`] trait,
+//! timers, audio blocks, the trace vocabulary — is defined in
+//! `enviromic-runtime`; this crate is one *backend* for it (its
+//! [`Context`] implements `Runtime`) and re-exports the shared types for
+//! convenience.
 //!
 //! # Examples
 //!

@@ -14,6 +14,8 @@
 //! * [`Position`] — planar deployment coordinates, in feet (the paper's
 //!   testbeds are specified in feet).
 //! * [`SourceId`] — the identity of a ground-truth acoustic source.
+//! * [`GapRange`] — one origin's missing audio range, found by the
+//!   archive's gap detector and re-requested by the protocol.
 //! * [`MsgKind`] — the kind of a protocol message, as traces label it.
 //! * [`Bytes`] — a cheaply clonable immutable byte buffer, used for radio
 //!   payloads shared across a broadcast fan-out.
@@ -37,6 +39,7 @@
 pub mod audio;
 mod bytes;
 mod event;
+mod gap;
 mod geometry;
 mod msg_kind;
 mod node;
@@ -45,6 +48,7 @@ mod time;
 
 pub use bytes::Bytes;
 pub use event::EventId;
+pub use gap::GapRange;
 pub use geometry::Position;
 pub use msg_kind::MsgKind;
 pub use node::NodeId;

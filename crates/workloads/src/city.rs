@@ -1,19 +1,17 @@
 //! A city-block workload at smart-city scale.
 //!
-//! The paper's testbeds stop at 48 motes and [`crate::large_grid_scenario`]
-//! at ~420; the regime targeted by the related flooding-based-storage and
-//! smart-city audio-acquisition work is 10k+ nodes over miles of streets.
-//! This generator lays acoustic motes out like lampposts: a square grid of
-//! city blocks, nodes spaced evenly around every block perimeter with a
-//! small seeded jitter. Sound sources are what a city produces — vehicles
-//! driving down streets (mobile waypoint sources spanning the whole
-//! deployment) and localized static events (sirens, construction) at
-//! intersections.
+//! The paper's testbeds stop at 48 motes; the regime targeted by the
+//! related flooding-based-storage and smart-city audio-acquisition work is
+//! 10k+ nodes over miles of streets. This generator lays acoustic motes
+//! out like lampposts: a square grid of city blocks, nodes spaced evenly
+//! around every block perimeter with a small seeded jitter. Sound sources
+//! are what a city produces — vehicles driving down streets (mobile
+//! waypoint sources spanning the whole deployment) and localized static
+//! events (sirens, construction) at intersections.
 //!
 //! Everything derives from the seed, so the scenario honours the same
-//! sweep-determinism contract as the paper workloads; a 10k-node instance
-//! is the canonical input of the scale rows in `BENCH_world.json` and the
-//! CI scale-smoke digest check.
+//! sweep-determinism contract as the paper workloads; the 1k–100k
+//! instances are the rows of the committed `BENCH_scale.json`.
 
 use crate::grid::Topology;
 use crate::scenario::Scenario;

@@ -10,10 +10,8 @@
 //! * [`forest_scenario`] — the synthesized 3-hour outdoor soundscape
 //!   behind Figs. 16–18 (road traffic, trail vocalizations, the two
 //!   observed activity spikes);
-//! * [`large_grid_scenario`] — a 400+ node stress grid for the spatial
-//!   index, beyond the paper's deployment sizes;
 //! * [`city_scenario`] — a ~10 000-node city-block lamppost deployment,
-//!   the canonical input of the 1k/4k/10k scale benchmarks.
+//!   the input of the 1k–100k scale ladder.
 //!
 //! Scenario source lists double as metrics ground truth.
 
@@ -24,7 +22,6 @@ mod city;
 mod forest;
 mod grid;
 mod indoor;
-mod large;
 mod mobile;
 mod scenario;
 
@@ -32,6 +29,5 @@ pub use city::{city_scenario, CityParams};
 pub use forest::{forest_scenario, wall_clock_label, ForestParams};
 pub use grid::Topology;
 pub use indoor::{generator_positions, indoor_scenario, IndoorParams};
-pub use large::{large_grid_scenario, LargeGridParams};
 pub use mobile::{mobile_scenario, voice_scenario, MobileParams};
 pub use scenario::Scenario;

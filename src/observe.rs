@@ -10,8 +10,8 @@
 
 use crate::harness::ExperimentRun;
 use crate::sim::TraceEvent;
-use enviromic_archive::{ArchiveBuilder, ArchiveRecord, ArchiveStore, GapRange};
-use enviromic_core::{MissingRange, RerequestPlan};
+use enviromic_archive::{ArchiveBuilder, ArchiveRecord, ArchiveStore};
+use enviromic_core::RerequestPlan;
 use enviromic_telemetry::TimelineReport;
 use enviromic_types::{NodeId, SimDuration};
 use serde::{Deserialize, Serialize};
@@ -143,15 +143,7 @@ pub fn rerequest_plan(
     tolerance: SimDuration,
     slack: SimDuration,
 ) -> RerequestPlan {
-    let gaps: Vec<MissingRange> = enviromic_archive::find_gaps(store, tolerance)
-        .iter()
-        .map(|g: &GapRange| MissingRange {
-            origin: g.origin,
-            t0: g.t0,
-            t1: g.t1,
-        })
-        .collect();
-    RerequestPlan::build(&gaps, slack)
+    RerequestPlan::build(&enviromic_archive::find_gaps(store, tolerance), slack)
 }
 
 /// A node / event-kind / time-window query over trace records.

@@ -17,9 +17,12 @@
 //! # Examples
 //!
 //! ```
-//! use enviromic::sweep::{run_sweep, SweepPlan};
+//! use enviromic::sweep::{run_sweep, ScenarioSpec, SweepPlan};
 //!
-//! let plan = SweepPlan::quick(vec![1, 2]).with_duration(20.0);
+//! let plan = SweepPlan::new(
+//!     vec![1, 2],
+//!     vec![ScenarioSpec::quick_indoor(20.0), ScenarioSpec::quick_forest(20.0)],
+//! );
 //! let serial = run_sweep(&plan, 1);
 //! let pooled = run_sweep(&plan, 4);
 //! assert_eq!(serial.digests(), pooled.digests());
@@ -288,55 +291,6 @@ impl SweepPlan {
             seeds,
             scenarios,
             timeline_secs: None,
-        }
-    }
-
-    /// The standard quick sweep: quick-indoor × quick-forest at 120 s,
-    /// the grid CI diffs across worker counts.
-    #[must_use]
-    pub fn quick(seeds: Vec<u64>) -> Self {
-        SweepPlan::new(
-            seeds,
-            vec![
-                ScenarioSpec::quick_indoor(120.0),
-                ScenarioSpec::quick_forest(120.0),
-            ],
-        )
-    }
-
-    /// The chaos sweep: the quick grid with seed-derived fault schedules
-    /// injected (`sweep --chaos`). CI diffs its digests across worker
-    /// counts exactly like the fault-free grid.
-    #[must_use]
-    pub fn chaos(seeds: Vec<u64>) -> Self {
-        SweepPlan::new(
-            seeds,
-            vec![
-                ScenarioSpec::chaos_indoor(120.0),
-                ScenarioSpec::chaos_forest(120.0),
-            ],
-        )
-    }
-
-    /// Rebuilds every scenario point at a different duration (only
-    /// meaningful for plans built from the stock quick points).
-    #[must_use]
-    pub fn with_duration(self, duration_secs: f64) -> Self {
-        let scenarios = self
-            .scenarios
-            .iter()
-            .map(|s| match s.label.as_str() {
-                "quick-indoor" => ScenarioSpec::quick_indoor(duration_secs),
-                "quick-forest" => ScenarioSpec::quick_forest(duration_secs),
-                "chaos-indoor" => ScenarioSpec::chaos_indoor(duration_secs),
-                "chaos-forest" => ScenarioSpec::chaos_forest(duration_secs),
-                _ => s.clone(),
-            })
-            .collect();
-        SweepPlan {
-            seeds: self.seeds,
-            scenarios,
-            timeline_secs: self.timeline_secs,
         }
     }
 
@@ -612,13 +566,19 @@ pub fn run_sweep(plan: &SweepPlan, workers: usize) -> SweepOutcome {
 mod tests {
     use super::*;
 
-    fn tiny_plan() -> SweepPlan {
-        SweepPlan::quick(vec![1, 2]).with_duration(20.0)
+    fn quick_plan(seeds: Vec<u64>, duration_secs: f64) -> SweepPlan {
+        SweepPlan::new(
+            seeds,
+            vec![
+                ScenarioSpec::quick_indoor(duration_secs),
+                ScenarioSpec::quick_forest(duration_secs),
+            ],
+        )
     }
 
     #[test]
     fn pool_size_does_not_change_results() {
-        let plan = tiny_plan();
+        let plan = quick_plan(vec![1, 2], 20.0);
         let serial = run_sweep(&plan, 1);
         let pooled = run_sweep(&plan, 4);
         assert_eq!(serial.digests(), pooled.digests());
@@ -631,7 +591,7 @@ mod tests {
 
     #[test]
     fn jobs_come_back_in_plan_order() {
-        let plan = tiny_plan();
+        let plan = quick_plan(vec![1, 2], 20.0);
         let out = run_sweep(&plan, 3);
         let idx: Vec<(String, u64)> = out.jobs.iter().map(|j| (j.label.clone(), j.seed)).collect();
         assert_eq!(
@@ -656,7 +616,7 @@ mod tests {
 
     #[test]
     fn summary_round_trips_through_json() {
-        let out = run_sweep(&SweepPlan::quick(vec![5]).with_duration(10.0), 2);
+        let out = run_sweep(&quick_plan(vec![5], 10.0), 2);
         let summary = out.summary();
         let back = SweepSummary::from_json(&summary.to_json()).expect("parses");
         assert_eq!(back, summary);
@@ -669,7 +629,13 @@ mod tests {
 
     #[test]
     fn chaos_sweep_is_bit_identical_across_worker_counts() {
-        let plan = SweepPlan::chaos(vec![3, 4]).with_duration(20.0);
+        let plan = SweepPlan::new(
+            vec![3, 4],
+            vec![
+                ScenarioSpec::chaos_indoor(20.0),
+                ScenarioSpec::chaos_forest(20.0),
+            ],
+        );
         let serial = run_sweep(&plan, 1);
         let pooled = run_sweep(&plan, 4);
         assert_eq!(serial.digests(), pooled.digests());
@@ -687,7 +653,7 @@ mod tests {
 
     #[test]
     fn workers_clamped_to_job_count() {
-        let out = run_sweep(&SweepPlan::quick(vec![9]).with_duration(5.0), 64);
+        let out = run_sweep(&quick_plan(vec![9], 5.0), 64);
         assert_eq!(out.workers, 2, "two jobs cannot use more than two workers");
     }
 }
