@@ -12,10 +12,11 @@
 //!
 //! Runs [`ScenarioSpec::city`] at each node count through the sweep pool
 //! and writes one row per size: node count, trace length, and trace
-//! digest. The report contains no wall-clock data, so the same seed
-//! produces a **byte-identical** file at any `--jobs` value — CI
-//! regenerates the whole five-rung ladder at `--jobs 1` and `--jobs 2`,
-//! diffs the two, and diffs the result against the committed
+//! digest. City runs keep digest-only traces, so no rung holds its
+//! records in memory. The report contains no wall-clock data, so the
+//! same seed produces a **byte-identical** file at any `--jobs` value —
+//! CI regenerates the whole five-rung ladder at `--jobs 1` and
+//! `--jobs 2`, diffs the two, and diffs the result against the committed
 //! `BENCH_scale.json`. (Wall-clock throughput at 10k and 100k nodes is
 //! timed by the repository benchmark's `city-long` and `city-wide`
 //! workloads.)

@@ -66,7 +66,7 @@ impl EnviroMicNode {
     pub(crate) fn on_state_tick(&mut self, ctx: &mut dyn Runtime) {
         self.neighbors.expire(ctx.now());
         // Withdraw an offer nobody answered within a period.
-        if let Some(offer) = self.pending_offer {
+        if let Some(offer) = &self.pending_offer {
             if ctx.now().saturating_since(offer.made_at) >= self.cfg.state_period {
                 self.pending_offer = None;
             }
@@ -149,12 +149,12 @@ impl EnviroMicNode {
         if let Some(beta) = plan.beta {
             self.metrics.beta.observe(beta);
         }
-        self.pending_offer = Some(PendingOffer {
+        self.pending_offer = Some(Box::new(PendingOffer {
             to: plan.target,
             session,
             chunks: plan.chunks,
             made_at: ctx.now(),
-        });
+        }));
         self.send(
             ctx,
             Message::MigrateOffer {
@@ -197,12 +197,12 @@ impl EnviroMicNode {
             return;
         }
         self.metrics.migrate_accepted.inc();
-        self.bulk_in = Some(InboundBulk {
+        self.bulk_in = Some(Box::new(InboundBulk {
             recv: BulkReceiver::new(from, session),
             accepted: 0,
             bytes: 0,
             last_activity: ctx.now(),
-        });
+        }));
         self.send(
             ctx,
             Message::MigrateAccept {
@@ -224,7 +224,7 @@ impl EnviroMicNode {
         if to != self.me {
             return;
         }
-        let Some(offer) = self.pending_offer else {
+        let Some(&offer) = self.pending_offer.as_deref() else {
             return;
         };
         if offer.session != session || offer.to != from {
@@ -247,10 +247,10 @@ impl EnviroMicNode {
         }
         let sender = BulkSender::new(from, session, chunks, self.cfg.bulk_retries);
         let first = sender.current().expect("fresh session has a first chunk");
-        self.bulk_out = Some(OutboundBulk {
+        self.bulk_out = Some(Box::new(OutboundBulk {
             sender,
             purpose: BulkPurpose::Migration,
-        });
+        }));
         self.send(ctx, first);
         self.arm(ctx, T_BULK, self.cfg.bulk_timeout);
     }

@@ -141,9 +141,9 @@ pub(crate) struct PendingReply {
 }
 
 /// Telemetry handles for the protocol subsystems, resolved once from the
-/// world registry at `on_start`. Default-constructed handles are detached
-/// (they record into private cells nobody reads), so a node built outside
-/// a world stays harmless.
+/// world registry at `on_start`. Until then a node holds
+/// [`CoreMetrics::detached`] handles, so a node built outside a world
+/// stays harmless.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CoreMetrics {
     pub elections_started: Counter,
@@ -166,6 +166,16 @@ pub(crate) struct CoreMetrics {
 }
 
 impl CoreMetrics {
+    /// Handles that record into cells nobody reads. Every node built on
+    /// one thread shares the same cells, so building a node allocates
+    /// none; `on_start` replaces them.
+    fn detached() -> Self {
+        thread_local! {
+            static DETACHED: CoreMetrics = CoreMetrics::default();
+        }
+        DETACHED.with(CoreMetrics::clone)
+    }
+
     fn attach(reg: &Registry) -> Self {
         CoreMetrics {
             elections_started: reg.counter("core.election.started"),
@@ -229,7 +239,7 @@ pub struct EnviroMicNode {
     pub(crate) hearing: bool,
     pub(crate) current_level: f64,
     pub(crate) group_event: Option<EventId>,
-    pub(crate) leader: Option<LeaderState>,
+    pub(crate) leader: Option<Box<LeaderState>>,
     pub(crate) pending_handoff: Option<PendingHandoff>,
     pub(crate) event_seq: u32,
     /// Latest overheard (event, task_seq, recorder) confirmation.
@@ -251,7 +261,7 @@ pub struct EnviroMicNode {
     pub(crate) last_seen_task_seq: u32,
 
     // recording
-    pub(crate) task: Option<TaskRun>,
+    pub(crate) task: Option<Box<TaskRun>>,
     /// Chunks of an unclaimed prelude at the store tail (newest side).
     pub(crate) prelude_chunks: u32,
     pub(crate) prelude_event_pending: bool,
@@ -265,13 +275,13 @@ pub struct EnviroMicNode {
     /// Diffusive estimate of the network-wide average free fraction
     /// (global-balance extension), in [0, 1].
     pub(crate) net_avg_free: f64,
-    pub(crate) pending_offer: Option<PendingOffer>,
-    pub(crate) bulk_out: Option<OutboundBulk>,
-    pub(crate) bulk_in: Option<InboundBulk>,
+    pub(crate) pending_offer: Option<Box<PendingOffer>>,
+    pub(crate) bulk_out: Option<Box<OutboundBulk>>,
+    pub(crate) bulk_in: Option<Box<InboundBulk>>,
     pub(crate) session_seq: u32,
 
     // retrieval
-    pub(crate) pending_reply: Option<PendingReply>,
+    pub(crate) pending_reply: Option<Box<PendingReply>>,
 
     // plumbing
     pub(crate) timers: HashMap<u32, TimerHandle>,
@@ -328,7 +338,7 @@ impl EnviroMicNode {
             prelude_chunks: 0,
             prelude_event_pending: false,
             policy,
-            policy_metrics: PolicyMetrics::default(),
+            policy_metrics: PolicyMetrics::detached(),
             rate,
             net_avg_free: 1.0,
             pending_offer: None,
@@ -338,7 +348,7 @@ impl EnviroMicNode {
             pending_reply: None,
             timers: HashMap::new(),
             stats: NodeStats::default(),
-            metrics: CoreMetrics::default(),
+            metrics: CoreMetrics::detached(),
         }
     }
 
@@ -594,7 +604,7 @@ impl EnviroMicNode {
             ctx.set_radio(true);
             return false;
         }
-        self.task = Some(TaskRun {
+        self.task = Some(Box::new(TaskRun {
             event,
             kind,
             t0: None,
@@ -602,7 +612,7 @@ impl EnviroMicNode {
             dropped_from: None,
             last_t1: None,
             bytes: 0,
-        });
+        }));
         self.arm(ctx, T_TASK_END, duration);
         true
     }
@@ -882,6 +892,17 @@ mod tests {
         let node = EnviroMicNode::new(cfg.clone());
         assert_eq!(node.config().beta_max, 3.5);
         assert_eq!(node.acquisition_rate(), cfg.initial_rate);
+    }
+
+    /// Every node of a city world pays this inline size: 100k nodes at
+    /// 1.25 KB is 125 MB. Keep new state that most nodes never use
+    /// behind an `Option<Box<_>>`, as `leader`, `task`, `pending_offer`,
+    /// the bulk sessions and `pending_reply` are, rather than raising the
+    /// limit.
+    #[test]
+    fn node_fits_its_inline_budget() {
+        let size = std::mem::size_of::<EnviroMicNode>();
+        assert!(size <= 1_280, "EnviroMicNode is {size} B inline");
     }
 
     #[test]

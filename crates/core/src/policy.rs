@@ -199,8 +199,9 @@ pub fn build_policy(cfg: &BalanceConfig) -> Box<dyn BalancePolicy> {
 /// `.inbound_rejected`, `.chunks_retained`, `.sessions_closed`.
 ///
 /// Owned by the node (not the policy) and bumped by the shared migration
-/// machinery, so policies stay pure decision logic. Default-constructed
-/// handles are detached, like [`CoreMetrics`](crate::node).
+/// machinery, so policies stay pure decision logic. Until `on_start` a
+/// node holds [`PolicyMetrics::detached`] handles, like
+/// [`CoreMetrics`](crate::node).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PolicyMetrics {
     pub offers: Counter,
@@ -212,16 +213,49 @@ pub(crate) struct PolicyMetrics {
 }
 
 impl PolicyMetrics {
-    pub(crate) fn attach(reg: &Registry, kind: PolicyKind) -> Self {
-        let name = kind.name();
-        PolicyMetrics {
-            offers: reg.counter(&format!("balance.policy.{name}.offers")),
-            holds: reg.counter(&format!("balance.policy.{name}.holds")),
-            inbound_accepted: reg.counter(&format!("balance.policy.{name}.inbound_accepted")),
-            inbound_rejected: reg.counter(&format!("balance.policy.{name}.inbound_rejected")),
-            chunks_retained: reg.counter(&format!("balance.policy.{name}.chunks_retained")),
-            sessions_closed: reg.counter(&format!("balance.policy.{name}.sessions_closed")),
+    /// Handles that record into cells nobody reads, shared by every node
+    /// built on one thread, so building a node allocates none.
+    pub(crate) fn detached() -> Self {
+        thread_local! {
+            static DETACHED: PolicyMetrics = PolicyMetrics::default();
         }
+        DETACHED.with(PolicyMetrics::clone)
+    }
+
+    pub(crate) fn attach(reg: &Registry, kind: PolicyKind) -> Self {
+        let [offers, holds, inbound_accepted, inbound_rejected, chunks_retained, sessions_closed] =
+            policy_counter_names(kind).map(|name| reg.counter(name));
+        PolicyMetrics {
+            offers,
+            holds,
+            inbound_accepted,
+            inbound_rejected,
+            chunks_retained,
+            sessions_closed,
+        }
+    }
+}
+
+/// The `balance.policy.<name>.*` counter names of `kind`, in
+/// [`PolicyMetrics`] field order: static, so a node start formats none.
+fn policy_counter_names(kind: PolicyKind) -> [&'static str; 6] {
+    macro_rules! names {
+        ($name:literal) => {
+            [
+                concat!("balance.policy.", $name, ".offers"),
+                concat!("balance.policy.", $name, ".holds"),
+                concat!("balance.policy.", $name, ".inbound_accepted"),
+                concat!("balance.policy.", $name, ".inbound_rejected"),
+                concat!("balance.policy.", $name, ".chunks_retained"),
+                concat!("balance.policy.", $name, ".sessions_closed"),
+            ]
+        };
+    }
+    match kind {
+        PolicyKind::BetaTtl => names!("beta-ttl"),
+        PolicyKind::NoMigration => names!("no-migration"),
+        PolicyKind::Coordinated => names!("coordinated"),
+        PolicyKind::Flooding => names!("flooding"),
     }
 }
 
@@ -755,6 +789,25 @@ mod tests {
         let neighbors = [neighbor(2, 100, 50)];
         let v = view(100.0, 8, 100, 108, &neighbors, &cfg);
         assert!(!p.retain_after_ack(&v), "k=1 never retains");
+    }
+
+    #[test]
+    fn policy_counter_names_carry_the_policy_name() {
+        let suffixes = [
+            "offers",
+            "holds",
+            "inbound_accepted",
+            "inbound_rejected",
+            "chunks_retained",
+            "sessions_closed",
+        ];
+        for kind in PolicyKind::ALL {
+            let expected = suffixes.map(|s| format!("balance.policy.{}.{s}", kind.name()));
+            assert_eq!(
+                policy_counter_names(kind),
+                expected.each_ref().map(String::as_str)
+            );
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl EnviroMicNode {
         if !answer {
             return;
         }
-        self.pending_reply = Some(PendingReply {
+        self.pending_reply = Some(Box::new(PendingReply {
             root,
             query_id,
             t0,
@@ -69,7 +69,7 @@ impl EnviroMicNode {
             all,
             chunks: Vec::new(),
             next: 0,
-        });
+        }));
         // Stagger answers by node ID so the neighborhood does not answer
         // in one burst.
         let jitter =
@@ -120,10 +120,10 @@ impl EnviroMicNode {
             let count = matching.len();
             let sender = BulkSender::new(root, session, matching, self.cfg.bulk_retries);
             let first = sender.current().expect("non-empty session");
-            self.bulk_out = Some(OutboundBulk {
+            self.bulk_out = Some(Box::new(OutboundBulk {
                 sender,
                 purpose: BulkPurpose::Retrieval { root, query_id },
-            });
+            }));
             if let Some(reply) = &mut self.pending_reply {
                 reply.next = count;
             }

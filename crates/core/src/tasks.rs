@@ -310,7 +310,7 @@ impl EnviroMicNode {
         // The prelude keeper is chosen at the first assignment round
         // (task_seq == 0), when the member list has filled in; handoff
         // leaders inherit task_seq > 0 and never choose again.
-        self.leader = Some(LeaderState {
+        self.leader = Some(Box::new(LeaderState {
             event,
             task_seq,
             pending: None,
@@ -320,7 +320,7 @@ impl EnviroMicNode {
             current_recorder: None,
             next_round_at,
             prelude_keeper: None,
-        });
+        }));
         self.arm(ctx, T_ASSIGN, first_round_delay);
     }
 

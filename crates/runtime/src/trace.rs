@@ -349,45 +349,116 @@ impl TraceEvent {
     }
 }
 
-/// An append-only collection of [`TraceEvent`]s in emission order.
-#[derive(Debug, Clone, Default, Serialize)]
+/// The records of a run in emission order, or only their digest and
+/// count.
+///
+/// A trace either keeps every record ([`Trace::new`]: dumps, the
+/// explorer, metrics and figures read them) or keeps none
+/// ([`Trace::digest_only`]: for runs whose consumers read only
+/// [`Trace::digest`] and [`Trace::len`], such as the city scale ladder).
+/// Both give the same digest and length for the same records. A trace
+/// that keeps its records folds the digest when asked for it, which
+/// leaves `push` a plain append; a digest-only trace folds each record
+/// as it is pushed. Reading records from a digest-only trace panics, so
+/// no metric quietly reads an empty ledger.
+#[derive(Debug, Clone)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
+    kept: Kept,
+}
+
+#[derive(Debug, Clone)]
+enum Kept {
+    /// Every record, in emission order.
+    Records(Vec<TraceEvent>),
+    /// The digest folded so far and the number of records pushed.
+    Digest { fnv: Fnv1a, len: usize },
+}
+
+/// What reading the records of a digest-only trace panics with.
+const NO_RECORDS: &str = "this trace keeps only its digest and length, not its records \
+                          (the run set `WorldConfig::keep_trace_records` to false)";
+
+impl Default for Trace {
+    fn default() -> Self {
+        Trace::new()
+    }
 }
 
 impl Trace {
-    /// Creates an empty trace.
+    /// Creates an empty trace that keeps every record.
     #[must_use]
     pub fn new() -> Self {
-        Trace::default()
+        Trace {
+            kept: Kept::Records(Vec::new()),
+        }
+    }
+
+    /// Creates an empty trace that keeps only the digest and the number
+    /// of records pushed.
+    #[must_use]
+    pub fn digest_only() -> Self {
+        Trace {
+            kept: Kept::Digest {
+                fnv: Fnv1a::new(),
+                len: 0,
+            },
+        }
+    }
+
+    /// True when the trace keeps its records (see [`Trace::digest_only`]).
+    #[must_use]
+    pub fn keeps_records(&self) -> bool {
+        matches!(self.kept, Kept::Records(_))
     }
 
     /// Appends a record.
     pub fn push(&mut self, event: TraceEvent) {
-        self.events.push(event);
+        match &mut self.kept {
+            Kept::Records(events) => events.push(event),
+            Kept::Digest { fnv, len } => {
+                fnv.fold(&event);
+                *len += 1;
+            }
+        }
     }
 
     /// All records in emission order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a digest-only trace, which keeps no records.
     #[must_use]
+    #[track_caller]
     pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+        match &self.kept {
+            Kept::Records(events) => events,
+            Kept::Digest { .. } => panic!("{NO_RECORDS}"),
+        }
     }
 
     /// Number of records.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.len()
+        match &self.kept {
+            Kept::Records(events) => events.len(),
+            Kept::Digest { len, .. } => *len,
+        }
     }
 
     /// True when no records have been emitted.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over records in emission order.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a digest-only trace, which keeps no records.
+    #[track_caller]
     pub fn iter(&self) -> core::slice::Iter<'_, TraceEvent> {
-        self.events.iter()
+        self.events().iter()
     }
 
     /// An order-sensitive FNV-1a digest over the debug rendering of every
@@ -399,17 +470,34 @@ impl Trace {
     /// hash, so no record is ever formatted into a `String`.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut sink = Fnv1a(0xCBF2_9CE4_8422_2325);
-        for e in &self.events {
-            write!(sink, "{e:?}").expect("hashing never fails");
+        match &self.kept {
+            Kept::Records(events) => {
+                let mut fnv = Fnv1a::new();
+                for e in events {
+                    fnv.fold(e);
+                }
+                fnv.0
+            }
+            Kept::Digest { fnv, .. } => fnv.0,
         }
-        sink.0
     }
 }
 
 /// A `fmt::Write` sink that folds every written byte into a 64-bit
 /// FNV-1a hash.
+#[derive(Debug, Clone, Copy)]
 struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xCBF2_9CE4_8422_2325)
+    }
+
+    /// Folds in the `{:?}` rendering of `event`.
+    fn fold(&mut self, event: &TraceEvent) {
+        write!(self, "{event:?}").expect("hashing never fails");
+    }
+}
 
 impl fmt::Write for Fnv1a {
     fn write_str(&mut self, s: &str) -> fmt::Result {
@@ -424,21 +512,24 @@ impl fmt::Write for Fnv1a {
 impl<'a> IntoIterator for &'a Trace {
     type Item = &'a TraceEvent;
     type IntoIter = core::slice::Iter<'a, TraceEvent>;
+    #[track_caller]
     fn into_iter(self) -> Self::IntoIter {
-        self.events.iter()
+        self.iter()
     }
 }
 
 impl Extend<TraceEvent> for Trace {
     fn extend<T: IntoIterator<Item = TraceEvent>>(&mut self, iter: T) {
-        self.events.extend(iter);
+        for event in iter {
+            self.push(event);
+        }
     }
 }
 
 impl FromIterator<TraceEvent> for Trace {
     fn from_iter<T: IntoIterator<Item = TraceEvent>>(iter: T) -> Self {
         Trace {
-            events: iter.into_iter().collect(),
+            kept: Kept::Records(iter.into_iter().collect()),
         }
     }
 }
@@ -447,6 +538,8 @@ impl FromIterator<TraceEvent> for Trace {
 mod tests {
     use super::*;
     use enviromic_types::EventId;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     fn sample_event(t: u64) -> TraceEvent {
         TraceEvent::MessageSent {
@@ -578,9 +671,9 @@ mod tests {
 
     /// The digest as first defined: FNV-1a over each record's `{:?}`
     /// rendering, formatted into a `String` per record.
-    fn reference_digest(trace: &Trace) -> u64 {
+    fn reference_digest(events: &[TraceEvent]) -> u64 {
         let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for e in trace {
+        for e in events {
             for b in format!("{e:?}").bytes() {
                 h ^= u64::from(b);
                 h = h.wrapping_mul(0x0000_0100_0000_01B3);
@@ -593,13 +686,134 @@ mod tests {
     fn streamed_digest_matches_the_formatted_reference() {
         let t = SimTime::from_jiffies(123_456);
         let all = one_of_each(t);
-        assert_eq!(Trace::new().digest(), reference_digest(&Trace::new()));
+        assert_eq!(Trace::new().digest(), reference_digest(&[]));
         for e in &all {
             let one: Trace = std::iter::once(e.clone()).collect();
-            assert_eq!(one.digest(), reference_digest(&one), "{e:?}");
+            assert_eq!(one.digest(), reference_digest(one.events()), "{e:?}");
         }
         let whole: Trace = all.into_iter().collect();
-        assert_eq!(whole.digest(), reference_digest(&whole));
+        assert_eq!(whole.digest(), reference_digest(whole.events()));
+    }
+
+    /// A record of variant `variant % 12`, its node, amounts, kinds and
+    /// times drawn from the other three values.
+    fn arbitrary_event((variant, node, amount, t): (usize, u32, u64, u64)) -> TraceEvent {
+        let node = NodeId(node);
+        let other = NodeId(amount as u32);
+        let t = SimTime::from_jiffies(t);
+        let t1 = SimTime::from_jiffies(amount);
+        let event = EventId::new(other, node.0);
+        let pick = amount as usize;
+        let even = pick.is_multiple_of(2);
+        match variant % 12 {
+            0 => TraceEvent::Recorded {
+                node,
+                event: even.then_some(event),
+                t0: t,
+                t1,
+                bytes: amount,
+                kind: [RecordKind::Task, RecordKind::Prelude, RecordKind::Baseline][pick % 3],
+            },
+            1 => TraceEvent::RecordDropped {
+                node,
+                t0: t,
+                t1,
+                reason: [DropReason::StorageFull, DropReason::EnergyExhausted][pick % 2],
+            },
+            2 => TraceEvent::Erased {
+                node,
+                t0: t,
+                t1,
+                bytes: amount,
+            },
+            3 => TraceEvent::MessageSent {
+                node,
+                kind: MsgKind::ALL[pick % MsgKind::ALL.len()],
+                bytes: amount as u32,
+                t,
+            },
+            4 => TraceEvent::ChunkStored {
+                node,
+                origin: other,
+                event: (!even).then_some(event),
+                audio_t0: t1,
+                audio_t1: t,
+                bytes: amount as u32,
+                t,
+            },
+            5 => TraceEvent::ChunkRemoved {
+                node,
+                origin: other,
+                audio_t0: t1,
+                audio_t1: t,
+                t,
+            },
+            6 => TraceEvent::Migrated {
+                from: node,
+                to: other,
+                chunks: amount as u32,
+                bytes: amount,
+                duplicated: even,
+                t,
+            },
+            7 => TraceEvent::LeaderElected {
+                node,
+                event,
+                handoff: !even,
+                t,
+            },
+            8 => TraceEvent::Occupancy {
+                node,
+                used: amount / 2,
+                capacity: amount,
+                t,
+            },
+            9 => TraceEvent::SourceStarted {
+                source: SourceId(node.0),
+                t,
+            },
+            10 => TraceEvent::SourceStopped {
+                source: SourceId(node.0),
+                t,
+            },
+            _ => TraceEvent::FaultInjected {
+                kind: FaultKind::ALL[pick % FaultKind::ALL.len()],
+                node: even.then_some(node),
+                t,
+            },
+        }
+    }
+
+    proptest! {
+        /// Keeping records or only the digest is invisible to every
+        /// reader the two levels share: the same records give the same
+        /// length and the reference digest either way.
+        #[test]
+        fn both_keep_levels_give_the_reference_digest_and_length(
+            events in collection::vec(
+                (0usize..12, any::<u32>(), any::<u64>(), any::<u64>()).prop_map(arbitrary_event),
+                0..48,
+            )
+        ) {
+            let kept: Trace = events.iter().cloned().collect();
+            let mut folded = Trace::digest_only();
+            folded.extend(events.iter().cloned());
+            prop_assert!(kept.keeps_records() && !folded.keeps_records());
+            prop_assert_eq!(kept.len(), events.len());
+            prop_assert_eq!(folded.len(), events.len());
+            prop_assert_eq!(folded.is_empty(), events.is_empty());
+            prop_assert_eq!(kept.digest(), reference_digest(&events));
+            prop_assert_eq!(folded.digest(), reference_digest(&events));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "`WorldConfig::keep_trace_records` to false")]
+    fn reading_records_of_a_digest_only_trace_panics() {
+        let mut tr = Trace::digest_only();
+        tr.push(sample_event(1));
+        assert_eq!(tr.len(), 1);
+        let _ = tr.iter();
     }
 
     /// The digest of one record of every variant, pinned: message and

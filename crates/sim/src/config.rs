@@ -146,6 +146,13 @@ pub struct WorldConfig {
     /// no trace records, so enabling it at any cadence leaves the trace
     /// digest bit-identical (see DESIGN.md §13).
     pub timeline_sample_period: Option<SimDuration>,
+    /// Whether the trace keeps its records (the default) or only their
+    /// digest and count ([`Trace::digest_only`](crate::Trace::digest_only)).
+    /// A run whose readers call nothing but
+    /// [`Trace::digest`](crate::Trace::digest) and
+    /// [`Trace::len`](crate::Trace::len) can turn it off; the digest is
+    /// the same either way.
+    pub keep_trace_records: bool,
 }
 
 impl Default for WorldConfig {
@@ -158,6 +165,7 @@ impl Default for WorldConfig {
             clock: ClockConfig::default(),
             occupancy_snapshot_period: None,
             timeline_sample_period: None,
+            keep_trace_records: true,
         }
     }
 }

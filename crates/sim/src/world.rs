@@ -253,6 +253,11 @@ impl World {
         let timeline = cfg
             .timeline_sample_period
             .map(|p| Timeline::new(p.as_secs_f64()));
+        let trace = if cfg.keep_trace_records {
+            Trace::new()
+        } else {
+            Trace::digest_only()
+        };
         World {
             inner: Inner {
                 cfg,
@@ -261,7 +266,7 @@ impl World {
                 now: SimTime::ZERO,
                 field: AcousticField::new(),
                 nodes: NodeStates::default(),
-                trace: Trace::new(),
+                trace,
                 cancelled: HashSet::new(),
                 next_timer_handle: 0,
                 next_session: 0,

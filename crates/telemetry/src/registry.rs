@@ -119,34 +119,19 @@ impl Registry {
     /// The counter registered under `name` (created on first use).
     #[must_use]
     pub fn counter(&self, name: &str) -> Counter {
-        self.inner
-            .counters
-            .borrow_mut()
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        handle(&self.inner.counters, name)
     }
 
     /// The gauge registered under `name` (created on first use).
     #[must_use]
     pub fn gauge(&self, name: &str) -> Gauge {
-        self.inner
-            .gauges
-            .borrow_mut()
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        handle(&self.inner.gauges, name)
     }
 
     /// The histogram registered under `name` (created on first use).
     #[must_use]
     pub fn histogram(&self, name: &str) -> Histogram {
-        self.inner
-            .histograms
-            .borrow_mut()
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        handle(&self.inner.histograms, name)
     }
 
     /// Starts a wall-clock span; the returned guard records its elapsed
@@ -238,6 +223,17 @@ impl Registry {
             node.secs += snap.secs;
         }
     }
+}
+
+/// The handle registered under `name` in `map`, created on first use. A
+/// name already registered is found by `&str`, so only the first lookup
+/// allocates its key.
+fn handle<T: Clone + Default>(map: &RefCell<BTreeMap<String, T>>, name: &str) -> T {
+    let mut map = map.borrow_mut();
+    if let Some(handle) = map.get(name) {
+        return handle.clone();
+    }
+    map.entry(name.to_string()).or_default().clone()
 }
 
 /// Guard for one timed section; see [`Registry::span`].

@@ -60,7 +60,8 @@ pub fn city_world_config(seed: u64) -> WorldConfig {
 pub struct ExperimentRun {
     /// The workload that was executed.
     pub scenario: Scenario,
-    /// The resulting simulation trace.
+    /// The resulting simulation trace; digest-only (no records) when the
+    /// world config turned [`WorldConfig::keep_trace_records`] off.
     pub trace: Trace,
     /// Snapshot of the run's telemetry registry: protocol counters,
     /// latency histograms, flash wear, and physical-layer statistics.

@@ -215,6 +215,13 @@ impl ScenarioSpec {
     /// lazily on first write, so even the 100k-node rung constructs
     /// cheaply — but the 64-chunk figure is part of the pinned digests
     /// and must not change (store capacity feeds TTL arithmetic).
+    ///
+    /// City runs keep a digest-only trace
+    /// ([`WorldConfig::keep_trace_records`] is off): their readers, the
+    /// scale ladder and the city benchmark workloads, read only the
+    /// digest and the record count, so a job's
+    /// [`ExperimentRun::trace`](crate::harness::ExperimentRun::trace)
+    /// holds no records.
     #[must_use]
     pub fn city(nodes: usize, duration_secs: f64) -> ScenarioSpec {
         let label = if nodes.is_multiple_of(1000) {
@@ -232,7 +239,10 @@ impl ScenarioSpec {
                 node_cfg: NodeConfig::default()
                     .with_mode(Mode::Full)
                     .with_flash_chunks(64),
-                world_cfg: city_world_config(seed),
+                world_cfg: WorldConfig {
+                    keep_trace_records: false,
+                    ..city_world_config(seed)
+                },
                 drain_secs: 2.0,
                 faults: FaultPlan::new(),
             }

@@ -12,7 +12,7 @@
 //! and update them alongside a note in the commit. A refactor that is
 //! supposed to be behaviour-preserving must NOT need that.
 
-use enviromic::harness::{indoor_world_config, run_scenario};
+use enviromic::harness::{indoor_world_config, run_scenario, run_scenario_with_faults};
 use enviromic::sweep::{run_sweep, ScenarioSpec, SweepPlan};
 use enviromic_core::{Mode, NodeConfig, PolicyKind};
 use enviromic_types::SimDuration;
@@ -241,6 +241,77 @@ fn non_default_policy_changes_the_golden_trace() {
         GOLDEN_DIGEST,
         "no-migration must not reproduce the beta-ttl golden digest",
     );
+}
+
+/// Runs `spec` at `seed`, keeping every trace record or only the digest,
+/// and returns `(records, digest)`.
+fn run_keeping(spec: &ScenarioSpec, seed: u64, keep_trace_records: bool) -> (usize, u64) {
+    let mut input = spec.build(seed);
+    input.world_cfg.keep_trace_records = keep_trace_records;
+    let run = run_scenario_with_faults(
+        input.scenario,
+        &input.node_cfg,
+        input.world_cfg,
+        input.drain_secs,
+        &input.faults,
+    );
+    assert_eq!(run.trace.keeps_records(), keep_trace_records);
+    (run.trace.len(), run.trace.digest())
+}
+
+/// A trace that keeps only its digest folds each record as it is pushed;
+/// one that keeps its records folds them at the end. Over a whole run
+/// both must give the golden record count and digest.
+#[test]
+fn golden_indoor_run_digests_alike_at_both_trace_keep_levels() {
+    let spec = ScenarioSpec::quick_indoor(120.0);
+    for keep in [true, false] {
+        assert_eq!(
+            run_keeping(&spec, 42, keep),
+            (GOLDEN_EVENTS, GOLDEN_DIGEST),
+            "keep_trace_records = {keep}",
+        );
+    }
+}
+
+/// The `city-1k` and `city-10k` rows of the committed `BENCH_scale.json`
+/// (which the `scale` leg regenerates from digest-only city runs) come
+/// out the same whether the run keeps its records or not.
+#[test]
+fn scale_rows_digest_alike_at_both_trace_keep_levels() {
+    let ladder = serde::Value::from_json(include_str!("../BENCH_scale.json"))
+        .expect("BENCH_scale.json parses");
+    let duration = ladder
+        .get("duration_secs")
+        .and_then(serde::Value::as_f64)
+        .expect("the ladder has a duration");
+    let rows = ladder
+        .get("rows")
+        .and_then(serde::Value::as_seq)
+        .expect("the ladder has rows");
+    for (label, nodes) in [("city-1k", 1_000), ("city-10k", 10_000)] {
+        let row = rows
+            .iter()
+            .find(|r| r.get("scenario").and_then(serde::Value::as_str) == Some(label))
+            .unwrap_or_else(|| panic!("BENCH_scale.json has no {label} row"));
+        let field = |name: &str| {
+            row.get(name)
+                .unwrap_or_else(|| panic!("{label} has no {name}"))
+        };
+        let seed = field("seed").as_u64().expect("seed is a number");
+        let events = field("events").as_u64().expect("events is a number") as usize;
+        let digest = field("digest").as_str().expect("digest is a string");
+        let spec = ScenarioSpec::city(nodes, duration);
+        assert_eq!(spec.label, label);
+        for keep in [true, false] {
+            let (len, got) = run_keeping(&spec, seed, keep);
+            assert_eq!(
+                (len, format!("{got:#018x}")),
+                (events, digest.to_string()),
+                "{label} with keep_trace_records = {keep}",
+            );
+        }
+    }
 }
 
 /// The 10k-node city world honours the same contract as the 48-node
