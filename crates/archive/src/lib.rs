@@ -38,7 +38,7 @@ mod store;
 
 pub use cache::{CacheDecision, CacheStats, QueryCache};
 pub use gaps::{coverage_span, find_gaps};
-pub use serve::{serve_queries, LatencySummary, ServeOutcome};
+pub use serve::{serve_queries, ServeOutcome};
 pub use store::{
     ArchiveBuilder, ArchiveRecord, ArchiveStore, IngestStats, QueryResult, RangeQuery,
 };

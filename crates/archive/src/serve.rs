@@ -14,8 +14,8 @@
 //! 3. **Fill (serial):** hits copy the result of an earlier execution of
 //!    the same query.
 //!
-//! Only wall-clock figures (throughput, latency percentiles) vary across
-//! worker counts, and those never enter the committed artifact.
+//! Only the workload's wall-clock time varies across worker counts, and
+//! it never enters the committed artifact.
 
 use crate::cache::{CacheDecision, CacheStats, QueryCache};
 use crate::store::{ArchiveStore, QueryResult, RangeQuery};
@@ -23,40 +23,6 @@ use enviromic_telemetry::Registry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Wall-clock latency percentiles over the executed scans. Informational
-/// only — never part of a committed, diffed artifact.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LatencySummary {
-    /// Scans measured.
-    pub count: u64,
-    /// Median scan latency, microseconds.
-    pub p50_us: f64,
-    /// 99th-percentile scan latency, microseconds.
-    pub p99_us: f64,
-    /// Slowest scan, microseconds.
-    pub max_us: f64,
-}
-
-impl LatencySummary {
-    fn from_samples(mut samples: Vec<f64>) -> LatencySummary {
-        if samples.is_empty() {
-            return LatencySummary::default();
-        }
-        samples.sort_by(f64::total_cmp);
-        let pick = |q: f64| {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            let idx = ((samples.len() - 1) as f64 * q).round() as usize;
-            samples[idx]
-        };
-        LatencySummary {
-            count: samples.len() as u64,
-            p50_us: pick(0.50),
-            p99_us: pick(0.99),
-            max_us: *samples.last().expect("non-empty"),
-        }
-    }
-}
 
 /// The outcome of serving one query workload.
 #[derive(Debug)]
@@ -69,8 +35,6 @@ pub struct ServeOutcome {
     pub workers: usize,
     /// Wall-clock seconds for the whole workload.
     pub wall_secs: f64,
-    /// Latency percentiles over the executed (miss) scans.
-    pub latency: LatencySummary,
 }
 
 impl ServeOutcome {
@@ -143,10 +107,9 @@ pub fn serve_queries(
     let stats = cache.stats();
 
     // Phase 2: execute the misses on the pool.
-    let total_misses = miss_indices.len();
-    let workers = workers.clamp(1, total_misses.max(1));
+    let workers = workers.clamp(1, miss_indices.len().max(1));
     let queue: Mutex<VecDeque<usize>> = Mutex::new(miss_indices.into_iter().collect());
-    let slots: Mutex<Vec<Option<(QueryResult, f64)>>> =
+    let slots: Mutex<Vec<Option<QueryResult>>> =
         Mutex::new((0..queries.len()).map(|_| None).collect());
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -155,10 +118,8 @@ pub fn serve_queries(
                     let Some(i) = queue.lock().expect("query queue poisoned").pop_front() else {
                         break;
                     };
-                    let t = Instant::now();
                     let result = store.query(&queries[i]);
-                    let us = t.elapsed().as_secs_f64() * 1e6;
-                    slots.lock().expect("result table poisoned")[i] = Some((result, us));
+                    slots.lock().expect("result table poisoned")[i] = Some(result);
                 })
             })
             .collect();
@@ -169,25 +130,16 @@ pub fn serve_queries(
     let slots = slots.into_inner().expect("result table poisoned");
 
     // Phase 3: assemble in workload order; hits copy their source scan.
-    let mut latencies = Vec::with_capacity(total_misses);
-    let mut results: Vec<QueryResult> = Vec::with_capacity(queries.len());
-    for (i, &src) in source.iter().enumerate() {
-        if src == i {
-            let (result, us) = slots[i].as_ref().expect("miss was executed");
-            latencies.push(*us);
-            results.push(result.clone());
-        } else {
-            let (result, _) = slots[src].as_ref().expect("hit source was executed");
-            results.push(result.clone());
-        }
-    }
+    let results: Vec<QueryResult> = source
+        .iter()
+        .map(|&src| slots[src].clone().expect("source scan was executed"))
+        .collect();
 
     let outcome = ServeOutcome {
         results,
         stats,
         workers,
         wall_secs: started.elapsed().as_secs_f64(),
-        latency: LatencySummary::from_samples(latencies),
     };
     if let Some(reg) = registry {
         reg.counter("archive.cache.hits").add(stats.hits);
@@ -201,9 +153,6 @@ pub fn serve_queries(
             #[allow(clippy::cast_precision_loss)]
             results_hist.observe(r.len() as f64);
         }
-        let latency_hist = reg.histogram("archive.query.latency_us");
-        latency_hist.observe(outcome.latency.p50_us);
-        latency_hist.observe(outcome.latency.p99_us);
     }
     outcome
 }
@@ -301,15 +250,5 @@ mod tests {
         assert!(out.results.is_empty());
         assert_eq!(out.stats, CacheStats::default());
         assert_eq!(out.matched_total(), 0);
-        assert_eq!(out.latency, LatencySummary::default());
-    }
-
-    #[test]
-    fn latency_summary_orders_percentiles() {
-        let s = LatencySummary::from_samples(vec![5.0, 1.0, 3.0, 2.0, 4.0]);
-        assert_eq!(s.count, 5);
-        assert_eq!(s.p50_us, 3.0);
-        assert!(s.p99_us <= s.max_us);
-        assert_eq!(s.max_us, 5.0);
     }
 }

@@ -28,19 +28,38 @@
 
 use enviromic::metrics::render_series;
 use enviromic::observe::{DumpFile, RunDump};
-use enviromic::{default_jobs, write_artifact};
+use enviromic::{default_jobs, parse_sim_secs, write_artifact};
 use enviromic_bench::{ablation, fig03, fig06, fig08, indoor, outdoor};
 use enviromic_telemetry::{log, log_info, log_warn, Registry, TelemetryReport};
 use std::collections::BTreeSet;
 
 struct Options {
-    figures: BTreeSet<String>,
+    figures: BTreeSet<&'static str>,
     seed: u64,
     quick: bool,
     jobs: usize,
     telemetry_out: String,
     timeline: Option<f64>,
     timeline_out: String,
+}
+
+/// Every figure `repro` can print; `all` (or naming none) selects them all.
+const FIGURES: [&str; 14] = [
+    "fig3", "fig6", "fig7", "fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "fig16", "fig17",
+    "fig18", "headline", "ablation",
+];
+
+const USAGE: &str = "usage: repro [fig3 fig6 fig7 fig8 fig10 fig11 fig12 fig13 fig14 \
+     fig16 fig17 fig18 headline ablation all] [--seed N] [--quick] \
+     [--jobs N] [-q|--quiet] [-v|--verbose] [--telemetry-out PATH] \
+     [--timeline SECS] [--timeline-out PATH]";
+
+/// Rejects the command line: warns about `problem`, prints the usage and
+/// exits 2.
+fn usage(problem: &str) -> ! {
+    log_warn!("{problem}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }
 
 fn parse_args() -> Options {
@@ -55,66 +74,50 @@ fn parse_args() -> Options {
     let mut timeline_out = String::from("target/telemetry/repro_timeline.json");
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage(&format!("{arg} expects a value")))
+        };
         match arg.as_str() {
             "--seed" => {
-                seed = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    log_warn!("--seed expects an integer");
-                    std::process::exit(2);
-                });
+                seed = value()
+                    .parse()
+                    .unwrap_or_else(|_| usage("--seed expects an integer"));
             }
             "--jobs" => {
-                jobs = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
+                jobs = value()
+                    .parse()
+                    .ok()
                     .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        log_warn!("--jobs expects a positive integer");
-                        std::process::exit(2);
-                    });
+                    .unwrap_or_else(|| usage("--jobs expects a positive integer"));
             }
             "--quick" => quick = true,
             "--quiet" | "-q" => quiet = true,
             "--verbose" | "-v" => verbose = true,
-            "--telemetry-out" => {
-                telemetry_out = args.next().unwrap_or_else(|| {
-                    log_warn!("--telemetry-out expects a path");
-                    std::process::exit(2);
-                });
-            }
+            "--telemetry-out" => telemetry_out = value(),
             "--timeline" => {
-                timeline = Some(args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    log_warn!("--timeline expects seconds");
-                    std::process::exit(2);
-                }));
+                let secs = parse_sim_secs(&value());
+                timeline =
+                    Some(secs.unwrap_or_else(|| usage("--timeline expects at least one jiffy")));
             }
-            "--timeline-out" => {
-                timeline_out = args.next().unwrap_or_else(|| {
-                    log_warn!("--timeline-out expects a path");
-                    std::process::exit(2);
-                });
-            }
+            "--timeline-out" => timeline_out = value(),
             "--help" | "-h" => {
-                println!(
-                    "usage: repro [fig3 fig6 fig7 fig8 fig10 fig11 fig12 fig13 fig14 \
-                     fig16 fig17 fig18 headline ablation all] [--seed N] [--quick] \
-                     [--jobs N] [-q|--quiet] [-v|--verbose] [--telemetry-out PATH] \
-                     [--timeline SECS] [--timeline-out PATH]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
+            "all" => figures.extend(FIGURES),
             name => {
-                figures.insert(name.trim_start_matches("--").to_owned());
+                let figure = FIGURES
+                    .iter()
+                    .find(|&&f| f == name)
+                    .unwrap_or_else(|| usage(&format!("unknown figure or flag {name}")));
+                figures.insert(*figure);
             }
         }
     }
     log::init_from_flags(quiet, verbose);
-    if figures.is_empty() || figures.contains("all") {
-        for f in [
-            "fig3", "fig6", "fig7", "fig8", "fig10", "fig11", "fig12", "fig13", "fig14", "fig16",
-            "fig17", "fig18", "headline", "ablation",
-        ] {
-            figures.insert(f.into());
-        }
+    if figures.is_empty() {
+        figures.extend(FIGURES);
     }
     Options {
         figures,

@@ -10,12 +10,13 @@
 //! | [`fig08`] | Fig. 8 — stitched voice recording |
 //! | [`indoor`] | Figs. 10–14 and the headline 4× claim |
 //! | [`outdoor`] | Figs. 16–18 — the forest deployment |
-//! | [`ablation`] | design-choice and future-work ablations |
-//! | [`retrieval`] | archive serving benchmark (`retrieval` binary) |
+//! | [`ablation`] | design-choice ablations; the storage-policy matrix behind `BENCH_policies.json` |
+//! | [`retrieval`] | archive serving run behind `BENCH_retrieval.json` |
 //!
 //! Run `cargo run --release -p enviromic-bench --bin repro -- all` to
 //! print every figure; see EXPERIMENTS.md for the paper-vs-measured
-//! record.
+//! record. The `artifacts` bin regenerates every committed
+//! `BENCH_*.json` from [`ablation`], [`retrieval`] and the sweep pool.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,18 +11,16 @@
 //! statistics enter the report.
 //!
 //! [`RetrievalReport`] carries **no wall-clock data**: counts, digests,
-//! and cache ratios only. The same binary therefore writes a
-//! byte-identical `BENCH_retrieval.json` at any `--jobs` value, which CI
-//! exploits by regenerating it at `--jobs 1` and `--jobs 2`, diffing the
-//! two, and diffing the result against the committed artifact.
-//! Throughput and latency percentiles are printed to the console only.
+//! and cache ratios only. The `artifacts` bin's `retrieval` leg therefore
+//! writes a byte-identical `BENCH_retrieval.json` at any `--jobs` value,
+//! which CI exploits by regenerating it at `--jobs 1` and `--jobs 2`,
+//! diffing the two, and diffing the result against the committed
+//! artifact. Throughput is printed to the console only.
 
 use enviromic::archive::{find_gaps, serve_queries, ArchiveStore, RangeQuery, ServeOutcome};
 use enviromic::harness::run_scenario_with_faults;
 use enviromic::observe::{archive_run, rerequest_plan};
 use enviromic::sweep::ScenarioSpec;
-use enviromic_core::RerequestPlan;
-use enviromic_telemetry::{Registry, TelemetryReport};
 use enviromic_types::{EventId, NodeId, SimDuration};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -197,21 +195,15 @@ impl RetrievalReport {
 }
 
 /// Everything one invocation produces: the committed report plus the
-/// wall-clock figures that stay on the console.
+/// cached pass, whose wall-clock figures stay on the console.
 #[derive(Debug)]
 pub struct RetrievalRun {
     /// The committed artifact.
     pub report: RetrievalReport,
-    /// The cached serving pass (wall-clock and latency inside).
+    /// The cached serving pass (wall-clock time inside).
     pub outcome: ServeOutcome,
     /// Digest of the uncached pass — must equal the cached digest.
     pub uncached_digest: u64,
-    /// Seconds spent simulating the run and building the archive.
-    pub build_secs: f64,
-    /// `archive.*` telemetry recorded during the cached pass.
-    pub telemetry: TelemetryReport,
-    /// The batched re-request plan derived from the archive's gaps.
-    pub plan: RerequestPlan,
 }
 
 impl RetrievalRun {
@@ -279,11 +271,9 @@ pub fn build_workload(store: &ArchiveStore, n: usize) -> Vec<RangeQuery> {
         .collect()
 }
 
-/// Simulates the golden run, freezes it into an [`ArchiveStore`], and
-/// returns it with the build time.
+/// Simulates the golden run and freezes it into an [`ArchiveStore`].
 #[must_use]
-pub fn build_archive() -> (ArchiveStore, f64) {
-    let started = std::time::Instant::now();
+pub fn build_archive() -> ArchiveStore {
     let input = ScenarioSpec::quick_indoor(DURATION_SECS).build(SEED);
     let run = run_scenario_with_faults(
         input.scenario,
@@ -292,36 +282,24 @@ pub fn build_archive() -> (ArchiveStore, f64) {
         input.drain_secs,
         &input.faults,
     );
-    (archive_run(&run), started.elapsed().as_secs_f64())
+    archive_run(&run)
 }
 
 /// Runs the whole benchmark: build the archive, generate the workload,
 /// serve it cached and uncached, detect gaps, and assemble the report.
 #[must_use]
 pub fn run_retrieval(opts: &RetrievalOptions) -> RetrievalRun {
-    let (store, build_secs) = build_archive();
-    run_retrieval_on(&store, build_secs, opts)
+    run_retrieval_on(&build_archive(), opts)
 }
 
 /// [`run_retrieval`] with a pre-built archive (lets tests and multi-pass
 /// callers simulate the run once).
 #[must_use]
-pub fn run_retrieval_on(
-    store: &ArchiveStore,
-    build_secs: f64,
-    opts: &RetrievalOptions,
-) -> RetrievalRun {
+pub fn run_retrieval_on(store: &ArchiveStore, opts: &RetrievalOptions) -> RetrievalRun {
     let queries = build_workload(store, opts.queries);
     let distinct = queries.iter().collect::<BTreeSet<_>>().len() as u64;
 
-    let registry = Registry::new();
-    let outcome = serve_queries(
-        store,
-        &queries,
-        opts.cache_capacity,
-        opts.jobs,
-        Some(&registry),
-    );
+    let outcome = serve_queries(store, &queries, opts.cache_capacity, opts.jobs, None);
     let uncached = serve_queries(store, &queries, 0, opts.jobs, None);
 
     let tolerance = SimDuration::from_secs_f64(GAP_TOLERANCE_SECS);
@@ -369,9 +347,6 @@ pub fn run_retrieval_on(
         report,
         outcome,
         uncached_digest: uncached.digest(),
-        build_secs,
-        telemetry: registry.report(),
-        plan,
     }
 }
 
@@ -400,14 +375,14 @@ mod tests {
 
     #[test]
     fn job_count_leaves_the_report_byte_identical() {
-        let (store, _) = build_archive();
+        let store = build_archive();
         let base = RetrievalOptions {
             queries: 120,
             cache_capacity: 64,
             jobs: 1,
         };
-        let one = run_retrieval_on(&store, 0.0, &base);
-        let four = run_retrieval_on(&store, 0.0, &RetrievalOptions { jobs: 4, ..base });
+        let one = run_retrieval_on(&store, &base);
+        let four = run_retrieval_on(&store, &RetrievalOptions { jobs: 4, ..base });
         assert_eq!(one.report.to_json(), four.report.to_json());
         let per_query = |run: &RetrievalRun| -> Vec<u64> {
             run.outcome.results.iter().map(|r| r.digest).collect()
@@ -417,24 +392,11 @@ mod tests {
 
     #[test]
     fn workload_is_deterministic_and_filtered() {
-        let (store, _) = build_archive();
+        let store = build_archive();
         let a = build_workload(&store, 200);
         let b = build_workload(&store, 200);
         assert_eq!(a, b);
         assert!(a.iter().any(|q| q.origin.is_some()), "origin filters drawn");
         assert!(a.iter().all(|q| q.t1 > q.t0));
-    }
-
-    #[test]
-    fn telemetry_mirrors_cache_summary() {
-        let run = small_run();
-        assert_eq!(
-            run.telemetry.counter("archive.cache.hits"),
-            Some(run.report.cache.hits)
-        );
-        assert_eq!(
-            run.telemetry.counter("archive.query.served"),
-            Some(run.report.workload.queries)
-        );
     }
 }

@@ -26,6 +26,24 @@ pub struct Experiment<'a> {
 /// One point of a time series: `(seconds, value)`.
 pub type SeriesPoint = (f64, f64);
 
+/// The sampling grid every time series shares: `(t, t in jiffies)` for
+/// `t` = `sample_secs`, `2 * sample_secs`, ... while `t` stays within
+/// `horizon_secs`, accumulated by repeated addition.
+///
+/// # Panics
+///
+/// Panics unless `sample_secs` is positive and finite: a zero step
+/// would never reach the horizon.
+fn sample_grid(horizon_secs: f64, sample_secs: f64) -> impl Iterator<Item = (f64, u64)> {
+    assert!(
+        sample_secs.is_finite() && sample_secs > 0.0,
+        "sample step must be positive and finite, got {sample_secs}"
+    );
+    std::iter::successors(Some(sample_secs), move |&t| Some(t + sample_secs))
+        .take_while(move |&t| t <= horizon_secs + 1e-9)
+        .map(|t| (t, (t * JIFFIES_PER_SEC as f64) as u64))
+}
+
 impl<'a> Experiment<'a> {
     /// Creates an experiment view.
     #[must_use]
@@ -73,6 +91,10 @@ impl<'a> Experiment<'a> {
     /// Cumulative recording miss ratio sampled every `sample_secs`
     /// (Figs. 6 and 10): at each instant, one minus the fraction of
     /// so-far-elapsed event time covered by stored recordings.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `sample_secs` is positive and finite.
     #[must_use]
     pub fn miss_ratio_series(&self, horizon_secs: f64, sample_secs: f64) -> Vec<SeriesPoint> {
         // Collect attributed recorded intervals (clipped to their source's
@@ -97,9 +119,7 @@ impl<'a> Experiment<'a> {
         recs.sort_unstable();
 
         let mut out = Vec::new();
-        let mut t = sample_secs;
-        while t <= horizon_secs + 1e-9 {
-            let t_j = (t * JIFFIES_PER_SEC as f64) as u64;
+        for (t, t_j) in sample_grid(horizon_secs, sample_secs) {
             // Elapsed event time.
             let mut active: u64 = 0;
             for s in self.sources {
@@ -124,12 +144,15 @@ impl<'a> Experiment<'a> {
                 1.0 - covered as f64 / active as f64
             };
             out.push((t, miss.clamp(0.0, 1.0)));
-            t += sample_secs;
         }
         out
     }
 
     /// Whole-run miss ratio (the value at the end of the series).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `horizon_secs` is positive and finite.
     #[must_use]
     pub fn miss_ratio(&self, horizon_secs: f64) -> f64 {
         self.miss_ratio_series(horizon_secs, horizon_secs)
@@ -141,6 +164,10 @@ impl<'a> Experiment<'a> {
     /// unique audio fraction of everything currently held in flash
     /// (duplicate simultaneous recordings *and* duplicated migrations
     /// count).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `sample_secs` is positive and finite.
     #[must_use]
     pub fn redundancy_series(&self, horizon_secs: f64, sample_secs: f64) -> Vec<SeriesPoint> {
         #[derive(Clone)]
@@ -153,9 +180,8 @@ impl<'a> Experiment<'a> {
         let mut keys: HashMap<(u32, u64), KeyInfo> = HashMap::new();
         let mut events = self.trace.iter().peekable();
         let mut out = Vec::new();
-        let mut t = sample_secs;
-        while t <= horizon_secs + 1e-9 {
-            let t_j = SimTime::from_jiffies((t * JIFFIES_PER_SEC as f64) as u64);
+        for (t, t_j) in sample_grid(horizon_secs, sample_secs) {
+            let t_j = SimTime::from_jiffies(t_j);
             while let Some(e) = events.peek() {
                 if e.time() > t_j {
                     break;
@@ -205,13 +231,16 @@ impl<'a> Experiment<'a> {
                 1.0 - unique as f64 / total as f64
             };
             out.push((t, ratio.clamp(0.0, 1.0)));
-            t += sample_secs;
         }
         out
     }
 
     /// Cumulative count of messages of the given kinds over time
     /// (Fig. 12).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `sample_secs` is positive and finite.
     #[must_use]
     pub fn message_series(
         &self,
@@ -230,15 +259,9 @@ impl<'a> Experiment<'a> {
             })
             .collect();
         times.sort_unstable();
-        let mut out = Vec::new();
-        let mut t = sample_secs;
-        while t <= horizon_secs + 1e-9 {
-            let t_j = (t * JIFFIES_PER_SEC as f64) as u64;
-            let count = times.partition_point(|&x| x <= t_j);
-            out.push((t, count as f64));
-            t += sample_secs;
-        }
-        out
+        sample_grid(horizon_secs, sample_secs)
+            .map(|(t, t_j)| (t, times.partition_point(|&x| x <= t_j) as f64))
+            .collect()
     }
 
     /// Per-node counts of the given message kinds (Fig. 14).
@@ -481,6 +504,15 @@ mod tests {
         assert_eq!(series.len(), 3);
         assert!(series[0].1 < 1e-6, "covered so far");
         assert!((series[2].1 - 0.5).abs() < 1e-6, "half missed at the end");
+    }
+
+    #[test]
+    #[should_panic(expected = "sample step must be positive and finite")]
+    fn zero_horizon_miss_ratio_is_rejected() {
+        let sources = [source(1, Position::new(0.0, 0.0), 0.0, 10.0)];
+        let positions = [Position::new(1.0, 0.0)];
+        let trace: Trace = vec![recorded(0, 0.0, 10.0)].into_iter().collect();
+        let _ = Experiment::new(&trace, &sources, &positions).miss_ratio(0.0);
     }
 
     fn stored(node: u32, origin: u32, a: f64, b: f64) -> TraceEvent {

@@ -244,8 +244,17 @@ impl std::fmt::Debug for World {
 
 impl World {
     /// Creates an empty world.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`WorldConfig::timeline_sample_period`] is zero: the
+    /// sampler would reschedule itself at the same instant forever.
     #[must_use]
     pub fn new(cfg: WorldConfig) -> Self {
+        assert!(
+            cfg.timeline_sample_period != Some(SimDuration::ZERO),
+            "timeline_sample_period must be at least one jiffy"
+        );
         let streams = RngStreams::new(cfg.seed);
         let medium_rng = streams.stream("medium", 0);
         let telemetry = Registry::new();
@@ -1952,6 +1961,14 @@ mod tests {
         assert_eq!(off, fine, "cadence changed the trace");
         assert!(none.is_none());
         assert!(coarse_tl.unwrap().times.len() < fine_tl.unwrap().times.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "timeline_sample_period must be at least one jiffy")]
+    fn zero_timeline_period_is_rejected() {
+        let mut cfg = WorldConfig::with_seed(31);
+        cfg.timeline_sample_period = Some(SimDuration::ZERO);
+        let _ = World::new(cfg);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A minimal process-wide leveled logger for the CLI binaries.
 //!
-//! Status chatter in `repro`/`diag`/`enviromic` goes through
+//! Status chatter in `repro`/`artifacts`/`enviromic` goes through
 //! [`log_info!`](crate::log_info)/[`log_debug!`](crate::log_debug)
 //! instead of bare `eprintln!`, so `-q`
 //! silences it and `--verbose` opens the firehose. Warnings always

@@ -43,7 +43,7 @@ use enviromic::workloads::{
     forest_scenario, indoor_scenario, mobile_scenario, voice_scenario, ForestParams, IndoorParams,
     MobileParams, Scenario,
 };
-use enviromic::{default_jobs, write_artifact};
+use enviromic::{default_jobs, parse_sim_secs, write_artifact};
 use enviromic_telemetry::{log, log_info};
 
 #[derive(Debug, Clone)]
@@ -109,7 +109,9 @@ fn parse_args() -> Options {
                     _ => usage(),
                 }
             }
-            "--duration" => opts.duration = value().parse().ok().or_else(|| usage()),
+            "--duration" => {
+                opts.duration = Some(parse_sim_secs(&value()).unwrap_or_else(|| usage()))
+            }
             "--seed" => opts.seed = value().parse().unwrap_or_else(|_| usage()),
             "--seeds" => {
                 opts.seeds = value().parse().unwrap_or_else(|_| usage());
@@ -132,7 +134,9 @@ fn parse_args() -> Options {
                 });
             }
             "--prelude" => opts.prelude = value().parse().ok().or_else(|| usage()),
-            "--timeline" => opts.timeline = value().parse().ok().or_else(|| usage()),
+            "--timeline" => {
+                opts.timeline = Some(parse_sim_secs(&value()).unwrap_or_else(|| usage()))
+            }
             "--timeline-out" => opts.timeline_out = Some(value()),
             "--series" => opts.series = true,
             "--stats" => opts.stats = true,
@@ -233,15 +237,7 @@ fn run_seed_sweep(opts: &Options) {
         print!("{}", outcome.aggregate.render_dashboard());
     }
     if let Some(path) = &opts.timeline_out {
-        // Timeline-only dumps: per-seed event ledgers would dwarf the file.
-        let dump = DumpFile {
-            runs: outcome
-                .jobs
-                .iter()
-                .map(|j| RunDump::from_run(&j.label, j.seed, &j.run, false))
-                .collect(),
-        };
-        write_dump(path, &dump.to_json());
+        write_dump(path, &DumpFile::sweep_timelines(&outcome).to_json());
     }
 }
 

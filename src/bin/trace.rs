@@ -1,7 +1,7 @@
 //! `trace` — offline run-dump explorer.
 //!
 //! Loads a [`DumpFile`] written by `enviromic --timeline-out`,
-//! `repro --timeline-out`, or `sweep --timeline-out` and answers the
+//! `repro --timeline-out`, or the `artifacts` sweep leg and answers the
 //! questions a debugging session actually asks: *what did node 3 do
 //! between 40 s and 60 s?*, *how many chunks migrated?*, *what did the
 //! energy curve look like?*

@@ -34,8 +34,9 @@
 //! | [`sweep`] | parallel seed × scenario sweeps with deterministic replay |
 //! | [`observe`] | run dumps, trace filtering, per-node ledgers (the `trace` explorer) |
 //!
-//! Every binary writes its files through [`write_artifact`] and takes its
-//! `--jobs` default from [`default_jobs`].
+//! Every binary writes its files through [`write_artifact`], takes its
+//! `--jobs` default from [`default_jobs`] and reads sim-time spans with
+//! [`parse_sim_secs`].
 //!
 //! # Quickstart
 //!
@@ -71,6 +72,7 @@ pub use enviromic_timesync as timesync;
 pub use enviromic_types as types;
 pub use enviromic_workloads as workloads;
 
+use enviromic_types::SimDuration;
 use std::path::Path;
 
 /// Writes a run artifact (report JSON, run dump) to `path`, creating its
@@ -91,4 +93,24 @@ pub fn write_artifact(path: impl AsRef<Path>, contents: &str) -> std::io::Result
 #[must_use]
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// Parses a command-line sim-time span in seconds (`--duration`,
+/// `--timeline`): `None` unless the value is finite and rounds to at
+/// least one jiffy, since a zero step never advances sim-time.
+///
+/// ```
+/// use enviromic::parse_sim_secs;
+///
+/// assert_eq!(parse_sim_secs("0.5"), Some(0.5));
+/// for bad in ["0", "1e-6", "-1", "NaN", "inf", "ten"] {
+///     assert_eq!(parse_sim_secs(bad), None, "{bad}");
+/// }
+/// ```
+#[must_use]
+pub fn parse_sim_secs(arg: &str) -> Option<f64> {
+    let secs: f64 = arg.parse().ok()?;
+    let valid =
+        secs.is_finite() && secs > 0.0 && SimDuration::from_secs_f64(secs) > SimDuration::ZERO;
+    valid.then_some(secs)
 }

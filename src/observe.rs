@@ -10,6 +10,7 @@
 
 use crate::harness::ExperimentRun;
 use crate::sim::TraceEvent;
+use crate::sweep::SweepOutcome;
 use enviromic_archive::{ArchiveBuilder, ArchiveRecord, ArchiveStore};
 use enviromic_core::RerequestPlan;
 use enviromic_telemetry::TimelineReport;
@@ -71,6 +72,19 @@ pub struct DumpFile {
 }
 
 impl DumpFile {
+    /// The timeline-only dump of a sweep: digest and timeline per job, in
+    /// plan order. The per-job event ledgers would dwarf the file.
+    #[must_use]
+    pub fn sweep_timelines(outcome: &SweepOutcome) -> DumpFile {
+        DumpFile {
+            runs: outcome
+                .jobs
+                .iter()
+                .map(|j| RunDump::from_run(&j.label, j.seed, &j.run, false))
+                .collect(),
+        }
+    }
+
     /// Serializes the dump as indented JSON.
     #[must_use]
     pub fn to_json(&self) -> String {

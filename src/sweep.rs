@@ -311,18 +311,6 @@ impl SweepPlan {
         self
     }
 
-    /// Runs every scenario point under `policy` (see
-    /// [`ScenarioSpec::with_policy`]).
-    #[must_use]
-    pub fn with_policy(mut self, policy: PolicyKind) -> Self {
-        self.scenarios = self
-            .scenarios
-            .into_iter()
-            .map(|s| s.with_policy(policy))
-            .collect();
-        self
-    }
-
     /// Total number of jobs the plan expands to.
     #[must_use]
     pub fn job_count(&self) -> usize {
@@ -441,7 +429,7 @@ pub struct JobRecord {
 /// The machine-readable sweep artifact: per-job digests plus the merged
 /// telemetry, with no wall-clock field, so one plan writes the same bytes
 /// at any worker count. Serialized to `BENCH_sweep.json` and
-/// `BENCH_chaos.json` by the `sweep` driver.
+/// `BENCH_chaos.json` by the `artifacts` bin's `sweep` and `chaos` legs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSummary {
     /// Number of jobs executed.
@@ -593,7 +581,7 @@ mod tests {
         let pooled = run_sweep(&plan, 4);
         assert_eq!(serial.digests(), pooled.digests());
         // Counters merge in plan order, so the aggregates agree too, and
-        // the summary the `sweep` driver commits is byte-identical.
+        // the summary the `artifacts` bin commits is byte-identical.
         assert_eq!(serial.aggregate.counters, pooled.aggregate.counters);
         assert_eq!(serial.aggregate.histograms, pooled.aggregate.histograms);
         assert_eq!(serial.summary().to_json(), pooled.summary().to_json());

@@ -195,11 +195,10 @@ fn non_default_policies_are_bit_identical_across_worker_counts() {
         let plan = SweepPlan::new(
             vec![41, 42],
             vec![
-                ScenarioSpec::quick_indoor(60.0),
-                ScenarioSpec::chaos_indoor(60.0),
+                ScenarioSpec::quick_indoor(60.0).with_policy(kind),
+                ScenarioSpec::chaos_indoor(60.0).with_policy(kind),
             ],
-        )
-        .with_policy(kind);
+        );
         let serial: Vec<(String, u64, u64, usize)> = run_sweep(&plan, 1)
             .jobs
             .iter()
@@ -232,8 +231,10 @@ fn non_default_policies_are_bit_identical_across_worker_counts() {
 /// "ablation" would compare four copies of beta-ttl and this would fail.
 #[test]
 fn non_default_policy_changes_the_golden_trace() {
-    let plan = SweepPlan::new(vec![42], vec![ScenarioSpec::quick_indoor(120.0)])
-        .with_policy(PolicyKind::NoMigration);
+    let plan = SweepPlan::new(
+        vec![42],
+        vec![ScenarioSpec::quick_indoor(120.0).with_policy(PolicyKind::NoMigration)],
+    );
     let out = run_sweep(&plan, 1);
     assert_eq!(out.jobs.len(), 1);
     assert_ne!(
