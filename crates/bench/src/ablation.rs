@@ -27,7 +27,7 @@ use enviromic::metrics::mean;
 use enviromic::runtime::EnergyModel;
 use enviromic::sim::TraceEvent;
 use enviromic::sweep::{run_sweep, JobInput, JobOutcome, ScenarioSpec, SweepPlan};
-use enviromic::types::{MsgKind, SimDuration};
+use enviromic::types::{MsgKind, SimDuration, RADIO_BITRATE_BPS};
 use enviromic::workloads::{forest_scenario, indoor_scenario, ForestParams, IndoorParams};
 use serde::{Deserialize, Serialize};
 
@@ -220,7 +220,7 @@ pub struct PolicyRow {
     /// Packets of the migration choreography (offer/accept/data/ack).
     pub migration_packets: u64,
     /// Transmit energy of those packets in millijoules, priced with the
-    /// default [`EnergyModel`] at 250 kbps.
+    /// default [`EnergyModel`] at [`RADIO_BITRATE_BPS`].
     pub migration_energy_mj: f64,
     /// `balance.policy.<name>.offers`.
     pub policy_offers: u64,
@@ -330,7 +330,7 @@ fn policy_row(scenario: &str, kind: PolicyKind, job: &JobOutcome, duration: f64)
         match ev {
             TraceEvent::MessageSent { kind, bytes, .. } if MIGRATION_KINDS.contains(kind) => {
                 migration_packets += 1;
-                let tx_secs = f64::from(*bytes) * 8.0 / 250_000.0;
+                let tx_secs = f64::from(*bytes) * 8.0 / RADIO_BITRATE_BPS as f64;
                 migration_energy_mj += energy.radio_tx_mw * tx_secs;
             }
             TraceEvent::Migrated {

@@ -15,9 +15,8 @@
 
 use enviromic::core::{Mode, NodeConfig};
 use enviromic::harness::{indoor_world_config, ExperimentRun};
-use enviromic::metrics::{ContourGrid, Experiment};
+use enviromic::metrics::ContourGrid;
 use enviromic::sweep::{run_sweep, JobInput, ScenarioSpec, SweepPlan};
-use enviromic::telemetry::TelemetryReport;
 use enviromic::types::{MsgKind, SimDuration};
 use enviromic::workloads::{indoor_scenario, IndoorParams, Topology};
 
@@ -95,22 +94,15 @@ pub struct IndoorSuite {
 #[must_use]
 pub fn suite_world_config(seed: u64) -> enviromic::sim::WorldConfig {
     let mut wcfg = indoor_world_config(seed);
-    wcfg.acoustics.mic_gain_spread = 0.10;
+    wcfg.mic_gain_spread = 0.10;
     wcfg.occupancy_snapshot_period = Some(SimDuration::from_secs_f64(60.0));
     wcfg
 }
 
-/// Runs the suite on up to one worker per setting (the pre-sweep-engine
-/// behaviour). `duration_secs` is 4400 in the paper; pass less for quick
-/// runs.
-#[must_use]
-pub fn run_suite(seed: u64, duration_secs: f64) -> IndoorSuite {
-    run_suite_jobs(seed, duration_secs, Setting::all().len())
-}
-
 /// Runs the suite's five settings as one sweep on `jobs` worker threads.
-/// Each setting's run is bit-identical regardless of `jobs` (every job
-/// owns its own world and RNG).
+/// `duration_secs` is 4400 in the paper; pass less for quick runs. Each
+/// setting's run is bit-identical regardless of `jobs` (every job owns its
+/// own world and RNG).
 #[must_use]
 pub fn run_suite_jobs(seed: u64, duration_secs: f64, jobs: usize) -> IndoorSuite {
     let settings = Setting::all();
@@ -221,18 +213,6 @@ impl IndoorSuite {
         node_grid(&run.scenario.topology, &counts)
     }
 
-    /// The suite's telemetry, folded into one report with each run's
-    /// metrics prefixed by its setting label (`lb-bmax2.core.election.won`,
-    /// ...), so the five settings stay comparable side by side.
-    #[must_use]
-    pub fn telemetry_report(&self) -> TelemetryReport {
-        let mut total = TelemetryReport::default();
-        for (setting, run) in &self.runs {
-            total.merge(&run.telemetry.with_prefix(&setting.label()));
-        }
-        total
-    }
-
     /// Whole-run miss ratio per setting.
     #[must_use]
     pub fn final_miss_ratios(&self) -> Vec<(String, f64)> {
@@ -270,10 +250,4 @@ fn node_grid(topo: &Topology, values: &[u64]) -> ContourGrid {
     let cells: Vec<(usize, usize)> = (0..topo.len()).map(|i| topo.cell_of(i)).collect();
     let vals: Vec<f64> = values.iter().map(|&v| v as f64).collect();
     ContourGrid::from_node_values(topo.cols, topo.rows, &cells, &vals)
-}
-
-/// Convenience: a metrics view plus grid binning for arbitrary runs.
-#[must_use]
-pub fn experiment_of(run: &ExperimentRun) -> Experiment<'_> {
-    run.experiment()
 }

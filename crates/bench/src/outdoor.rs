@@ -34,7 +34,7 @@ pub fn run(seed: u64, duration_secs: f64) -> OutdoorRun {
         .with_flash_chunks(2048)
         .with_beta_max(2.0);
     let mut wcfg = forest_world_config(seed);
-    wcfg.acoustics.mic_gain_spread = 0.10;
+    wcfg.mic_gain_spread = 0.10;
     wcfg.occupancy_snapshot_period = Some(SimDuration::from_secs_f64(300.0));
     let run = run_scenario(scenario, &cfg, wcfg, 30.0);
     OutdoorRun { run, duration_secs }

@@ -9,6 +9,7 @@
 //! TTL/β heuristic, where hot-spot data diffuses outward as in Fig. 18.
 //! Received data can be re-migrated later regardless of policy.
 
+use crate::config::{BULK_RETRIES, BULK_TIMEOUT, RATE_ALPHA, RATE_PERIOD, STATE_PERIOD};
 use crate::node::{
     BulkPurpose, EnviroMicNode, InboundBulk, OutboundBulk, PendingOffer, T_BULK, T_RATE, T_STATE,
 };
@@ -53,12 +54,11 @@ impl EnviroMicNode {
     pub(crate) fn on_rate_tick(&mut self, ctx: &mut dyn Runtime) {
         let bytes = self.store.take_rate_bytes();
         if bytes > 0 {
-            let period_secs = self.cfg.rate_period.as_secs_f64();
+            let period_secs = RATE_PERIOD.as_secs_f64();
             let instantaneous = bytes as f64 / period_secs;
-            self.rate =
-                self.rate * (1.0 - self.cfg.rate_alpha) + instantaneous * self.cfg.rate_alpha;
+            self.rate = self.rate * (1.0 - RATE_ALPHA) + instantaneous * RATE_ALPHA;
         }
-        self.arm(ctx, T_RATE, self.cfg.rate_period);
+        self.arm(ctx, T_RATE, RATE_PERIOD);
     }
 
     // ----- periodic state beacon + balance check --------------------------------
@@ -67,7 +67,7 @@ impl EnviroMicNode {
         self.neighbors.expire(ctx.now());
         // Withdraw an offer nobody answered within a period.
         if let Some(offer) = &self.pending_offer {
-            if ctx.now().saturating_since(offer.made_at) >= self.cfg.state_period {
+            if ctx.now().saturating_since(offer.made_at) >= STATE_PERIOD {
                 self.pending_offer = None;
             }
         }
@@ -75,7 +75,7 @@ impl EnviroMicNode {
         // after losses): a stuck receiver would otherwise refuse every
         // future offer forever.
         if let Some(inbound) = &self.bulk_in {
-            if ctx.now().saturating_since(inbound.last_activity) >= self.cfg.state_period {
+            if ctx.now().saturating_since(inbound.last_activity) >= STATE_PERIOD {
                 self.bulk_in = None;
             }
         }
@@ -106,7 +106,7 @@ impl EnviroMicNode {
         // flush timer (§III-A).
         self.send(ctx, msg);
         self.balance_check(ctx);
-        self.arm(ctx, T_STATE, self.cfg.state_period);
+        self.arm(ctx, T_STATE, STATE_PERIOD);
     }
 
     /// A policy-ready snapshot of the neighbour table, in node-ID order
@@ -245,14 +245,14 @@ impl EnviroMicNode {
         if chunks.is_empty() {
             return;
         }
-        let sender = BulkSender::new(from, session, chunks, self.cfg.bulk_retries);
+        let sender = BulkSender::new(from, session, chunks, BULK_RETRIES);
         let first = sender.current().expect("fresh session has a first chunk");
         self.bulk_out = Some(Box::new(OutboundBulk {
             sender,
             purpose: BulkPurpose::Migration,
         }));
         self.send(ctx, first);
-        self.arm(ctx, T_BULK, self.cfg.bulk_timeout);
+        self.arm(ctx, T_BULK, BULK_TIMEOUT);
     }
 
     // ----- bulk transfer data path ----------------------------------------------
@@ -357,7 +357,7 @@ impl EnviroMicNode {
             self.after_bulk_out_finished(ctx, purpose, peer);
         } else if let Some(next) = outbound.sender.current() {
             self.send(ctx, next);
-            self.arm(ctx, T_BULK, self.cfg.bulk_timeout);
+            self.arm(ctx, T_BULK, BULK_TIMEOUT);
         }
     }
 
@@ -368,7 +368,7 @@ impl EnviroMicNode {
         match outbound.sender.on_timeout() {
             SenderStep::Retry(msg) => {
                 self.send(ctx, msg);
-                self.arm(ctx, T_BULK, self.cfg.bulk_timeout);
+                self.arm(ctx, T_BULK, BULK_TIMEOUT);
             }
             SenderStep::GiveUp { unacked } => {
                 let purpose = outbound.purpose;

@@ -1,11 +1,11 @@
-//! Protocol node configuration.
+//! Protocol node configuration: the settings experiments vary, and the
+//! protocol constants they never do.
 
 use enviromic_types::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// How much of the EnviroMic protocol a node runs — the three settings the
 /// paper's evaluation compares (§IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Baseline: every node independently records for one task period upon
     /// detecting an acoustic event. No coordination, no balancing.
@@ -36,7 +36,7 @@ impl Mode {
 /// runs. The default is the paper's §II-B β/TTL heuristic; the others are
 /// the competing storage-management strategies from the literature that
 /// the policy ablation (`crates/bench`) compares head-to-head.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// The paper's migration heuristic: migrate to a neighbour whose
     /// storage TTL exceeds this node's by the TTL-dependent factor `β_i`.
@@ -50,7 +50,8 @@ pub enum PolicyKind {
     Coordinated,
     /// Flooding-style redundant dispersal (after "Distributed
     /// Flooding-based Storage Algorithms"): copy each batch to
-    /// `dispersal_k` distinct neighbours before releasing it locally.
+    /// [`DISPERSAL_K`](crate::DISPERSAL_K) distinct neighbours before
+    /// releasing it locally.
     Flooding,
 }
 
@@ -96,73 +97,67 @@ impl std::fmt::Display for PolicyKind {
     }
 }
 
-/// Storage-balancing policy selection and its per-policy parameters.
-///
-/// Lives inside [`NodeConfig`] (`cfg.balance`); the β/TTL knobs the paper
-/// itself tunes (`beta_max`, `migrate_batch`, ...) stay as top-level
-/// `NodeConfig` fields because every policy shares the session mechanics
-/// they govern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BalanceConfig {
-    /// Which migration-decision policy the node runs.
-    pub policy: PolicyKind,
-    /// [`PolicyKind::Flooding`]: number of distinct neighbours each chunk
-    /// batch is copied to before the local copy is released. 1 degenerates
-    /// to plain (non-redundant) migration.
-    pub dispersal_k: u8,
-    /// [`PolicyKind::Coordinated`]: a node is "under storage pressure" —
-    /// and starts shedding data — when its free fraction falls below this
-    /// low-water mark, in `[0, 1]`.
-    pub coord_low_water: f64,
-    /// [`PolicyKind::Coordinated`]: the chosen neighbour must have at
-    /// least `own_free_chunks * coord_headroom` free slots, so data flows
-    /// strictly down the pressure gradient and cannot ping-pong.
-    pub coord_headroom: f64,
-}
+// --- sound-activated detection -----------------------------------------
 
-/// Largest accepted flooding fan-out: each extra copy multiplies bulk
-/// radio traffic, and past 8 the batch cannot finish dispersing within
-/// realistic neighbourhood sizes.
-pub const MAX_DISPERSAL_K: u8 = 8;
+/// Hysteresis: the event ends when the level falls below background +
+/// `detect_margin * DETECT_OFF_FRACTION`.
+pub const DETECT_OFF_FRACTION: f64 = 0.6;
+/// EWMA weight for the long-term background noise average.
+pub const BACKGROUND_ALPHA: f64 = 0.02;
 
-impl Default for BalanceConfig {
-    fn default() -> Self {
-        BalanceConfig {
-            policy: PolicyKind::BetaTtl,
-            dispersal_k: 2,
-            coord_low_water: 0.25,
-            coord_headroom: 1.5,
-        }
-    }
-}
+// --- cooperative recording ----------------------------------------------
 
-impl BalanceConfig {
-    /// Checks internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.dispersal_k == 0 {
-            return Err("dispersal fan-out must be at least 1".into());
-        }
-        if self.dispersal_k > MAX_DISPERSAL_K {
-            return Err(format!(
-                "dispersal fan-out {} exceeds the maximum of {MAX_DISPERSAL_K}",
-                self.dispersal_k
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.coord_low_water) {
-            return Err("coordination low-water mark must lie in [0, 1]".into());
-        }
-        if self.coord_headroom < 1.0 || !self.coord_headroom.is_finite() {
-            return Err("coordination headroom must be a finite factor >= 1".into());
-        }
-        Ok(())
-    }
-}
+/// Maximum random back-off before announcing leadership (§II-A.1).
+pub const ELECTION_BACKOFF_MAX: SimDuration = SimDuration::from_millis(500);
+/// Maximum random back-off for post-RESIGN handoff elections.
+pub const HANDOFF_BACKOFF_MAX: SimDuration = SimDuration::from_millis(100);
+/// Period of the `SENSING` beacon while hearing an event.
+pub const SENSING_PERIOD: SimDuration = SimDuration::from_millis(400);
+/// A member's `SENSING` report older than this no longer counts for task
+/// assignment.
+pub const MEMBER_FRESHNESS: SimDuration = SimDuration::from_millis(2_500);
+/// How long the leader waits for `TASK_CONFIRM`/`TASK_REJECT` before
+/// picking another member.
+pub const CONFIRM_TIMEOUT: SimDuration = SimDuration::from_millis(150);
+/// Maximum recorder candidates tried per assignment round.
+pub const MAX_ASSIGN_ATTEMPTS: u32 = 4;
 
-/// Configuration of one EnviroMic node.
+// --- storage balancing --------------------------------------------------
+
+/// `β_i` reaches `β_max` when the node's TTL is at or above this many
+/// seconds, and falls linearly to 1 as TTL approaches zero.
+pub const BETA_TTL_REF_SECS: f64 = 600.0;
+/// Period of `STATE_UPDATE` beacons and balance checks.
+pub const STATE_PERIOD: SimDuration = SimDuration::from_millis(5_000);
+/// Chunks moved per migration session.
+pub const MIGRATE_BATCH: u16 = 16;
+/// Bulk-transfer retransmissions before giving up.
+pub const BULK_RETRIES: u32 = 3;
+/// Bulk-transfer retransmission timeout.
+pub const BULK_TIMEOUT: SimDuration = SimDuration::from_millis(80);
+/// Initial data acquisition rate estimate `R0`, bytes/second.
+pub const INITIAL_RATE: f64 = 0.0;
+/// EWMA weight `α` for the acquisition-rate estimate (§II-B).
+pub const RATE_ALPHA: f64 = 0.3;
+/// Period of acquisition-rate updates.
+pub const RATE_PERIOD: SimDuration = SimDuration::from_millis(10_000);
+
+// --- supporting services ------------------------------------------------
+
+/// Soft-state neighbor expiry.
+pub const NEIGHBOR_EXPIRY: SimDuration = SimDuration::from_millis(15_000);
+/// Fastest time-sync beacon period (during activity).
+pub const SYNC_MIN_PERIOD: SimDuration = SimDuration::from_millis(10_000);
+/// Slowest time-sync beacon period (quiet network).
+pub const SYNC_MAX_PERIOD: SimDuration = SimDuration::from_millis(160_000);
+/// Packet budget for piggybacked envelopes, bytes.
+pub const PACKET_BUDGET: usize = 100;
+/// Longest a delay-tolerant message waits for a piggyback ride.
+pub const PIGGYBACK_MAX_WAIT: SimDuration = SimDuration::from_millis(2_000);
+
+/// Configuration of one EnviroMic node: the settings the evaluation
+/// varies. Every other protocol parameter is a constant of this crate
+/// ([`STATE_PERIOD`], [`MIGRATE_BATCH`], ...).
 ///
 /// Defaults follow the values the paper determined empirically:
 /// `Trc = 1.0 s`, `Dta = 70 ms`, 2.730 kHz sampling, 0.5 MB flash.
@@ -179,7 +174,7 @@ impl BalanceConfig {
 ///     .with_flash_chunks(1200);
 /// assert_eq!(cfg.beta_max, 2.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeConfig {
     /// Protocol mode.
     pub mode: Mode,
@@ -188,11 +183,6 @@ pub struct NodeConfig {
     /// A level must exceed the background estimate by this margin to count
     /// as an acoustic event (ADC units).
     pub detect_margin: f64,
-    /// Hysteresis: the event ends when the level falls below background +
-    /// `detect_margin * detect_off_fraction`.
-    pub detect_off_fraction: f64,
-    /// EWMA weight for the long-term background noise average.
-    pub background_alpha: f64,
 
     // --- cooperative recording ------------------------------------------
     /// Recording task period `Trc`.
@@ -200,20 +190,6 @@ pub struct NodeConfig {
     /// Expected task assignment delay `Dta`: the leader starts the next
     /// assignment this early (§III-B.2).
     pub dta: SimDuration,
-    /// Maximum random back-off before announcing leadership (§II-A.1).
-    pub election_backoff_max: SimDuration,
-    /// Maximum random back-off for post-RESIGN handoff elections.
-    pub handoff_backoff_max: SimDuration,
-    /// Period of the `SENSING` beacon while hearing an event.
-    pub sensing_period: SimDuration,
-    /// A member's `SENSING` report older than this no longer counts for
-    /// task assignment.
-    pub member_freshness: SimDuration,
-    /// How long the leader waits for `TASK_CONFIRM`/`TASK_REJECT` before
-    /// picking another member.
-    pub confirm_timeout: SimDuration,
-    /// Maximum recorder candidates tried per assignment round.
-    pub max_assign_attempts: u32,
     /// Prelude length: record this much at event onset without
     /// coordination (§II-A.1); `None` disables the optimization (the
     /// paper's testbed experiments ran without it).
@@ -226,39 +202,10 @@ pub struct NodeConfig {
     pub checkpoint_interval: u32,
 
     // --- storage balancing ------------------------------------------------
-    /// Which storage-balancing policy runs and its per-policy parameters.
-    pub balance: BalanceConfig,
+    /// Which storage-balancing policy the node runs.
+    pub policy: PolicyKind,
     /// Upper bound `β_max` of the imbalance threshold (§II-B).
     pub beta_max: f64,
-    /// `β_i` reaches `β_max` when the node's TTL is at or above this many
-    /// seconds, and falls linearly to 1 as TTL approaches zero.
-    pub beta_ttl_ref_secs: f64,
-    /// Period of `STATE_UPDATE` beacons and balance checks.
-    pub state_period: SimDuration,
-    /// Chunks moved per migration session.
-    pub migrate_batch: u16,
-    /// Bulk-transfer retransmissions before giving up.
-    pub bulk_retries: u32,
-    /// Bulk-transfer retransmission timeout.
-    pub bulk_timeout: SimDuration,
-    /// Initial data acquisition rate estimate `R0`, bytes/second.
-    pub initial_rate: f64,
-    /// EWMA weight `α` for the acquisition-rate estimate (§II-B).
-    pub rate_alpha: f64,
-    /// Period of acquisition-rate updates.
-    pub rate_period: SimDuration,
-
-    // --- supporting services ----------------------------------------------
-    /// Soft-state neighbor expiry.
-    pub neighbor_expiry: SimDuration,
-    /// Fastest time-sync beacon period (during activity).
-    pub sync_min_period: SimDuration,
-    /// Slowest time-sync beacon period (quiet network).
-    pub sync_max_period: SimDuration,
-    /// Packet budget for piggybacked envelopes, bytes.
-    pub packet_budget: usize,
-    /// Longest a delay-tolerant message waits for a piggyback ride.
-    pub piggyback_max_wait: SimDuration,
 
     // --- extensions beyond the paper ---------------------------------------
     /// Keep this many replicas of each chunk when migrating (the paper's
@@ -280,34 +227,13 @@ impl Default for NodeConfig {
         NodeConfig {
             mode: Mode::Full,
             detect_margin: 25.0,
-            detect_off_fraction: 0.6,
-            background_alpha: 0.02,
             trc: SimDuration::from_secs_f64(1.0),
             dta: SimDuration::from_millis(70),
-            election_backoff_max: SimDuration::from_millis(500),
-            handoff_backoff_max: SimDuration::from_millis(100),
-            sensing_period: SimDuration::from_millis(400),
-            member_freshness: SimDuration::from_millis(2500),
-            confirm_timeout: SimDuration::from_millis(150),
-            max_assign_attempts: 4,
             prelude: None,
             flash_chunks: 2048,
             checkpoint_interval: 64,
-            balance: BalanceConfig::default(),
+            policy: PolicyKind::BetaTtl,
             beta_max: 2.0,
-            beta_ttl_ref_secs: 600.0,
-            state_period: SimDuration::from_secs_f64(5.0),
-            migrate_batch: 16,
-            bulk_retries: 3,
-            bulk_timeout: SimDuration::from_millis(80),
-            initial_rate: 0.0,
-            rate_alpha: 0.3,
-            rate_period: SimDuration::from_secs_f64(10.0),
-            neighbor_expiry: SimDuration::from_secs_f64(15.0),
-            sync_min_period: SimDuration::from_secs_f64(10.0),
-            sync_max_period: SimDuration::from_secs_f64(160.0),
-            packet_budget: 100,
-            piggyback_max_wait: SimDuration::from_secs_f64(2.0),
             replication_factor: 1,
             global_balance_hints: false,
             piggybacking: true,
@@ -347,14 +273,7 @@ impl NodeConfig {
     /// Selects the storage-balancing [`PolicyKind`].
     #[must_use]
     pub fn with_policy(mut self, policy: PolicyKind) -> Self {
-        self.balance.policy = policy;
-        self
-    }
-
-    /// Sets the flooding dispersal fan-out (copies per chunk batch).
-    #[must_use]
-    pub fn with_dispersal_k(mut self, k: u8) -> Self {
-        self.balance.dispersal_k = k;
+        self.policy = policy;
         self
     }
 
@@ -378,6 +297,9 @@ impl NodeConfig {
     ///
     /// Returns a description of the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
+        if !(self.detect_margin.is_finite() && self.detect_margin > 0.0) {
+            return Err("detect_margin must be finite and positive".into());
+        }
         if self.trc.is_zero() {
             return Err("task period Trc must be positive".into());
         }
@@ -387,19 +309,12 @@ impl NodeConfig {
         if self.flash_chunks == 0 {
             return Err("flash capacity must be positive".into());
         }
-        if self.beta_max < 1.0 {
-            return Err("beta_max must be at least 1".into());
-        }
-        if !(0.0..=1.0).contains(&self.rate_alpha) {
-            return Err("rate_alpha must lie in [0, 1]".into());
+        if !(self.beta_max.is_finite() && self.beta_max >= 1.0) {
+            return Err("beta_max must be finite and at least 1".into());
         }
         if self.replication_factor == 0 {
             return Err("replication factor must be at least 1".into());
         }
-        if self.migrate_batch == 0 {
-            return Err("migrate batch must be at least 1".into());
-        }
-        self.balance.validate()?;
         Ok(())
     }
 }
@@ -437,14 +352,28 @@ mod tests {
         assert!(base.clone().with_flash_chunks(0).validate().is_err());
         assert!(base.clone().with_beta_max(0.5).validate().is_err());
         let mut c = base.clone();
-        c.rate_alpha = 1.5;
-        assert!(c.validate().is_err());
-        let mut c = base.clone();
         c.replication_factor = 0;
         assert!(c.validate().is_err());
-        let mut c = base;
-        c.migrate_batch = 0;
-        assert!(c.validate().is_err());
+        for margin in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut c = base.clone();
+            c.detect_margin = margin;
+            assert!(c.validate().is_err(), "detect_margin {margin}");
+        }
+    }
+
+    #[test]
+    fn validation_rejects_a_non_finite_beta_max() {
+        // `NaN < 1.0` is false, so a plain lower-bound check lets NaN
+        // through; the node then runs with a NaN β that no migration
+        // offer records.
+        for beta in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = NodeConfig::default()
+                .with_beta_max(beta)
+                .validate()
+                .unwrap_err();
+            assert!(err.contains("beta_max"), "{beta}: {err}");
+        }
+        assert!(NodeConfig::default().with_beta_max(1.0).validate().is_ok());
     }
 
     #[test]
@@ -463,61 +392,15 @@ mod tests {
     }
 
     #[test]
-    fn balance_config_validation_pins_the_parameter_ranges() {
-        let base = BalanceConfig::default();
-        assert_eq!(base.policy, PolicyKind::BetaTtl);
-        assert!(base.validate().is_ok());
-
-        let mut c = base;
-        c.dispersal_k = 0;
-        assert_eq!(
-            c.validate().unwrap_err(),
-            "dispersal fan-out must be at least 1"
-        );
-        c.dispersal_k = MAX_DISPERSAL_K;
-        assert!(c.validate().is_ok(), "the cap itself is accepted");
-        c.dispersal_k = MAX_DISPERSAL_K + 1;
-        assert!(c.validate().unwrap_err().contains("exceeds the maximum"));
-
-        let mut c = base;
-        c.coord_low_water = -0.01;
-        assert!(c.validate().is_err());
-        c.coord_low_water = 1.01;
-        assert!(c.validate().is_err());
-        c.coord_low_water = 1.0;
-        assert!(c.validate().is_ok(), "the boundary itself is accepted");
-
-        let mut c = base;
-        c.coord_headroom = 0.99;
-        assert!(c.validate().is_err());
-        c.coord_headroom = f64::NAN;
-        assert!(c.validate().is_err());
-        c.coord_headroom = f64::INFINITY;
-        assert!(c.validate().is_err());
-        c.coord_headroom = 1.0;
-        assert!(c.validate().is_ok(), "headroom 1.0 (any gradient) is legal");
-    }
-
-    #[test]
-    fn node_config_validation_covers_policy_selection() {
-        // An invalid BalanceConfig must fail NodeConfig::validate too —
-        // nodes are constructed from NodeConfig alone.
-        let mut c = NodeConfig::default().with_policy(PolicyKind::Flooding);
-        assert!(c.validate().is_ok());
-        c.balance.dispersal_k = 0;
-        assert!(c.validate().is_err());
-        let c = NodeConfig::default().with_dispersal_k(MAX_DISPERSAL_K + 1);
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
     fn builder_style_setters_chain() {
         let c = NodeConfig::default()
             .with_mode(Mode::Uncoordinated)
             .with_prelude(SimDuration::from_secs_f64(1.0))
-            .with_beta_max(3.0);
+            .with_beta_max(3.0)
+            .with_policy(PolicyKind::Flooding);
         assert_eq!(c.mode, Mode::Uncoordinated);
         assert!(c.prelude.is_some());
         assert_eq!(c.beta_max, 3.0);
+        assert_eq!(c.policy, PolicyKind::Flooding);
     }
 }

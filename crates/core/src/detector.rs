@@ -7,10 +7,8 @@
 //! not pollute the noise floor — and applies hysteresis so a level
 //! hovering at the threshold does not chatter.
 
-use serde::{Deserialize, Serialize};
-
 /// Detector output for one level sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Detection {
     /// No event in progress.
     Quiet,
@@ -41,7 +39,7 @@ pub enum Detection {
 /// assert!(matches!(d.on_level(110.0), Detection::Ongoing { .. }));
 /// assert_eq!(d.on_level(9.0), Detection::Stopped);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SoundDetector {
     background: f64,
     margin: f64,

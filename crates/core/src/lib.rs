@@ -20,7 +20,7 @@
 //! * [`BalancePolicy`] — the pluggable storage-balancing decision layer:
 //!   the paper's §II-B β/TTL heuristic ([`BetaTtlPolicy`], the default)
 //!   plus competing policies from the literature, selected per node via
-//!   [`BalanceConfig`] for head-to-head ablation.
+//!   [`NodeConfig::policy`] for head-to-head ablation.
 //! * [`DataMule`] — the collecting user, in one-hop or spanning-tree
 //!   retrieval mode.
 //! * [`recover_collected_mote`] — the physical-collection fallback,
@@ -56,12 +56,19 @@ mod retrieve;
 mod storage;
 mod tasks;
 
-pub use config::{BalanceConfig, Mode, NodeConfig, PolicyKind, MAX_DISPERSAL_K};
+pub use config::{
+    Mode, NodeConfig, PolicyKind, BACKGROUND_ALPHA, BETA_TTL_REF_SECS, BULK_RETRIES, BULK_TIMEOUT,
+    CONFIRM_TIMEOUT, DETECT_OFF_FRACTION, ELECTION_BACKOFF_MAX, HANDOFF_BACKOFF_MAX, INITIAL_RATE,
+    MAX_ASSIGN_ATTEMPTS, MEMBER_FRESHNESS, MIGRATE_BATCH, NEIGHBOR_EXPIRY, PACKET_BUDGET,
+    PIGGYBACK_MAX_WAIT, RATE_ALPHA, RATE_PERIOD, SENSING_PERIOD, STATE_PERIOD, SYNC_MAX_PERIOD,
+    SYNC_MIN_PERIOD,
+};
 pub use detector::{Detection, SoundDetector};
 pub use node::{EnviroMicNode, NodeStats};
 pub use policy::{
     build_policy, BalancePolicy, BalanceView, BetaTtlPolicy, CoordinatedStoragePolicy,
-    FloodingDispersalPolicy, MigrationPlan, NeighborView, NoMigrationPolicy,
+    FloodingDispersalPolicy, MigrationPlan, NeighborView, NoMigrationPolicy, COORD_HEADROOM,
+    COORD_LOW_WATER, DISPERSAL_K,
 };
 pub use retrieve::{
     recover_collected_mote, DataMule, MuleConfig, RerequestBatch, RerequestPlan, RetrievalMode,

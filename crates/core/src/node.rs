@@ -9,7 +9,11 @@
 //! owns the state machine glue: timer routing, packet dispatch, detector
 //! transitions, and the recording engine.
 
-use crate::config::{Mode, NodeConfig};
+use crate::config::{
+    Mode, NodeConfig, BACKGROUND_ALPHA, DETECT_OFF_FRACTION, ELECTION_BACKOFF_MAX,
+    HANDOFF_BACKOFF_MAX, INITIAL_RATE, NEIGHBOR_EXPIRY, PACKET_BUDGET, PIGGYBACK_MAX_WAIT,
+    RATE_PERIOD, SENSING_PERIOD, STATE_PERIOD, SYNC_MAX_PERIOD, SYNC_MIN_PERIOD,
+};
 use crate::detector::{Detection, SoundDetector};
 use crate::policy::{build_policy, BalancePolicy, PolicyMetrics};
 use crate::storage::TracedStore;
@@ -23,7 +27,7 @@ use enviromic_runtime::{
 };
 use enviromic_telemetry::{Counter, Histogram, Registry};
 use enviromic_timesync::{BeaconScheduler, SyncState};
-use enviromic_types::{EventId, NodeId, SimDuration, SimTime};
+use enviromic_types::{audio, EventId, NodeId, SimDuration, SimTime};
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -268,7 +272,7 @@ pub struct EnviroMicNode {
 
     // balancing
     /// The storage-balancing decision layer, built from
-    /// `cfg.balance` (and rebuilt on reboot: policy state is RAM state).
+    /// `cfg.policy` (and rebuilt on reboot: policy state is RAM state).
     pub(crate) policy: Box<dyn BalancePolicy>,
     pub(crate) policy_metrics: PolicyMetrics,
     pub(crate) rate: f64,
@@ -302,26 +306,22 @@ impl EnviroMicNode {
             panic!("invalid node configuration: {e}");
         }
         let detector = SoundDetector::new(
-            8.0,
+            audio::AMBIENT_LEVEL,
             cfg.detect_margin,
-            cfg.detect_off_fraction,
-            cfg.background_alpha,
+            DETECT_OFF_FRACTION,
+            BACKGROUND_ALPHA,
         );
         let store = TracedStore::new(cfg.flash_chunks, cfg.checkpoint_interval);
-        let neighbors = NeighborTable::new(cfg.neighbor_expiry);
-        let piggyback = PiggybackQueue::new(cfg.piggyback_max_wait, cfg.packet_budget);
-        let beacons = BeaconScheduler::new(cfg.sync_min_period, cfg.sync_max_period);
-        let rate = cfg.initial_rate;
-        let policy = build_policy(&cfg.balance);
+        let policy = build_policy(cfg.policy);
         EnviroMicNode {
             cfg,
             me: NodeId(0),
             detector,
             store,
-            neighbors,
-            piggyback,
+            neighbors: NeighborTable::new(NEIGHBOR_EXPIRY),
+            piggyback: PiggybackQueue::new(PIGGYBACK_MAX_WAIT, PACKET_BUDGET),
             sync: SyncState::new(NodeId(0)),
-            beacons,
+            beacons: BeaconScheduler::new(SYNC_MIN_PERIOD, SYNC_MAX_PERIOD),
             tree: TreeState::new(),
             hearing: false,
             current_level: 0.0,
@@ -339,7 +339,7 @@ impl EnviroMicNode {
             prelude_event_pending: false,
             policy,
             policy_metrics: PolicyMetrics::detached(),
-            rate,
+            rate: INITIAL_RATE,
             net_avg_free: 1.0,
             pending_offer: None,
             bulk_out: None,
@@ -544,7 +544,7 @@ impl EnviroMicNode {
             return;
         }
         let first_beacon = {
-            let max = self.cfg.sensing_period.as_jiffies().max(1);
+            let max = SENSING_PERIOD.as_jiffies().max(1);
             SimDuration::from_jiffies(ctx.rng().gen_range(0..max))
         };
         self.arm(ctx, T_SENSING, first_beacon);
@@ -567,7 +567,7 @@ impl EnviroMicNode {
                     if pending.event == event && ctx.now().saturating_since(seen_at) <= window {
                         self.pending_handoff = Some(pending);
                         let backoff = {
-                            let max = self.cfg.handoff_backoff_max.as_jiffies().max(1);
+                            let max = HANDOFF_BACKOFF_MAX.as_jiffies().max(1);
                             SimDuration::from_jiffies(ctx.rng().gen_range(0..max))
                         };
                         self.arm(ctx, T_HANDOFF, backoff);
@@ -579,7 +579,7 @@ impl EnviroMicNode {
         if self.leader.is_none() {
             self.metrics.elections_started.inc();
             let backoff = {
-                let max = self.cfg.election_backoff_max.as_jiffies().max(1);
+                let max = ELECTION_BACKOFF_MAX.as_jiffies().max(1);
                 SimDuration::from_jiffies(ctx.rng().gen_range(0..max))
             };
             self.arm(ctx, T_ELECTION, backoff);
@@ -718,7 +718,7 @@ impl EnviroMicNode {
         // up-to-date member list (§II-A.2).
         if self.cfg.mode.cooperative() && self.hearing && self.task.is_none() {
             let jitter = {
-                let max = (self.cfg.sensing_period.as_jiffies() / 4).max(1);
+                let max = (SENSING_PERIOD.as_jiffies() / 4).max(1);
                 SimDuration::from_jiffies(ctx.rng().gen_range(0..max))
             };
             self.arm(ctx, T_SENSING, jitter);
@@ -735,14 +735,14 @@ impl Application for EnviroMicNode {
         // Stagger periodic services so co-located nodes do not self-
         // synchronize.
         let state_stagger = {
-            let max = self.cfg.state_period.as_jiffies().max(1);
+            let max = STATE_PERIOD.as_jiffies().max(1);
             SimDuration::from_jiffies(ctx.rng().gen_range(0..max))
         };
         if self.cfg.mode.balancing() {
             self.arm(ctx, T_STATE, state_stagger);
         }
         let rate_stagger = {
-            let max = self.cfg.rate_period.as_jiffies().max(1);
+            let max = RATE_PERIOD.as_jiffies().max(1);
             SimDuration::from_jiffies(ctx.rng().gen_range(0..max))
         };
         self.arm(ctx, T_RATE, rate_stagger);
@@ -888,21 +888,23 @@ mod tests {
 
     #[test]
     fn accessors_expose_configuration() {
-        let cfg = NodeConfig::default().with_beta_max(3.5);
-        let node = EnviroMicNode::new(cfg.clone());
+        let node = EnviroMicNode::new(NodeConfig::default().with_beta_max(3.5));
         assert_eq!(node.config().beta_max, 3.5);
-        assert_eq!(node.acquisition_rate(), cfg.initial_rate);
+        assert_eq!(node.acquisition_rate(), INITIAL_RATE);
     }
 
     /// Every node of a city world pays this inline size: 100k nodes at
-    /// 1.25 KB is 125 MB. Keep new state that most nodes never use
+    /// 1,088 B is 109 MB. Keep new state that most nodes never use
     /// behind an `Option<Box<_>>`, as `leader`, `task`, `pending_offer`,
     /// the bulk sessions and `pending_reply` are, rather than raising the
-    /// limit.
+    /// limit. Each node carries its own [`NodeConfig`], so a value no
+    /// experiment varies belongs in a constant, not a field.
     #[test]
     fn node_fits_its_inline_budget() {
         let size = std::mem::size_of::<EnviroMicNode>();
-        assert!(size <= 1_280, "EnviroMicNode is {size} B inline");
+        assert!(size <= 1_088, "EnviroMicNode is {size} B inline");
+        let cfg = std::mem::size_of::<NodeConfig>();
+        assert!(cfg <= 64, "NodeConfig is {cfg} B");
     }
 
     #[test]

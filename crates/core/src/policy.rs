@@ -9,9 +9,8 @@
 //! protocol are shared by every policy, so competing storage strategies
 //! from the literature drop in without touching protocol internals.
 //!
-//! Four policies ship (selected by
-//! [`PolicyKind`](crate::PolicyKind) in
-//! [`BalanceConfig`](crate::BalanceConfig)):
+//! Four policies ship (selected by [`PolicyKind`] in
+//! [`NodeConfig::policy`]):
 //!
 //! * [`BetaTtlPolicy`] — the paper's §II-B heuristic, **bit-for-bit** the
 //!   pre-refactor behaviour: same guards, same eligibility scan over the
@@ -25,7 +24,7 @@
 //!   the deterministically chosen emptiest neighbour.
 //! * [`FloodingDispersalPolicy`] — redundant k-way dispersal (after
 //!   PAPERS.md "Distributed Flooding-based Storage Algorithms"): each
-//!   chunk batch is copied to `dispersal_k` distinct neighbours before
+//!   chunk batch is copied to [`DISPERSAL_K`] distinct neighbours before
 //!   the local copy is released.
 //!
 //! # Determinism
@@ -34,16 +33,16 @@
 //! the node's seeded RNG stream ([`Runtime::rng`]): no wall clocks, no
 //! iteration over unordered containers (the view's neighbour slice is
 //! pre-sorted by node ID), no hidden state outside the policy struct
-//! itself — which is rebuilt from [`BalanceConfig`] on reboot, exactly
+//! itself — which is rebuilt from its [`PolicyKind`] on reboot, exactly
 //! like the rest of the node's RAM state. Per-seed sweep digests are
 //! therefore bit-identical at any worker count for *every* policy, and
 //! chaos fault schedules compose with them unchanged (`tests/`
 //! `determinism.rs`, `crates/bench` policy matrix).
 
-use crate::config::{BalanceConfig, NodeConfig, PolicyKind};
+use crate::config::{NodeConfig, PolicyKind, BETA_TTL_REF_SECS, MIGRATE_BATCH};
 use enviromic_runtime::Runtime;
 use enviromic_telemetry::{Counter, Registry};
-use enviromic_types::NodeId;
+use enviromic_types::{NodeId, RADIO_BITRATE_BPS};
 use rand::Rng;
 
 /// What the node knows about one neighbour, snapshotted from the
@@ -102,7 +101,7 @@ impl BalanceView<'_> {
     pub fn ttl_energy_secs(&self, ctx: &mut dyn Runtime) -> f64 {
         let e = ctx.energy_model();
         let tx_duty = if self.rate > 0.0 {
-            (self.rate * 8.0 / 250_000.0).min(1.0)
+            (self.rate * 8.0 / RADIO_BITRATE_BPS as f64).min(1.0)
         } else {
             0.0
         };
@@ -136,8 +135,8 @@ pub struct MigrationPlan {
 
 /// A storage-balancing strategy: the decision layer of §II-B.
 ///
-/// One boxed policy instance lives on each node, constructed from
-/// [`BalanceConfig`] by [`build_policy`] (and reconstructed on reboot —
+/// One boxed policy instance lives on each node, constructed from its
+/// [`PolicyKind`] by [`build_policy`] (and reconstructed on reboot —
 /// policy state is RAM state). The node calls in at three points of the
 /// shared migration machinery; everything else (session lifecycle,
 /// retries, trace emission, telemetry) is policy-independent.
@@ -176,20 +175,32 @@ pub trait BalancePolicy: std::fmt::Debug + Send {
     }
 }
 
-/// Constructs the policy selected by `cfg`.
+/// [`PolicyKind::Flooding`]: number of distinct neighbours each chunk
+/// batch is copied to before the local copy is released. 1 degenerates to
+/// plain (non-redundant) migration.
+pub const DISPERSAL_K: u8 = 2;
+
+/// [`PolicyKind::Coordinated`]: a node is "under storage pressure" — and
+/// starts shedding data — when its free fraction falls below this
+/// low-water mark, in `[0, 1]`.
+pub const COORD_LOW_WATER: f64 = 0.25;
+
+/// [`PolicyKind::Coordinated`]: the chosen neighbour must have at least
+/// `own_free_chunks * COORD_HEADROOM` free slots, so data flows strictly
+/// down the pressure gradient and cannot ping-pong.
+pub const COORD_HEADROOM: f64 = 1.5;
+
+/// Constructs the policy of `kind`.
 #[must_use]
-pub fn build_policy(cfg: &BalanceConfig) -> Box<dyn BalancePolicy> {
-    match cfg.policy {
+pub fn build_policy(kind: PolicyKind) -> Box<dyn BalancePolicy> {
+    match kind {
         PolicyKind::BetaTtl => Box::new(BetaTtlPolicy),
         PolicyKind::NoMigration => Box::new(NoMigrationPolicy),
         PolicyKind::Coordinated => Box::new(CoordinatedStoragePolicy {
-            low_water: cfg.coord_low_water,
-            headroom: cfg.coord_headroom,
+            low_water: COORD_LOW_WATER,
+            headroom: COORD_HEADROOM,
         }),
-        PolicyKind::Flooding => Box::new(FloodingDispersalPolicy {
-            k: cfg.dispersal_k,
-            batch_targets: Vec::new(),
-        }),
+        PolicyKind::Flooding => Box::new(FloodingDispersalPolicy::new(DISPERSAL_K)),
     }
 }
 
@@ -288,8 +299,7 @@ impl BalancePolicy for BetaTtlPolicy {
         // β_i varies linearly between 1 and β_max with the current TTL:
         // nodes grow more sensitive to imbalance as their storage horizon
         // shrinks.
-        let beta =
-            1.0 + (view.cfg.beta_max - 1.0) * (ttl_i / view.cfg.beta_ttl_ref_secs).clamp(0.0, 1.0);
+        let beta = 1.0 + (view.cfg.beta_max - 1.0) * (ttl_i / BETA_TTL_REF_SECS).clamp(0.0, 1.0);
         // Collect every neighbour satisfying the imbalance condition, then
         // pick one at random: deterministic "best TTL" selection would send
         // every donor's offer to the same node, which can accept only one
@@ -314,7 +324,7 @@ impl BalancePolicy for BetaTtlPolicy {
         }
         let (target, target_free) = eligible[ctx.rng().gen_range(0..eligible.len())];
         let chunks = u16::try_from(
-            u64::from(view.cfg.migrate_batch)
+            u64::from(MIGRATE_BATCH)
                 .min(u64::from(view.stored_chunks))
                 .min(u64::from(target_free)),
         )
@@ -424,7 +434,7 @@ impl BalancePolicy for CoordinatedStoragePolicy {
             return None; // nobody is meaningfully emptier than us
         }
         let chunks = u16::try_from(
-            u64::from(view.cfg.migrate_batch)
+            u64::from(MIGRATE_BATCH)
                 .min(u64::from(view.stored_chunks))
                 .min(u64::from(best.free_chunks)),
         )
@@ -461,7 +471,7 @@ impl BalancePolicy for CoordinatedStoragePolicy {
 /// is exactly the trade-off the policy ablation measures.
 #[derive(Debug, Clone)]
 pub struct FloodingDispersalPolicy {
-    /// Copies per batch (from [`BalanceConfig::dispersal_k`]).
+    /// Copies per batch ([`DISPERSAL_K`] on a node).
     pub k: u8,
     /// Neighbours the current head batch has already been dispersed to;
     /// cleared once the batch completes its `k` copies.
@@ -505,7 +515,7 @@ impl BalancePolicy for FloodingDispersalPolicy {
         // inbound session at a time).
         let (target, target_free) = eligible[ctx.rng().gen_range(0..eligible.len())];
         let chunks = u16::try_from(
-            u64::from(view.cfg.migrate_batch)
+            u64::from(MIGRATE_BATCH)
                 .min(u64::from(view.stored_chunks))
                 .min(u64::from(target_free)),
         )
@@ -624,11 +634,11 @@ mod tests {
 
     #[test]
     fn beta_threshold_is_strict_at_the_clamp_boundary() {
-        // At TTL_i == beta_ttl_ref_secs the clamp argument is exactly 1.0,
+        // At TTL_i == BETA_TTL_REF_SECS the clamp argument is exactly 1.0,
         // so β == β_max. A neighbour at exactly β_max × TTL_i fails the
         // strict inequality; one second more passes it.
         let cfg = NodeConfig::default(); // beta_max 2.0, ref 600 s
-        let ttl_i = cfg.beta_ttl_ref_secs;
+        let ttl_i = BETA_TTL_REF_SECS;
         let mut rt = MockRuntime::new(NodeId(1));
 
         let at_threshold = [neighbor(2, 1200, 50)];
@@ -652,7 +662,7 @@ mod tests {
         // TTL_i ten times the reference: the clamp keeps β at β_max
         // instead of letting the threshold grow unboundedly.
         let cfg = NodeConfig::default();
-        let ttl_i = cfg.beta_ttl_ref_secs * 10.0;
+        let ttl_i = BETA_TTL_REF_SECS * 10.0;
         let mut rt = MockRuntime::new(NodeId(1));
         let neighbors = [neighbor(2, (ttl_i * cfg.beta_max) as u32 + 1, 50)];
         let v = view(ttl_i, 8, 100, 108, &neighbors, &cfg);
@@ -718,7 +728,7 @@ mod tests {
         let v = view(5.0, 90, 10, 100, &neighbors, &cfg);
         let plan = p.should_migrate(&mut rt, &v).expect("pressure migrates");
         assert_eq!(plan.target, NodeId(3));
-        assert_eq!(plan.chunks, cfg.migrate_batch);
+        assert_eq!(plan.chunks, MIGRATE_BATCH);
         assert_eq!(plan.beta, None);
 
         // Headroom: with 10 free locally and 1.5 headroom, a best
@@ -813,11 +823,7 @@ mod tests {
     #[test]
     fn build_policy_constructs_the_selected_kind() {
         for kind in PolicyKind::ALL {
-            let cfg = BalanceConfig {
-                policy: kind,
-                ..BalanceConfig::default()
-            };
-            assert_eq!(build_policy(&cfg).kind(), kind);
+            assert_eq!(build_policy(kind).kind(), kind);
         }
     }
 }

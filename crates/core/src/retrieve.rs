@@ -13,6 +13,7 @@
 //! Node-side answering lives in this file as `impl EnviroMicNode`; the
 //! collecting user is the separate [`DataMule`] application.
 
+use crate::config::{BULK_RETRIES, BULK_TIMEOUT};
 use crate::node::{
     BulkPurpose, EnviroMicNode, OutboundBulk, PendingReply, T_REPLY_PACE, T_REPLY_START,
 };
@@ -118,7 +119,7 @@ impl EnviroMicNode {
             let session = self.session_seq;
             self.session_seq += 1;
             let count = matching.len();
-            let sender = BulkSender::new(root, session, matching, self.cfg.bulk_retries);
+            let sender = BulkSender::new(root, session, matching, BULK_RETRIES);
             let first = sender.current().expect("non-empty session");
             self.bulk_out = Some(Box::new(OutboundBulk {
                 sender,
@@ -128,7 +129,7 @@ impl EnviroMicNode {
                 reply.next = count;
             }
             self.send(ctx, first);
-            self.arm(ctx, crate::node::T_BULK, self.cfg.bulk_timeout);
+            self.arm(ctx, crate::node::T_BULK, BULK_TIMEOUT);
         }
     }
 
@@ -336,7 +337,6 @@ pub struct DataMule {
     expected: HashMap<NodeId, u32>,
     new_this_round: usize,
     consecutive_empty_rounds: u32,
-    finished: bool,
     /// Re-query rounds issued to close gaps left by lost answers (§II-C).
     m_requeries: Counter,
     /// Unique chunks accepted across all rounds.
@@ -359,7 +359,6 @@ impl DataMule {
             expected: HashMap::new(),
             new_this_round: 0,
             consecutive_empty_rounds: 0,
-            finished: false,
             m_requeries: Counter::default(),
             m_chunks: Counter::default(),
         }
@@ -369,12 +368,6 @@ impl DataMule {
     #[must_use]
     pub fn chunks(&self) -> &[Chunk] {
         &self.chunks
-    }
-
-    /// True once all configured rounds completed.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.finished
     }
 
     /// Per-source chunk counts the sources advertised via QUERY_DONE.
@@ -472,15 +465,15 @@ impl Application for DataMule {
                 // only an exhausted round budget or two consecutive dry
                 // rounds do.
                 if self.rounds_done >= self.cfg.rounds || self.consecutive_empty_rounds >= 2 {
-                    self.finished = true;
-                } else if self.cfg.mode == RetrievalMode::Tree {
+                    return;
+                }
+                self.m_requeries.inc();
+                if self.cfg.mode == RetrievalMode::Tree {
                     // Rebuild the tree before every round: a single build
                     // wave can die on a lossy hop, leaving far nodes
                     // unattached and unable to route answers.
-                    self.m_requeries.inc();
                     self.rebuild_tree_then_query(ctx);
                 } else {
-                    self.m_requeries.inc();
                     self.send_query(ctx);
                 }
             }

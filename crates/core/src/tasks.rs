@@ -1,6 +1,9 @@
 //! Group management, leader election/handoff, and cooperative task
 //! assignment (§II-A), plus message dispatch and time-sync ticks.
 
+use crate::config::{
+    CONFIRM_TIMEOUT, HANDOFF_BACKOFF_MAX, MAX_ASSIGN_ATTEMPTS, MEMBER_FRESHNESS, SENSING_PERIOD,
+};
 use crate::node::{
     EnviroMicNode, LeaderState, PendingHandoff, T_ASSIGN, T_CONFIRM, T_ELECTION, T_HANDOFF,
     T_SENSING, T_SYNC,
@@ -167,7 +170,7 @@ impl EnviroMicNode {
             task_seq: self.last_seen_task_seq.wrapping_add(1),
         });
         let backoff = {
-            let max = self.cfg.handoff_backoff_max.as_jiffies().max(1);
+            let max = HANDOFF_BACKOFF_MAX.as_jiffies().max(1);
             SimDuration::from_jiffies(ctx.rng().gen_range(0..max))
         };
         self.arm(ctx, T_HANDOFF, backoff);
@@ -266,7 +269,7 @@ impl EnviroMicNode {
             task_seq,
         });
         let backoff = {
-            let max = self.cfg.handoff_backoff_max.as_jiffies().max(1);
+            let max = HANDOFF_BACKOFF_MAX.as_jiffies().max(1);
             SimDuration::from_jiffies(ctx.rng().gen_range(0..max))
         };
         self.arm(ctx, T_HANDOFF, backoff);
@@ -358,7 +361,7 @@ impl EnviroMicNode {
             if excluded.contains(&node) {
                 continue;
             }
-            let fresh = ctx.now().saturating_since(info.sensing_at) <= self.cfg.member_freshness;
+            let fresh = ctx.now().saturating_since(info.sensing_at) <= MEMBER_FRESHNESS;
             let matches = info.sensing == Some(event) || info.sensing.is_none();
             if fresh && matches && info.sensing_at > SimTime::ZERO {
                 candidates.push((node, info.ttl_secs, info.level, info.has_prelude));
@@ -457,7 +460,7 @@ impl EnviroMicNode {
                 ls.pending = Some(chosen);
                 ls.pending_at = ctx.now();
             }
-            self.arm(ctx, T_CONFIRM, self.cfg.confirm_timeout);
+            self.arm(ctx, T_CONFIRM, CONFIRM_TIMEOUT);
         }
     }
 
@@ -532,7 +535,7 @@ impl EnviroMicNode {
         ls.excluded.push(pending);
         ls.attempts += 1;
         self.metrics.confirm_timeouts.inc();
-        if ls.attempts < self.cfg.max_assign_attempts {
+        if ls.attempts < MAX_ASSIGN_ATTEMPTS {
             self.try_assign(ctx);
         } else {
             self.arm(ctx, T_ASSIGN, ROUND_RETRY);
@@ -693,7 +696,7 @@ impl EnviroMicNode {
             ttl_secs: self.ttl_storage_secs(),
         };
         self.send(ctx, msg);
-        self.arm(ctx, T_SENSING, self.cfg.sensing_period);
+        self.arm(ctx, T_SENSING, SENSING_PERIOD);
     }
 
     // ----- time sync -------------------------------------------------------------

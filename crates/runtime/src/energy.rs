@@ -1,14 +1,12 @@
 //! The node energy model (MicaZ-class numbers).
 
-use serde::{Deserialize, Serialize};
-
 /// Energy model parameters a backend exposes to the protocol.
 ///
 /// Only ratios of these rates enter protocol decisions (`TTL_energy`,
 /// §II-B of the paper), so representative data-sheet values are
 /// sufficient. Backends use the same struct to *drive* their battery
 /// accounting; the protocol only ever reads it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyModel {
     /// Initial battery energy per node, millijoules (2×AA ≈ 20 kJ).
     pub battery_mj: f64,

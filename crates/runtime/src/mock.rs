@@ -56,11 +56,9 @@ pub struct MockRuntime {
     node: NodeId,
     now: SimTime,
     offset: SimDuration,
-    position: Position,
     rng: SmallRng,
     radio_on: bool,
     recording_since: Option<SimTime>,
-    acoustic_level: f64,
     energy_mj: f64,
     energy_model: EnergyModel,
     next_handle: u64,
@@ -82,11 +80,9 @@ impl MockRuntime {
             node,
             now: SimTime::ZERO,
             offset: SimDuration::ZERO,
-            position: Position::new(0.0, 0.0),
             rng: SmallRng::seed_from_u64(0x0515_7A7E ^ u64::from(node.0)),
             radio_on: true,
             recording_since: None,
-            acoustic_level: 0.0,
             energy_mj: EnergyModel::default().battery_mj,
             energy_model: EnergyModel::default(),
             next_handle: 1,
@@ -100,30 +96,14 @@ impl MockRuntime {
         }
     }
 
-    /// Sets the node's position.
-    pub fn set_position(&mut self, pos: Position) {
-        self.position = pos;
-    }
-
     /// Sets the local-clock offset: `local_time() == now() + offset`.
     pub fn set_clock_offset(&mut self, offset: SimDuration) {
         self.offset = offset;
     }
 
-    /// Sets the microphone level returned by
-    /// [`Runtime::current_acoustic_level`].
-    pub fn set_acoustic_level(&mut self, level: f64) {
-        self.acoustic_level = level;
-    }
-
     /// Overrides remaining battery energy.
     pub fn set_energy_mj(&mut self, mj: f64) {
         self.energy_mj = mj;
-    }
-
-    /// Overrides the energy model.
-    pub fn set_energy_model(&mut self, model: EnergyModel) {
-        self.energy_model = model;
     }
 
     /// Invokes the application's start callback (time stays at zero).
@@ -224,11 +204,6 @@ impl MockRuntime {
         &self.sent
     }
 
-    /// Drains the captured packets (so a test can assert per phase).
-    pub fn take_sent(&mut self) -> Vec<SentPacket> {
-        std::mem::take(&mut self.sent)
-    }
-
     /// The `(fire time, token)` of every live (not cancelled) pending
     /// timer, soonest first.
     #[must_use]
@@ -264,7 +239,7 @@ impl Runtime for MockRuntime {
     }
 
     fn position(&self) -> Position {
-        self.position
+        Position::new(0.0, 0.0)
     }
 
     fn rng(&mut self) -> &mut SmallRng {
@@ -346,7 +321,7 @@ impl Runtime for MockRuntime {
     }
 
     fn current_acoustic_level(&mut self) -> f64 {
-        self.acoustic_level
+        0.0
     }
 
     fn energy_mj(&mut self) -> f64 {

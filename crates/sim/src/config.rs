@@ -1,23 +1,21 @@
 //! Simulation configuration.
 
 use enviromic_types::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Radio medium parameters.
 ///
 /// Models the single-hop broadcast behaviour of the MicaZ CC2420 radio at
 /// the abstraction the EnviroMic protocol relies on: unit-disk connectivity,
 /// per-receiver independent loss, MAC-style random transmit delay, and
-/// byte-rate-proportional airtime.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// byte-rate-proportional airtime at
+/// [`RADIO_BITRATE_BPS`](enviromic_types::RADIO_BITRATE_BPS).
+#[derive(Debug, Clone, PartialEq)]
 pub struct RadioConfig {
     /// Communication range in feet (unit-disk model). The paper recommends
     /// choosing this larger than the acoustic sensing range.
     pub range_ft: f64,
     /// Independent per-receiver probability that a broadcast is lost.
     pub loss_prob: f64,
-    /// Radio bit rate in bits/second (CC2420: 250 kbps).
-    pub bitrate_bps: u64,
     /// Maximum random MAC back-off before a transmission leaves the node.
     pub mac_delay_max: SimDuration,
     /// Fixed per-hop processing latency added to every delivery.
@@ -29,7 +27,6 @@ impl Default for RadioConfig {
         RadioConfig {
             range_ft: 3.0,
             loss_prob: 0.05,
-            bitrate_bps: 250_000,
             mac_delay_max: SimDuration::from_millis(8),
             per_hop_latency: SimDuration::from_millis(2),
         }
@@ -57,39 +54,7 @@ impl RadioConfig {
                 self.loss_prob
             ));
         }
-        if self.bitrate_bps == 0 {
-            return Err("radio bitrate_bps must be positive".to_owned());
-        }
         Ok(())
-    }
-}
-
-/// Acoustic field parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AcousticsConfig {
-    /// Period of the acoustic level updates delivered to every node. This
-    /// models the detector's continuous low-rate listening; mobile sources
-    /// are also re-evaluated on this tick.
-    pub level_update_period: SimDuration,
-    /// Background (ambient) noise floor on the 0–255 ADC scale.
-    pub background_level: f64,
-    /// Standard deviation of the ambient noise around the floor.
-    pub background_sigma: f64,
-    /// Per-node microphone gain spread: each node's perceived signal level
-    /// is scaled by a fixed gain drawn uniformly from `1 ± spread`,
-    /// modeling real microphone sensitivity variation (the paper observes
-    /// that "individual nodes may not detect the event reliably").
-    pub mic_gain_spread: f64,
-}
-
-impl Default for AcousticsConfig {
-    fn default() -> Self {
-        AcousticsConfig {
-            level_update_period: SimDuration::from_millis(100),
-            background_level: 8.0,
-            background_sigma: 1.0,
-            mic_gain_spread: 0.0,
-        }
     }
 }
 
@@ -106,7 +71,7 @@ pub use enviromic_runtime::EnergyModel as EnergyConfig;
 /// Real motes free-run on a 32 kHz crystal with offset and drift; the
 /// FTSP-style sync service exists to undo exactly this. Both knobs can be
 /// zeroed for experiments where clock error is irrelevant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClockConfig {
     /// Maximum absolute skew, parts-per-million (drawn uniformly ±ppm).
     pub max_skew_ppm: f64,
@@ -124,14 +89,17 @@ impl Default for ClockConfig {
 }
 
 /// Top-level simulation configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorldConfig {
     /// Root seed for all deterministic randomness.
     pub seed: u64,
     /// Radio medium parameters.
     pub radio: RadioConfig,
-    /// Acoustic field parameters.
-    pub acoustics: AcousticsConfig,
+    /// Per-node microphone gain spread: each node's perceived signal level
+    /// is scaled by a fixed gain drawn uniformly from `1 ± spread`,
+    /// modeling real microphone sensitivity variation (the paper observes
+    /// that "individual nodes may not detect the event reliably").
+    pub mic_gain_spread: f64,
     /// Energy model parameters.
     pub energy: EnergyConfig,
     /// Clock imperfection parameters.
@@ -160,7 +128,7 @@ impl Default for WorldConfig {
         WorldConfig {
             seed: 1,
             radio: RadioConfig::default(),
-            acoustics: AcousticsConfig::default(),
+            mic_gain_spread: 0.0,
             energy: EnergyConfig::default(),
             clock: ClockConfig::default(),
             occupancy_snapshot_period: None,
@@ -200,7 +168,6 @@ mod tests {
         assert!(c.radio.range_ft > 0.0);
         assert!((0.0..=1.0).contains(&c.radio.loss_prob));
         assert!(c.energy.battery_mj > 0.0);
-        assert!(c.acoustics.level_update_period > SimDuration::ZERO);
         assert!(c.validate().is_ok());
     }
 
@@ -225,9 +192,6 @@ mod tests {
         assert!(c.validate().is_err());
         c.radio.loss_prob = 0.5;
         c.radio.range_ft = 0.0;
-        assert!(c.validate().is_err());
-        c.radio.range_ft = 3.0;
-        c.radio.bitrate_bps = 0;
         assert!(c.validate().is_err());
     }
 

@@ -60,7 +60,7 @@ pub mod rng;
 pub mod spatial;
 mod world;
 
-pub use config::{AcousticsConfig, ClockConfig, EnergyConfig, RadioConfig, WorldConfig};
+pub use config::{ClockConfig, EnergyConfig, RadioConfig, WorldConfig};
 pub use enviromic_runtime::{
     Application, AudioBlock, DropReason, FaultKind, RecordKind, Runtime, StorageOccupancy, Timer,
     TimerHandle, Trace, TraceEvent,

@@ -11,10 +11,21 @@ use enviromic_runtime::{
     Application, AudioBlock, EnergyModel, FaultKind, Runtime, Timer, TimerHandle, Trace, TraceEvent,
 };
 use enviromic_telemetry::{Counter, Registry, TelemetryReport, Timeline, TimelineReport};
-use enviromic_types::{audio, Bytes, MsgKind, NodeId, Position, SimDuration, SimTime};
+use enviromic_types::{
+    audio, Bytes, MsgKind, NodeId, Position, SimDuration, SimTime, RADIO_BITRATE_BPS,
+};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::HashSet;
+
+/// Period of the acoustic level updates delivered to every node. This
+/// models the detector's continuous low-rate listening; mobile sources are
+/// also re-evaluated on this tick.
+const LEVEL_UPDATE_PERIOD: SimDuration = SimDuration::from_millis(100);
+
+/// Standard deviation of the ambient noise around the floor
+/// ([`audio::AMBIENT_LEVEL`]), in ADC units.
+const BACKGROUND_SIGMA: f64 = 1.0;
 
 /// Internal queue payloads.
 #[derive(Debug)]
@@ -317,7 +328,7 @@ impl World {
         } else {
             clock_rng.gen_range(0..=max_off)
         };
-        let gain_spread = self.inner.cfg.acoustics.mic_gain_spread;
+        let gain_spread = self.inner.cfg.mic_gain_spread;
         let mic_gain = if gain_spread > 0.0 {
             let mut mic_rng = self.inner.streams.stream("mic-gain", idx as u64);
             1.0 + mic_rng.gen_range(-gain_spread..=gain_spread)
@@ -456,16 +467,6 @@ impl World {
         self.inner.nodes.len()
     }
 
-    /// Deployment position of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` was not added to this world.
-    #[must_use]
-    pub fn position_of(&self, node: NodeId) -> Position {
-        self.inner.nodes.pos[node.index()]
-    }
-
     /// Current simulation time.
     #[must_use]
     pub fn now(&self) -> SimTime {
@@ -476,12 +477,6 @@ impl World {
     #[must_use]
     pub fn trace(&self) -> &Trace {
         &self.inner.trace
-    }
-
-    /// Consumes the world and returns its trace.
-    #[must_use]
-    pub fn into_trace(self) -> Trace {
-        self.inner.trace
     }
 
     /// The world's telemetry registry. Applications reach it through
@@ -540,18 +535,6 @@ impl World {
     #[must_use]
     pub fn app_as<T: Application + 'static>(&self, node: NodeId) -> Option<&T> {
         self.apps[node.index()].as_any().downcast_ref::<T>()
-    }
-
-    /// Mutably borrows the application running on `node`, downcast to `T`.
-    ///
-    /// Returns `None` when the node's application is not a `T`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` was not added to this world.
-    #[must_use]
-    pub fn app_as_mut<T: Application + 'static>(&mut self, node: NodeId) -> Option<&mut T> {
-        self.apps[node.index()].as_any_mut().downcast_mut::<T>()
     }
 
     /// Runs the simulation until the clock reaches `t_end` (inclusive of
@@ -658,8 +641,7 @@ impl World {
                 self.with_app(to, |app, ctx| app.on_packet(ctx, from, &bytes));
             }
             Ev::AcousticTick => {
-                let period = self.inner.cfg.acoustics.level_update_period;
-                let next = self.inner.now + period;
+                let next = self.inner.now + LEVEL_UPDATE_PERIOD;
                 self.inner.queue.schedule(next, Ev::AcousticTick);
                 self.inner.flush_retired_sources();
                 for idx in 0..self.apps.len() {
@@ -1018,10 +1000,8 @@ impl Inner {
         let pos = self.nodes.pos[idx];
         let gain = self.nodes.mic_gain[idx];
         let peak = self.audible.peak_level(&self.field, idx, pos, self.now) * gain;
-        let a = &self.cfg.acoustics;
-        let noise =
-            self.nodes.rng[idx].gen_range(-2.0 * a.background_sigma..=2.0 * a.background_sigma);
-        (a.background_level + noise + peak).clamp(0.0, 255.0)
+        let noise = self.nodes.rng[idx].gen_range(-2.0 * BACKGROUND_SIGMA..=2.0 * BACKGROUND_SIGMA);
+        (audio::AMBIENT_LEVEL + noise + peak).clamp(0.0, 255.0)
     }
 
     /// Synthesizes the audio a node heard over `[t0, t1)`.
@@ -1034,7 +1014,6 @@ impl Inner {
         let span_s = t1.saturating_since(t0).as_secs_f64();
         let n = ((span_s * audio::SAMPLE_RATE_HZ as f64).round() as usize)
             .min(audio::SAMPLES_PER_CHUNK as usize);
-        let sigma = self.cfg.acoustics.background_sigma;
         let t0_s = t0.as_secs_f64();
         let Inner {
             nodes,
@@ -1052,7 +1031,9 @@ impl Inner {
         // the audio_rng sequence is exactly the old per-sample loop's —
         // then hand the whole block to the batch kernel.
         noise_scratch.clear();
-        noise_scratch.extend((0..n).map(|_| audio_rng.gen_range(-2.0 * sigma..=2.0 * sigma)));
+        noise_scratch.extend(
+            (0..n).map(|_| audio_rng.gen_range(-2.0 * BACKGROUND_SIGMA..=2.0 * BACKGROUND_SIGMA)),
+        );
         let mut samples = Vec::new();
         field.synthesize_batch(
             block_sources,
@@ -1149,7 +1130,7 @@ impl Runtime for Context<'_> {
             return false;
         }
         let r = &self.inner.cfg.radio;
-        let airtime_s = (bytes.len() as f64 * 8.0) / r.bitrate_bps as f64;
+        let airtime_s = (bytes.len() as f64 * 8.0) / RADIO_BITRATE_BPS as f64;
         let airtime = SimDuration::from_secs_f64(airtime_s);
         let mac = {
             let max = r.mac_delay_max.as_jiffies();

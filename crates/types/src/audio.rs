@@ -1,4 +1,4 @@
-//! Audio-volume constants and conversions.
+//! Audio-volume constants and conversions, and the ambient noise level.
 //!
 //! The evaluation in the paper samples the microphone at **2.730 kHz** with
 //! one byte per sample, and stores data in **256-byte** flash blocks. These
@@ -40,6 +40,11 @@ pub const CHUNK_PAYLOAD_BYTES: u32 = CHUNK_BYTES - CHUNK_HEADER_BYTES;
 
 /// Number of audio samples carried by one full chunk.
 pub const SAMPLES_PER_CHUNK: u32 = CHUNK_PAYLOAD_BYTES / BYTES_PER_SAMPLE;
+
+/// Ambient noise floor on the 0–255 ADC scale: the level the simulated
+/// field reads with no source audible, and the detector's starting
+/// background estimate.
+pub const AMBIENT_LEVEL: f64 = 8.0;
 
 /// Wall-clock span covered by one full chunk of audio.
 #[must_use]

@@ -19,7 +19,9 @@
 //! * [`MsgKind`] — the kind of a protocol message, as traces label it.
 //! * [`Bytes`] — a cheaply clonable immutable byte buffer, used for radio
 //!   payloads shared across a broadcast fan-out.
-//! * [`audio`] — constants tying sampling rate to storage volume.
+//! * [`audio`] — constants tying sampling rate to storage volume, and the
+//!   ambient noise level.
+//! * [`RADIO_BITRATE_BPS`] — the radio's bit rate, which sets airtime.
 //!
 //! # Examples
 //!
@@ -54,3 +56,8 @@ pub use msg_kind::MsgKind;
 pub use node::NodeId;
 pub use source::SourceId;
 pub use time::{SimDuration, SimTime, JIFFIES_PER_SEC};
+
+/// Radio bit rate in bits/second (the MicaZ CC2420: 250 kbps). It sets
+/// every packet's airtime in the simulator and the transmit duty cycle in
+/// the protocol's energy estimates.
+pub const RADIO_BITRATE_BPS: u64 = 250_000;

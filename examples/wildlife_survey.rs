@@ -39,7 +39,7 @@ fn main() {
         .with_flash_chunks(512)
         .with_beta_max(2.0);
     let mut wcfg = forest_world_config(2026);
-    wcfg.acoustics.mic_gain_spread = 0.1;
+    wcfg.mic_gain_spread = 0.1;
     let mut world = build_world(&scenario, &cfg, wcfg);
     world.run_until(scenario.end() + SimDuration::from_secs_f64(10.0));
 

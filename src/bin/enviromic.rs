@@ -77,6 +77,14 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Parses the value of `flag`, or names the bad value and exits 2.
+fn parsed<T>(flag: &str, value: String, parse: impl FnOnce(&str) -> Option<T>) -> T {
+    parse(&value).unwrap_or_else(|| {
+        eprintln!("enviromic: bad {flag} value {value:?}");
+        usage()
+    })
+}
+
 fn parse_args() -> Options {
     let mut opts = Options {
         scenario: "indoor".into(),
@@ -102,49 +110,44 @@ fn parse_args() -> Options {
         match arg.as_str() {
             "--scenario" => opts.scenario = value(),
             "--mode" => {
-                opts.mode = match value().as_str() {
-                    "full" => Mode::Full,
-                    "coop" => Mode::CooperativeOnly,
-                    "baseline" => Mode::Uncoordinated,
-                    _ => usage(),
-                }
+                opts.mode = parsed(&arg, value(), |v| match v {
+                    "full" => Some(Mode::Full),
+                    "coop" => Some(Mode::CooperativeOnly),
+                    "baseline" => Some(Mode::Uncoordinated),
+                    _ => None,
+                });
             }
-            "--duration" => {
-                opts.duration = Some(parse_sim_secs(&value()).unwrap_or_else(|| usage()))
-            }
-            "--seed" => opts.seed = value().parse().unwrap_or_else(|_| usage()),
-            "--seeds" => {
-                opts.seeds = value().parse().unwrap_or_else(|_| usage());
-                if opts.seeds == 0 {
-                    usage();
-                }
-            }
-            "--jobs" => {
-                opts.jobs = value().parse().unwrap_or_else(|_| usage());
-                if opts.jobs == 0 {
-                    usage();
-                }
-            }
-            "--flash" => opts.flash = value().parse().ok().or_else(|| usage()),
-            "--beta-max" => opts.beta_max = value().parse().ok().or_else(|| usage()),
+            "--duration" => opts.duration = Some(parsed(&arg, value(), parse_sim_secs)),
+            "--seed" => opts.seed = parsed(&arg, value(), |v| v.parse().ok()),
+            "--seeds" => opts.seeds = parsed(&arg, value(), |v| v.parse().ok().filter(|&n| n > 0)),
+            "--jobs" => opts.jobs = parsed(&arg, value(), |v| v.parse().ok().filter(|&n| n > 0)),
+            "--flash" => opts.flash = Some(parsed(&arg, value(), |v| v.parse().ok())),
+            "--beta-max" => opts.beta_max = Some(parsed(&arg, value(), |v| v.parse().ok())),
             "--policy" => {
                 opts.policy = value().parse().unwrap_or_else(|e: String| {
                     eprintln!("enviromic: {e}");
                     usage()
                 });
             }
-            "--prelude" => opts.prelude = value().parse().ok().or_else(|| usage()),
-            "--timeline" => {
-                opts.timeline = Some(parse_sim_secs(&value()).unwrap_or_else(|| usage()))
-            }
+            "--prelude" => opts.prelude = Some(parsed(&arg, value(), parse_sim_secs)),
+            "--timeline" => opts.timeline = Some(parsed(&arg, value(), parse_sim_secs)),
             "--timeline-out" => opts.timeline_out = Some(value()),
             "--series" => opts.series = true,
             "--stats" => opts.stats = true,
             "--quiet" | "-q" => quiet = true,
             "--verbose" | "-v" => verbose = true,
             "--help" | "-h" => usage(),
-            _ => usage(),
+            _ => {
+                eprintln!("enviromic: unknown flag {arg:?}");
+                usage()
+            }
         }
+    }
+    // Check the node flags together, before any run: a bad value must not
+    // reach `EnviroMicNode::new`, which panics on it.
+    if let Err(e) = node_config(&opts).validate() {
+        eprintln!("enviromic: invalid node configuration: {e}");
+        usage();
     }
     log::init_from_flags(quiet, verbose);
     opts
@@ -158,7 +161,7 @@ fn build_scenario(opts: &Options, seed: u64) -> (Scenario, WorldConfig) {
                 ..IndoorParams::default()
             };
             let mut wcfg = indoor_world_config(seed);
-            wcfg.acoustics.mic_gain_spread = 0.10;
+            wcfg.mic_gain_spread = 0.10;
             (indoor_scenario(&params, seed), wcfg)
         }
         "mobile" => (
@@ -172,10 +175,13 @@ fn build_scenario(opts: &Options, seed: u64) -> (Scenario, WorldConfig) {
                 ..ForestParams::default()
             };
             let mut wcfg = forest_world_config(seed);
-            wcfg.acoustics.mic_gain_spread = 0.10;
+            wcfg.mic_gain_spread = 0.10;
             (forest_scenario(&params, seed), wcfg)
         }
-        _ => usage(),
+        other => {
+            eprintln!("enviromic: bad --scenario value {other:?}");
+            usage()
+        }
     }
 }
 

@@ -114,7 +114,7 @@ impl ScenarioSpec {
             label: format!("{}+{}", self.label, policy.name()),
             build: Arc::new(move |seed| {
                 let mut input = inner(seed);
-                input.node_cfg.balance.policy = policy;
+                input.node_cfg.policy = policy;
                 input
             }),
         }

@@ -16,7 +16,7 @@ fn short_indoor(_seed: u64) -> IndoorParams {
 
 fn suite_world(seed: u64) -> enviromic::sim::WorldConfig {
     let mut cfg = indoor_world_config(seed);
-    cfg.acoustics.mic_gain_spread = 0.10;
+    cfg.mic_gain_spread = 0.10;
     cfg
 }
 

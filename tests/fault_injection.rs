@@ -202,7 +202,7 @@ fn extreme_packet_loss_degrades_gracefully() {
     let scenario = indoor_scenario(&params, 33);
     let mut wcfg = indoor_world_config(33);
     wcfg.radio.loss_prob = 0.40;
-    wcfg.acoustics.mic_gain_spread = 0.10;
+    wcfg.mic_gain_spread = 0.10;
     let cfg = NodeConfig::default().with_flash_chunks(650);
     let run = enviromic::harness::run_scenario(scenario, &cfg, wcfg, 10.0);
     let miss = run.experiment().miss_ratio(300.0);
