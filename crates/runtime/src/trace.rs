@@ -273,6 +273,22 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// Every [`TraceEvent::kind_name`], one per variant.
+    pub const KIND_NAMES: [&'static str; 12] = [
+        "Recorded",
+        "RecordDropped",
+        "Erased",
+        "MessageSent",
+        "ChunkStored",
+        "ChunkRemoved",
+        "Migrated",
+        "LeaderElected",
+        "Occupancy",
+        "SourceStarted",
+        "SourceStopped",
+        "FaultInjected",
+    ];
+
     /// The global-clock time the record refers to (interval records use
     /// their start).
     #[must_use]
@@ -871,6 +887,9 @@ mod tests {
         distinct.sort_unstable();
         distinct.dedup();
         assert_eq!(distinct.len(), all.len(), "one name per variant: {names:?}");
+        let mut listed = TraceEvent::KIND_NAMES.to_vec();
+        listed.sort_unstable();
+        assert_eq!(listed, distinct, "KIND_NAMES lists every variant once");
         let labels: Vec<&str> = all.iter().filter_map(TraceEvent::label).collect();
         assert_eq!(labels, ["TASK_REQUEST", "CRASH"]);
         for e in &all {

@@ -11,6 +11,12 @@
 //!
 //! # Structure
 //!
+//! Entries live in a slab of cells: an entry is written into a cell when
+//! it is scheduled and read out of it when it pops, and never moves in
+//! between. Freed cells are reused before the slab grows, so the slab
+//! never holds more cells than the most entries ever pending at once.
+//! Everything below moves 4-byte cell indices, not entries.
+//!
 //! Six levels of 64 slots each. A slot at level `L` spans `64^L` jiffies,
 //! so level 0 slots are single jiffies and the whole wheel covers
 //! `64^6 = 2^36` jiffies (~24 days of sim time) ahead of the current
@@ -18,20 +24,23 @@
 //! wheel advances far enough to admit them. An entry is placed by the
 //! highest 6-bit group in which its firing jiffy differs from the wheel's
 //! current position (`at XOR elapsed`), exactly the hashed hierarchy of
-//! classic kernel timer wheels.
+//! classic kernel timer wheels. Slot buckets keep their capacity once
+//! drained, so steady-state operation allocates nothing; that capacity
+//! costs 4 bytes per index.
 //!
 //! # Determinism argument
 //!
 //! Popping must reproduce the heap's total `(time, seq)` order exactly:
 //!
-//! * Within any slot, entries are only ever *appended* — directly by
+//! * Within any slot, indices are only ever *appended* — directly by
 //!   [`EventQueue::schedule`] (appends arrive in scheduling order) or by a
-//!   cascade, which replays a higher slot's Vec in order. A destination
+//!   cascade, which replays a higher slot's bucket in order. A destination
 //!   slot is always empty or populated exclusively by entries scheduled
 //!   earlier (a cascade into a frame happens once, when the wheel enters
 //!   the frame, strictly before any direct insert into that frame can
-//!   occur). Slot Vecs are therefore in scheduling order by construction,
-//!   so entries carry no sequence number and are never sorted.
+//!   occur). Buckets are therefore in scheduling order by construction,
+//!   so entries carry no sequence number and are never sorted. Which cell
+//!   an entry occupies plays no part in the order.
 //! * Level-0 slots span exactly one jiffy, so draining one yields entries
 //!   of a single firing time in scheduling order.
 //! * Every pending entry's firing time is `>= elapsed` (the wheel position
@@ -86,37 +95,45 @@ struct Scheduled<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// `LEVELS * SLOTS` buckets, level-major. Each bucket Vec is in
-    /// scheduling order by construction (appends only — see module docs).
-    slots: Vec<Vec<Scheduled<E>>>,
+    /// The entries, each in the cell it was scheduled into until it pops;
+    /// a cell is `None` while free.
+    cells: Vec<Option<Scheduled<E>>>,
+    /// Indices of the free cells, reused last-freed-first before `cells`
+    /// grows.
+    free: Vec<u32>,
+    /// `LEVELS * SLOTS` buckets of cell indices, level-major. Each bucket
+    /// is in scheduling order by construction (appends only — see module
+    /// docs).
+    slots: Vec<Vec<u32>>,
     /// Per-level occupancy bitmask: bit `s` set iff `slots[L * SLOTS + s]`
     /// is non-empty. All occupied slots sit at or after the wheel cursor,
     /// so `trailing_zeros` finds the next one.
     occupied: [u64; LEVELS],
-    /// Entries firing exactly at jiffy `elapsed`, in scheduling order.
-    /// Popped from the front; same-instant schedules append at the back
-    /// (they were scheduled after everything pending).
-    front: VecDeque<Scheduled<E>>,
-    /// Entries farther than the wheel horizon, in scheduling order.
-    overflow: Vec<Scheduled<E>>,
+    /// Cells of the entries firing exactly at jiffy `elapsed`, in
+    /// scheduling order. Popped from the front; same-instant schedules
+    /// append at the back (they were scheduled after everything pending).
+    front: VecDeque<u32>,
+    /// Cells of the entries farther than the wheel horizon, in scheduling
+    /// order.
+    overflow: Vec<u32>,
     /// Exact minimum firing jiffy over `overflow` (u64::MAX when empty).
     overflow_min: u64,
     /// The wheel position in jiffies: the firing time of the most recent
     /// entry popped. Every pending entry fires at or after this.
     elapsed: u64,
-    len: usize,
 }
 
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
+            cells: Vec::new(),
+            free: Vec::new(),
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; LEVELS],
             front: VecDeque::new(),
             overflow: Vec::new(),
             overflow_min: u64::MAX,
             elapsed: 0,
-            len: 0,
         }
     }
 }
@@ -135,32 +152,51 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `at` is earlier than the last popped entry's firing time.
     pub fn schedule(&mut self, at: SimTime, payload: E) {
-        self.len += 1;
-        self.insert(Scheduled { at, payload });
+        let entry = Some(Scheduled { at, payload });
+        let cell = match self.free.pop() {
+            Some(cell) => {
+                self.cells[cell as usize] = entry;
+                cell
+            }
+            None => {
+                let cell =
+                    u32::try_from(self.cells.len()).expect("at most u32::MAX pending entries");
+                self.cells.push(entry);
+                cell
+            }
+        };
+        self.insert(cell);
     }
 
-    /// Places one entry into the right tier relative to the wheel cursor.
-    /// Used both by [`EventQueue::schedule`] and by cascades, and both
-    /// preserve scheduling order because the entry stream each replays is
-    /// itself in scheduling order.
-    fn insert(&mut self, e: Scheduled<E>) {
-        let t = e.at.as_jiffies();
+    /// The entry held by a queued cell.
+    fn entry(&self, cell: u32) -> &Scheduled<E> {
+        self.cells[cell as usize]
+            .as_ref()
+            .expect("a queued cell holds an entry")
+    }
+
+    /// Places one cell index into the right tier relative to the wheel
+    /// cursor. Used both by [`EventQueue::schedule`] and by cascades, and
+    /// both preserve scheduling order because the index stream each
+    /// replays is itself in scheduling order.
+    fn insert(&mut self, cell: u32) {
+        let t = self.entry(cell).at.as_jiffies();
         match t.cmp(&self.elapsed) {
             Ordering::Less => panic!(
                 "EventQueue: scheduled at jiffy {t}, before the queue position {}",
                 self.elapsed
             ),
-            Ordering::Equal => self.front.push_back(e),
+            Ordering::Equal => self.front.push_back(cell),
             Ordering::Greater => {
                 let xor = t ^ self.elapsed;
                 if (xor >> HORIZON_BITS) != 0 {
                     self.overflow_min = self.overflow_min.min(t);
-                    self.overflow.push(e);
+                    self.overflow.push(cell);
                 } else {
                     // Highest differing 6-bit group picks the level.
                     let level = ((63 - xor.leading_zeros()) / SLOT_BITS) as usize;
                     let slot = ((t >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-                    self.slots[level * SLOTS + slot].push(e);
+                    self.slots[level * SLOTS + slot].push(cell);
                     self.occupied[level] |= 1 << slot;
                 }
             }
@@ -170,8 +206,11 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest entry.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
-            if let Some(e) = self.front.pop_front() {
-                self.len -= 1;
+            if let Some(cell) = self.front.pop_front() {
+                let e = self.cells[cell as usize]
+                    .take()
+                    .expect("a queued cell holds an entry");
+                self.free.push(cell);
                 return Some((e.at, e.payload));
             }
             if !self.advance() {
@@ -207,8 +246,8 @@ impl<E> EventQueue<E> {
                 let frame = !((1u64 << (shift + SLOT_BITS)) - 1);
                 let base = (self.elapsed & frame) | ((slot as u64) << shift);
                 self.elapsed = self.elapsed.max(base);
-                for e in bucket.drain(..) {
-                    self.insert(e);
+                for cell in bucket.drain(..) {
+                    self.insert(cell);
                 }
             }
             // Hand the (possibly shrunk) capacity back to the slot so
@@ -225,8 +264,8 @@ impl<E> EventQueue<E> {
         self.elapsed = self.overflow_min;
         self.overflow_min = u64::MAX;
         let pending = std::mem::take(&mut self.overflow);
-        for e in pending {
-            self.insert(e);
+        for cell in pending {
+            self.insert(cell);
         }
         true
     }
@@ -234,8 +273,8 @@ impl<E> EventQueue<E> {
     /// The firing time of the earliest entry without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.front.front() {
-            return Some(e.at);
+        if let Some(&cell) = self.front.front() {
+            return Some(self.entry(cell).at);
         }
         for level in 0..LEVELS {
             if self.occupied[level] == 0 {
@@ -253,7 +292,7 @@ impl<E> EventQueue<E> {
             // order).
             let min = self.slots[level * SLOTS + slot]
                 .iter()
-                .map(|e| e.at)
+                .map(|&cell| self.entry(cell).at)
                 .min()
                 .expect("occupied bit set on empty slot");
             return Some(min);
@@ -267,13 +306,13 @@ impl<E> EventQueue<E> {
     /// Number of pending entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.cells.len() - self.free.len()
     }
 
     /// True when no entries are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 }
 
@@ -363,6 +402,35 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_jiffies(far), "far b")));
         assert_eq!(q.pop(), Some((SimTime::from_jiffies(far + 7), "far+7")));
         assert_eq!(q.pop(), None);
+    }
+
+    /// Entry storage follows the pending count, not the traffic: after a
+    /// burst of 100,000 entries cascades out of one higher-level slot and
+    /// drains, further schedule/pop pairs reuse the freed cells.
+    #[test]
+    fn freed_cells_are_reused() {
+        const BURST: u64 = 100_000;
+        let mut q = EventQueue::new();
+        // Jiffies 4096..8191 all sit in level 2, slot 1.
+        for i in 0..BURST {
+            q.schedule(SimTime::from_jiffies(4096 + i % 4096), i);
+        }
+        assert_eq!(q.cells.len(), BURST as usize);
+        let mut last = 0;
+        while let Some((t, _)) = q.pop() {
+            assert!(t.as_jiffies() >= last, "popped out of order");
+            last = t.as_jiffies();
+            assert!(q.cells.len() <= BURST as usize);
+        }
+        assert!(q.is_empty());
+        for i in 0..10_000 {
+            q.schedule(SimTime::from_jiffies(last + 1 + i % 300), i);
+            let (t, v) = q.pop().expect("one entry is pending");
+            assert_eq!(v, i);
+            last = t.as_jiffies();
+            assert!(q.cells.len() <= BURST as usize, "the cell slab grew");
+        }
+        assert_eq!(q.cells.len(), BURST as usize);
     }
 
     /// Scheduling before the wheel position is a caller bug and fails

@@ -35,10 +35,19 @@ enum Ev {
         handle: u64,
         token: u32,
     },
+    /// One broadcast: the encoded payload and every receiver that
+    /// survived the loss draw, in node-index order. Each receiver counts
+    /// as one dispatched event.
+    ///
+    /// Walking the receivers in one dispatch reproduces the order of one
+    /// queue entry per receiver: those entries were scheduled back to back
+    /// for the same instant, so they popped consecutively, and anything a
+    /// receiver schedules during its callback (even for the same instant)
+    /// was scheduled after all of them and pops after the last one.
     Deliver {
-        to: NodeId,
         from: NodeId,
         bytes: Bytes,
+        to: Box<[u32]>,
     },
     AcousticTick,
     AudioBlock {
@@ -58,7 +67,9 @@ enum Ev {
         index: u32,
         started: bool,
     },
-    Fault(FaultAction),
+    /// Boxed: a region scope makes the action 40 B, which would push every
+    /// queue entry past 48 B for an event that fires a few times a run.
+    Fault(Box<FaultAction>),
 }
 
 /// A scheduled fault, resolved from a [`FaultPlan`] at injection time.
@@ -419,42 +430,26 @@ impl World {
             "faults must be injected before the world runs"
         );
         plan.validate(self.inner.nodes.len())?;
+        let queue = &mut self.inner.queue;
+        let mut fault = |at, action| queue.schedule(at, Ev::Fault(Box::new(action)));
         for e in plan.events() {
             match *e {
-                FaultEvent::NodeCrash { at, node } => {
-                    self.inner
-                        .queue
-                        .schedule(at, Ev::Fault(FaultAction::Crash { node }));
-                }
-                FaultEvent::NodeReboot { at, node } => {
-                    self.inner
-                        .queue
-                        .schedule(at, Ev::Fault(FaultAction::Reboot { node }));
-                }
+                FaultEvent::NodeCrash { at, node } => fault(at, FaultAction::Crash { node }),
+                FaultEvent::NodeReboot { at, node } => fault(at, FaultAction::Reboot { node }),
                 FaultEvent::RadioBlackout { from, until, scope } => {
-                    self.inner
-                        .queue
-                        .schedule(from, Ev::Fault(FaultAction::BlackoutStart { scope }));
-                    self.inner
-                        .queue
-                        .schedule(until, Ev::Fault(FaultAction::BlackoutEnd { scope }));
+                    fault(from, FaultAction::BlackoutStart { scope });
+                    fault(until, FaultAction::BlackoutEnd { scope });
                 }
                 FaultEvent::LinkDegrade {
                     from,
                     until,
                     loss_prob,
                 } => {
-                    self.inner
-                        .queue
-                        .schedule(from, Ev::Fault(FaultAction::DegradeStart { loss_prob }));
-                    self.inner
-                        .queue
-                        .schedule(until, Ev::Fault(FaultAction::DegradeEnd { loss_prob }));
+                    fault(from, FaultAction::DegradeStart { loss_prob });
+                    fault(until, FaultAction::DegradeEnd { loss_prob });
                 }
                 FaultEvent::FlashBadBlock { at, node, block } => {
-                    self.inner
-                        .queue
-                        .schedule(at, Ev::Fault(FaultAction::BadBlock { node, block }));
+                    fault(at, FaultAction::BadBlock { node, block });
                 }
             }
         }
@@ -547,14 +542,19 @@ impl World {
             }
             let (at, ev) = self.inner.queue.pop().expect("peeked entry vanished");
             self.inner.now = at;
-            self.dispatched += 1;
+            self.dispatched += match &ev {
+                Ev::Deliver { to, .. } => to.len() as u64,
+                _ => 1,
+            };
             self.dispatch(ev);
         }
         self.inner.now = t_end.max(self.inner.now);
     }
 
-    /// Total events popped off the queue and dispatched so far. Purely
-    /// observational — the denominator of ns/event throughput rows.
+    /// Total events dispatched so far: every entry popped off the queue
+    /// counts once, except a broadcast, whose delivery to each receiver
+    /// counts as one event (delivered or blocked). Purely observational —
+    /// the denominator of ns/event throughput rows.
     #[must_use]
     pub fn events_dispatched(&self) -> u64 {
         self.dispatched
@@ -624,21 +624,25 @@ impl World {
                     );
                 });
             }
-            Ev::Deliver { to, from, bytes } => {
-                let nodes = &self.inner.nodes;
-                let idx = to.index();
-                if !nodes.alive[idx]
-                    || !nodes.radio_on[idx]
-                    || nodes.session[idx].is_some()
-                    || nodes.blackout_depth[idx] > 0
-                {
-                    // Radio off, CPU saturated by sampling, or a blackout
-                    // fault covers the receiver: the packet is lost to it.
-                    self.inner.metrics.packets_blocked_rx.inc();
-                    return;
+            Ev::Deliver { from, bytes, to } => {
+                for &idx in &*to {
+                    let idx = idx as usize;
+                    let nodes = &self.inner.nodes;
+                    if !nodes.alive[idx]
+                        || !nodes.radio_on[idx]
+                        || nodes.session[idx].is_some()
+                        || nodes.blackout_depth[idx] > 0
+                    {
+                        // Radio off, CPU saturated by sampling, or a
+                        // blackout fault covers the receiver: the packet
+                        // is lost to it.
+                        self.inner.metrics.packets_blocked_rx.inc();
+                        continue;
+                    }
+                    self.inner.metrics.packets_delivered.inc();
+                    let to = NodeId::from_index(idx);
+                    self.with_app(to, |app, ctx| app.on_packet(ctx, from, &bytes));
                 }
-                self.inner.metrics.packets_delivered.inc();
-                self.with_app(to, |app, ctx| app.on_packet(ctx, from, &bytes));
             }
             Ev::AcousticTick => {
                 let next = self.inner.now + LEVEL_UPDATE_PERIOD;
@@ -727,7 +731,7 @@ impl World {
                     self.inner.pending_retires.push((index, safe_at));
                 }
             }
-            Ev::Fault(action) => self.apply_fault(action),
+            Ev::Fault(action) => self.apply_fault(*action),
         }
     }
 
@@ -1176,30 +1180,33 @@ impl Runtime for Context<'_> {
         // examined instead of every node. Candidates come back sorted by
         // node index *before* any loss draw, so `medium_rng` consumes
         // exactly the same sequence as the old full scan (the golden-digest
-        // invariant). The scratch Vec is reused across broadcasts.
+        // invariant). The survivors of the draw, kept in place in the
+        // reused scratch Vec, ride one queue entry with the payload.
         let mut cand = std::mem::take(&mut self.inner.deliver_scratch);
         self.inner.grid.query_sorted(sender_pos, range, &mut cand);
-        for &idx in &cand {
+        let me = self.node.index();
+        let inner = &mut *self.inner;
+        cand.retain(|&idx| {
             let idx = idx as usize;
-            if idx == self.node.index() {
-                continue;
+            if idx == me {
+                return false;
             }
-            debug_assert!(self.inner.nodes.alive[idx], "dead node in spatial index");
-            self.inner.metrics.delivery_candidates.inc();
-            if loss > 0.0 && self.inner.medium_rng.gen::<f64>() < loss {
-                self.inner.metrics.packets_lost.inc();
-                continue;
+            debug_assert!(inner.nodes.alive[idx], "dead node in spatial index");
+            inner.metrics.delivery_candidates.inc();
+            let lost = loss > 0.0 && inner.medium_rng.gen::<f64>() < loss;
+            if lost {
+                inner.metrics.packets_lost.inc();
             }
-            self.inner.queue.schedule(
-                deliver_at,
-                Ev::Deliver {
-                    to: NodeId::from_index(idx),
-                    from: self.node,
-                    bytes: bytes.clone(),
-                },
-            );
+            !lost
+        });
+        if !cand.is_empty() {
+            let to = cand.as_slice().into();
+            let from = self.node;
+            inner
+                .queue
+                .schedule(deliver_at, Ev::Deliver { from, bytes, to });
         }
-        self.inner.deliver_scratch = cand;
+        inner.deliver_scratch = cand;
         true
     }
 
@@ -1573,6 +1580,48 @@ mod tests {
         // filtered at delivery time.
         let candidates = w.telemetry().counter("sim.delivery.candidates").get();
         assert_eq!(candidates, 1, "dead node still cost a candidate scan");
+    }
+
+    /// Every receiver of one broadcast hears it before anything a receiver
+    /// schedules for the same instant runs.
+    #[test]
+    fn a_broadcast_reaches_all_receivers_before_their_same_instant_timers() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        type Log = Rc<RefCell<Vec<String>>>;
+        struct Ear(Log);
+        impl Application for Ear {
+            fn on_start(&mut self, ctx: &mut dyn Runtime) {
+                if ctx.node_id() == NodeId(0) {
+                    ctx.broadcast(MsgKind::Sensing.label(), vec![1].into());
+                }
+            }
+            fn on_packet(&mut self, ctx: &mut dyn Runtime, _from: NodeId, _bytes: &[u8]) {
+                let me = ctx.node_id().0;
+                self.0.borrow_mut().push(format!("packet {me}"));
+                if me == 1 {
+                    ctx.set_timer(SimDuration::ZERO, 0);
+                }
+            }
+            fn on_timer(&mut self, ctx: &mut dyn Runtime, _timer: Timer) {
+                self.0
+                    .borrow_mut()
+                    .push(format!("timer {}", ctx.node_id().0));
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let log = Log::default();
+        let mut w = World::new(quiet_cfg(12));
+        for x in [0.0, 1.0, 2.0] {
+            w.add_node(Position::new(x, 0.0), Box::new(Ear(Rc::clone(&log))));
+        }
+        w.run_for_secs(1.0);
+        assert_eq!(*log.borrow(), ["packet 1", "packet 2", "timer 1"]);
     }
 
     #[test]

@@ -28,6 +28,12 @@
 //! With no options, prints a per-run summary: digest, event count, time
 //! span, and the event-kind census.
 //!
+//! A `--kind` outside that vocabulary (the 12 variant names, the 16
+//! message labels and the 7 fault labels) or a `--from`/`--to` that is not
+//! a finite number prints the usage line and exits 2. When the reader
+//! closes the output early (`trace d.json --ledger | head`), the explorer
+//! stops writing and exits 0.
+//!
 //! A dump's events are the run's `TraceEvent`s, read back exactly as
 //! recorded; `--json` prints the filtered ones in the dump's JSON form.
 
@@ -35,6 +41,7 @@ use enviromic::observe::{kind_counts, render_ledger, DumpFile, RunDump, TraceFil
 use enviromic::runtime::TraceEvent;
 use enviromic::telemetry::TimelineReport;
 use enviromic_telemetry::{log, log_warn};
+use std::io::{self, BufWriter, Write};
 
 struct Options {
     path: String,
@@ -73,9 +80,15 @@ fn parse_args() -> Options {
         match arg.as_str() {
             "--run" => opts.run = Some(value()),
             "--node" => opts.filter.node = value().parse().ok().or_else(|| usage()),
-            "--kind" => opts.filter.kind = Some(value()),
-            "--from" => opts.filter.from_secs = value().parse().ok().or_else(|| usage()),
-            "--to" => opts.filter.to_secs = value().parse().ok().or_else(|| usage()),
+            "--kind" => {
+                let kind = value();
+                if !TraceFilter::known_kind(&kind) {
+                    usage();
+                }
+                opts.filter.kind = Some(kind);
+            }
+            "--from" => opts.filter.from_secs = Some(finite_secs(&value())),
+            "--to" => opts.filter.to_secs = Some(finite_secs(&value())),
             "--ledger" => opts.ledger = true,
             "--timeline" => opts.timeline = true,
             "--series" => opts.series = Some(value()),
@@ -94,6 +107,14 @@ fn parse_args() -> Options {
     opts
 }
 
+/// `text` as a finite number of seconds; anything else is a usage error.
+fn finite_secs(text: &str) -> f64 {
+    text.parse::<f64>()
+        .ok()
+        .filter(|secs| secs.is_finite())
+        .unwrap_or_else(|| usage())
+}
+
 /// Does `run` match the `--run` selector (index, label, or label/seed)?
 fn selected(run: &RunDump, index: usize, selector: &str) -> bool {
     if selector.parse::<usize>() == Ok(index) {
@@ -105,8 +126,14 @@ fn selected(run: &RunDump, index: usize, selector: &str) -> bool {
     }
 }
 
-fn print_summary(run: &RunDump, events: &[&TraceEvent], filtered: bool) {
-    println!(
+fn write_summary(
+    out: &mut impl Write,
+    run: &RunDump,
+    events: &[&TraceEvent],
+    filtered: bool,
+) -> io::Result<()> {
+    writeln!(
+        out,
         "run {}/{}: digest {}  {} events{}",
         run.label,
         run.seed,
@@ -117,32 +144,36 @@ fn print_summary(run: &RunDump, events: &[&TraceEvent], filtered: bool) {
         } else {
             String::new()
         },
-    );
+    )?;
     if let Some((lo, hi)) = run.span_secs() {
-        println!("  span {lo:.1}..{hi:.1}s");
+        writeln!(out, "  span {lo:.1}..{hi:.1}s")?;
     }
     let counts = kind_counts(events.iter().copied());
     if !counts.is_empty() {
-        println!("  events by kind:");
+        writeln!(out, "  events by kind:")?;
         for (kind, n) in counts {
-            println!("    {kind:<32} {n:>7}");
+            writeln!(out, "    {kind:<32} {n:>7}")?;
         }
     }
     match &run.timeline {
-        Some(tl) => println!(
+        Some(tl) => writeln!(
+            out,
             "  timeline: {} samples every {:.1}s, {} series (use --timeline)",
             tl.times.len(),
             tl.interval_secs,
             tl.series.len(),
         ),
-        None => println!("  timeline: none (rerun with --timeline SECS)"),
+        None => writeln!(out, "  timeline: none (rerun with --timeline SECS)"),
     }
 }
 
-fn print_timeline(run: &RunDump, series_prefix: Option<&str>) {
+fn write_timeline(
+    out: &mut impl Write,
+    run: &RunDump,
+    series_prefix: Option<&str>,
+) -> io::Result<()> {
     let Some(tl) = &run.timeline else {
-        println!("run {}/{}: no timeline in dump", run.label, run.seed);
-        return;
+        return writeln!(out, "run {}/{}: no timeline in dump", run.label, run.seed);
     };
     let view = match series_prefix {
         Some(prefix) => TimelineReport {
@@ -153,13 +184,40 @@ fn print_timeline(run: &RunDump, series_prefix: Option<&str>) {
         None => tl.clone(),
     };
     if view.series.is_empty() {
-        println!(
+        return writeln!(
+            out,
             "run {}/{}: no timeline series match the prefix",
             run.label, run.seed
         );
-        return;
     }
-    print!("{}", view.render_dashboard(72));
+    write!(out, "{}", view.render_dashboard(72))
+}
+
+/// Writes every selected run the way the options ask.
+fn write_runs(out: &mut impl Write, opts: &Options, runs: &[&RunDump]) -> io::Result<()> {
+    let filtered = opts.filter != TraceFilter::default();
+    for (i, run) in runs.iter().enumerate() {
+        if i > 0 {
+            writeln!(out)?;
+        }
+        let events = opts.filter.apply(&run.events);
+        if opts.json {
+            writeln!(
+                out,
+                "{}",
+                serde::Serialize::to_value(&events).to_json_pretty()
+            )?;
+            continue;
+        }
+        write_summary(out, run, &events, filtered)?;
+        if opts.ledger {
+            write!(out, "{}", render_ledger(events.iter().copied()))?;
+        }
+        if opts.timeline || opts.series.is_some() {
+            write_timeline(out, run, opts.series.as_deref())?;
+        }
+    }
+    Ok(())
 }
 
 fn main() {
@@ -189,22 +247,14 @@ fn main() {
         std::process::exit(1);
     }
 
-    let filtered = opts.filter != TraceFilter::default();
-    for (i, run) in runs.iter().enumerate() {
-        if i > 0 {
-            println!();
-        }
-        let events = opts.filter.apply(&run.events);
-        if opts.json {
-            println!("{}", serde::Serialize::to_value(&events).to_json_pretty());
-            continue;
-        }
-        print_summary(run, &events, filtered);
-        if opts.ledger {
-            print!("{}", render_ledger(events.iter().copied()));
-        }
-        if opts.timeline || opts.series.is_some() {
-            print_timeline(run, opts.series.as_deref());
+    let mut out = BufWriter::new(io::stdout().lock());
+    match write_runs(&mut out, &opts, &runs).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        // The reader has what it wanted (`trace d.json | head`).
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {}
+        Err(e) => {
+            log_warn!("could not write to stdout: {e}");
+            std::process::exit(1);
         }
     }
 }

@@ -9,12 +9,12 @@
 //! helpers produce the per-node ledgers and summaries it prints.
 
 use crate::harness::ExperimentRun;
-use crate::sim::TraceEvent;
+use crate::sim::{FaultKind, TraceEvent};
 use crate::sweep::SweepOutcome;
 use enviromic_archive::{ArchiveBuilder, ArchiveRecord, ArchiveStore};
 use enviromic_core::RerequestPlan;
 use enviromic_telemetry::TimelineReport;
-use enviromic_types::{NodeId, SimDuration};
+use enviromic_types::{MsgKind, NodeId, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// One dumped run: identity, golden digest, and (optionally) the full
@@ -176,6 +176,19 @@ pub struct TraceFilter {
 }
 
 impl TraceFilter {
+    /// Whether `kind` is one this filter can match: a [`TraceEvent`]
+    /// variant name or a [`MsgKind`] or [`FaultKind`] label, any case.
+    #[must_use]
+    pub fn known_kind(kind: &str) -> bool {
+        let names = TraceEvent::KIND_NAMES.into_iter();
+        let messages = MsgKind::ALL.into_iter().map(MsgKind::label);
+        let faults = FaultKind::ALL.into_iter().map(FaultKind::label);
+        names
+            .chain(messages)
+            .chain(faults)
+            .any(|k| k.eq_ignore_ascii_case(kind))
+    }
+
     /// Does `record` pass every set criterion?
     #[must_use]
     pub fn matches(&self, record: &TraceEvent) -> bool {
@@ -338,6 +351,22 @@ mod tests {
         for e in both.apply(events) {
             assert!(e.involves(NodeId(0)));
             assert_eq!(e.kind_name(), "MessageSent");
+        }
+    }
+
+    #[test]
+    fn known_kinds_are_the_variant_names_and_labels() {
+        for kind in [
+            "messagesent",
+            "Migrated",
+            "TASK_REQUEST",
+            "sensing",
+            "CRASH",
+        ] {
+            assert!(TraceFilter::known_kind(kind), "{kind}");
+        }
+        for kind in ["BOGUS", "TASK_REQEST", "", "MessageSent/SENSING"] {
+            assert!(!TraceFilter::known_kind(kind), "{kind}");
         }
     }
 

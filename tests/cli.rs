@@ -1,8 +1,10 @@
-//! The `enviromic` runner rejects bad flag values up front: each one exits
-//! 2 with the usage line on stderr instead of panicking mid-run or running
-//! with a NaN setting.
+//! The `enviromic` runner and the `trace` explorer reject bad flag values
+//! up front: each one exits 2 with the usage line on stderr instead of
+//! panicking mid-run, running with a NaN setting or matching nothing.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
 /// Runs `enviromic` with `args`; returns `None` when it exits 2 with the
 /// usage line, else a description of what it did instead.
@@ -37,4 +39,69 @@ fn bad_flag_values_exit_2_with_the_usage_line() {
         .filter_map(|args| rejection_failure(args))
         .collect();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// Writes the 5 s seed-7 run dump to a file named after the calling test
+/// (tests run in parallel) and returns its path.
+fn seed_7_dump(test: &str) -> PathBuf {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{test}.json"));
+    let out = Command::new(env!("CARGO_BIN_EXE_enviromic"))
+        .args(["--duration", "5", "--seed", "7", "--timeline", "5", "-q"])
+        .arg("--timeline-out")
+        .arg(&path)
+        .output()
+        .expect("the enviromic binary starts");
+    assert!(out.status.success(), "enviromic exited {:?}", out.status);
+    path
+}
+
+fn trace() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_trace"))
+}
+
+#[test]
+fn trace_rejects_unknown_kinds_and_non_finite_times() {
+    let dump = seed_7_dump("trace_rejects_unknown_kinds_and_non_finite_times");
+    let cases: [&[&str]; 3] = [&["--kind", "BOGUS"], &["--from", "NaN"], &["--to", "inf"]];
+    for args in cases {
+        let out = trace()
+            .arg(&dump)
+            .args(args)
+            .output()
+            .expect("the trace binary starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.code() == Some(2) && stderr.contains("usage: trace"),
+            "{args:?} exited {:?}; stderr: {stderr}",
+            out.status.code()
+        );
+    }
+}
+
+/// A reader that stops after the first line (`trace d.json --ledger |
+/// head -1`) ends the explorer with exit 0, not a broken-pipe panic.
+#[test]
+fn trace_exits_0_when_its_reader_closes_the_pipe() {
+    let dump = seed_7_dump("trace_exits_0_when_its_reader_closes_the_pipe");
+    // The ledger must outgrow a 64 KiB pipe buffer: a smaller one is
+    // written whole before the reader leaves, and no write can fail.
+    let whole = trace()
+        .arg(&dump)
+        .arg("--ledger")
+        .output()
+        .expect("the trace binary starts");
+    assert!(whole.stdout.len() > 64 * 1024, "{} B", whole.stdout.len());
+    let mut child = trace()
+        .arg(&dump)
+        .arg("--ledger")
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("the trace binary starts");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("stdout is piped"))
+        .read_line(&mut first)
+        .expect("the first line reads");
+    assert!(first.starts_with("run indoor/7: "), "{first}");
+    let status = child.wait().expect("the trace binary ends");
+    assert_eq!(status.code(), Some(0));
 }

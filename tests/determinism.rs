@@ -12,7 +12,9 @@
 //! and update them alongside a note in the commit. A refactor that is
 //! supposed to be behaviour-preserving must NOT need that.
 
-use enviromic::harness::{indoor_world_config, run_scenario, run_scenario_with_faults};
+use enviromic::harness::{
+    build_world, indoor_world_config, run_scenario, run_scenario_with_faults,
+};
 use enviromic::sweep::{run_sweep, ScenarioSpec, SweepPlan};
 use enviromic_core::{Mode, NodeConfig, PolicyKind};
 use enviromic_types::SimDuration;
@@ -363,6 +365,48 @@ fn city_40k_digest_is_identical_across_worker_counts() {
         "40k-node world produced a near-empty trace ({} events)",
         job.events,
     );
+}
+
+/// `World::events_dispatched()` is the op count every `ns_per_op` of the
+/// benchmark divides by, so it is pinned like the digests. Each world is
+/// built the way the benchmark builds it (one `EnviroMicNode` per
+/// position, then the sources and the faults) and run to the end of its
+/// drain at seed 42. The digests are the goldens above, the `city-1k` row
+/// of `BENCH_scale.json` and the `chaos-indoor`/42 job of
+/// `BENCH_chaos.json`.
+#[test]
+fn dispatched_event_counts_are_pinned() {
+    let cases = [
+        (ScenarioSpec::quick_indoor(120.0), 48_280, GOLDEN_DIGEST),
+        (ScenarioSpec::quick_mobile(), 11_538, GOLDEN_MOBILE_DIGEST),
+        (
+            ScenarioSpec::city(1_000, 10.0),
+            51_467,
+            0xf7db_4793_5782_750d,
+        ),
+        (
+            ScenarioSpec::chaos_indoor(120.0),
+            37_538,
+            0x481a_e97f_63a1_ff20,
+        ),
+    ];
+    for (spec, events, digest) in cases {
+        let input = spec.build(42);
+        let mut world = build_world(&input.scenario, &input.node_cfg, input.world_cfg);
+        world
+            .inject_faults(&input.faults)
+            .expect("the fault plan is valid");
+        world.run_until(input.scenario.end() + SimDuration::from_secs_f64(input.drain_secs));
+        world.finish();
+        assert_eq!(
+            (world.events_dispatched(), world.trace().digest()),
+            (events, digest),
+            "{}: dispatched {}, digest {:#018x}",
+            spec.label,
+            world.events_dispatched(),
+            world.trace().digest(),
+        );
+    }
 }
 
 #[test]
