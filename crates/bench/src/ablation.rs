@@ -32,7 +32,7 @@ use enviromic::workloads::{forest_scenario, indoor_scenario, ForestParams, Indoo
 use serde::{Deserialize, Serialize};
 
 /// One ablation row: a label and its measured metrics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AblationRow {
     /// Configuration label.
     pub label: String,
@@ -76,14 +76,8 @@ fn base_cfg() -> NodeConfig {
         .with_beta_max(2.0)
 }
 
-/// Runs the ablation battery on up to one worker per configuration.
-/// `duration` of 2200 s keeps contrasts visible in reasonable time.
-#[must_use]
-pub fn run(seed: u64, duration: f64) -> Vec<AblationRow> {
-    run_jobs(seed, duration, usize::MAX)
-}
-
 /// Runs the ablation battery as one sweep on `jobs` worker threads.
+/// `duration` of 2200 s keeps contrasts visible in reasonable time.
 #[must_use]
 pub fn run_jobs(seed: u64, duration: f64, jobs: usize) -> Vec<AblationRow> {
     let configs: Vec<(&str, NodeConfig)> = vec![
@@ -506,7 +500,7 @@ mod tests {
 
     #[test]
     fn short_ablation_battery_runs() {
-        let rows = run(5, 400.0);
+        let rows = run_jobs(5, 400.0, usize::MAX);
         assert_eq!(rows.len(), 7);
         for r in &rows {
             assert!(r.miss >= 0.0 && r.miss <= 1.0, "{r:?}");

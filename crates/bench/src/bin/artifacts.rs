@@ -3,14 +3,16 @@
 //! ```text
 //! artifacts [LEG ...] [--jobs N] [--out DIR]
 //!
-//! LEG        sweep, chaos, policies, scale or retrieval (default: every leg)
+//! LEG        sweep, chaos, policies, scale, retrieval or figures
+//!            (default: every leg)
 //! --jobs N   worker threads (default: available cores)
 //! --out DIR  output directory (default target/bench)
 //! ```
 //!
 //! Each leg is a name mapped to a function that runs one fixed plan and
 //! returns the files it writes to `DIR`: `BENCH_<leg>.json`, plus
-//! `sweep_timeline.json` for the sweep leg. A leg's parameters are the
+//! `sweep_timeline.json` for the sweep leg and seed 1's figure text,
+//! `figures.txt`, for the figures leg. A leg's parameters are the
 //! constants its committed artifact was generated with; ad-hoc seed,
 //! policy and timeline sweeps belong to `enviromic --seeds N --policy P
 //! --timeline S --timeline-out PATH`.
@@ -37,12 +39,13 @@ type Files = Vec<(&'static str, String)>;
 type Leg = fn(usize) -> Result<Files, String>;
 
 /// Every leg by name. With no leg named, all run in this order.
-const LEGS: [(&str, Leg); 5] = [
+const LEGS: [(&str, Leg); 6] = [
     ("sweep", sweep),
     ("chaos", chaos),
     ("policies", policies),
     ("scale", scale),
     ("retrieval", retrieval),
+    ("figures", figures),
 ];
 
 /// The first seed of every leg: the golden-digest seed.
@@ -178,6 +181,16 @@ fn retrieval(jobs: usize) -> Result<Files, String> {
         run.outcome.queries_per_sec(),
     );
     Ok(vec![("BENCH_retrieval.json", run.report.to_json())])
+}
+
+/// Every figure and the ablation table at seeds 1–4, with the paper's
+/// run lengths ([`enviromic_bench::figures::run`]).
+fn figures(jobs: usize) -> Result<Files, String> {
+    let (report, text) = enviromic_bench::figures::run(jobs);
+    Ok(vec![
+        ("BENCH_figures.json", report.to_json()),
+        ("figures.txt", text),
+    ])
 }
 
 fn usage() -> ! {

@@ -10,9 +10,11 @@
 use enviromic::core::{Mode, NodeConfig};
 use enviromic::harness::{indoor_world_config, run_scenario};
 use enviromic::metrics::mean_ci90;
-use enviromic::sim::{RecordKind, TraceEvent};
+use enviromic::sim::{FaultPlan, RecordKind, TraceEvent};
+use enviromic::sweep::{self, JobInput, ScenarioSpec, SweepPlan};
 use enviromic::types::{NodeId, SimDuration};
 use enviromic::workloads::{mobile_scenario, MobileParams};
+use serde::{Deserialize, Serialize};
 
 /// The swept `Dta` values, milliseconds (the paper's x axis).
 pub const DTA_MS: &[u64] = &[10, 30, 50, 70, 90, 110, 130];
@@ -20,7 +22,7 @@ pub const DTA_MS: &[u64] = &[10, 30, 50, 70, 90, 110, 130];
 pub const TRC_S: &[f64] = &[0.5, 1.0, 1.5];
 
 /// One cell of the Fig. 6 sweep.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SweepPoint {
     /// Task period `Trc`, seconds.
     pub trc_s: f64,
@@ -32,48 +34,53 @@ pub struct SweepPoint {
     pub ci90: f64,
 }
 
-fn one_run_miss(seed: u64, trc_s: f64, dta_ms: u64) -> f64 {
-    let scenario = mobile_scenario(&MobileParams::default());
-    let horizon = scenario.duration.as_secs_f64();
-    let cfg = NodeConfig::default()
-        .with_mode(Mode::CooperativeOnly)
-        .with_trc(SimDuration::from_secs_f64(trc_s))
-        .with_dta(SimDuration::from_millis(dta_ms));
-    let run = run_scenario(scenario, &cfg, indoor_world_config(seed), 1.0);
-    run.experiment().miss_ratio(horizon)
-}
-
 /// Runs the full sweep with `runs` repetitions per point (15 in the
-/// paper). Parallelized across parameter points.
+/// paper) as one sweep on `jobs` worker threads. Run `k` of a point uses
+/// world seed `base_seed + k·1000 + Dta`, so the result does not depend
+/// on `jobs`.
 #[must_use]
-pub fn run_sweep(base_seed: u64, runs: u64) -> Vec<SweepPoint> {
+pub fn run_sweep(base_seed: u64, runs: u64, jobs: usize) -> Vec<SweepPoint> {
     let points: Vec<(f64, u64)> = TRC_S
         .iter()
         .flat_map(|&trc| DTA_MS.iter().map(move |&dta| (trc, dta)))
         .collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = points
-            .into_iter()
-            .map(|(trc_s, dta_ms)| {
-                scope.spawn(move || {
-                    let misses: Vec<f64> = (0..runs)
-                        .map(|k| one_run_miss(base_seed + k * 1000 + dta_ms, trc_s, dta_ms))
-                        .collect();
-                    let (mean_miss, ci90) = mean_ci90(&misses);
-                    SweepPoint {
-                        trc_s,
-                        dta_ms,
-                        mean_miss,
-                        ci90,
-                    }
-                })
+    let specs = points
+        .iter()
+        .map(|&(trc_s, dta_ms)| {
+            ScenarioSpec::new(format!("trc{trc_s}-dta{dta_ms}"), move |k| JobInput {
+                scenario: mobile_scenario(&MobileParams::default()),
+                node_cfg: NodeConfig::default()
+                    .with_mode(Mode::CooperativeOnly)
+                    .with_trc(SimDuration::from_secs_f64(trc_s))
+                    .with_dta(SimDuration::from_millis(dta_ms)),
+                world_cfg: indoor_world_config(base_seed + k * 1000 + dta_ms),
+                drain_secs: 1.0,
+                faults: FaultPlan::new(),
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    })
+        })
+        .collect();
+    let out = sweep::run_sweep(&SweepPlan::new((0..runs).collect(), specs), jobs);
+    // Jobs come back point-major in plan order: all runs of point 0, ...
+    points
+        .into_iter()
+        .zip(out.jobs.chunks(runs as usize))
+        .map(|((trc_s, dta_ms), point_jobs)| {
+            let misses: Vec<f64> = point_jobs
+                .iter()
+                .map(|job| {
+                    let horizon = job.run.scenario.duration.as_secs_f64();
+                    job.run.experiment().miss_ratio(horizon)
+                })
+                .collect();
+            let (mean_miss, ci90) = mean_ci90(&misses);
+            SweepPoint {
+                trc_s,
+                dta_ms,
+                mean_miss,
+                ci90,
+            }
+        })
+        .collect()
 }
 
 /// Renders the sweep as the paper's three curves.
@@ -103,7 +110,7 @@ pub fn render_sweep(points: &[SweepPoint]) -> String {
 }
 
 /// One Fig. 7 timeline row: a node's recording interval.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TimelineRow {
     /// Recording node.
     pub node: NodeId,

@@ -39,7 +39,7 @@ pub struct VoiceResult {
 pub fn run(seed: u64) -> VoiceResult {
     let scenario = voice_scenario();
     let source = scenario.sources[0].clone();
-    let (t0, t1) = (source.start, source.stop);
+    let t0 = source.start;
     let event_secs = source.duration().as_secs_f64();
 
     // Reference: a virtual mote carried with the speaker samples the field
@@ -99,7 +99,6 @@ pub fn run(seed: u64) -> VoiceResult {
     let env_b = amplitude_envelope(&stitched, win);
     let (xcorr, _) = best_xcorr(&env_a, &env_b, 8);
 
-    let _ = t1;
     VoiceResult {
         reference,
         stitched,

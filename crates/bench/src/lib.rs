@@ -11,12 +11,13 @@
 //! | [`indoor`] | Figs. 10–14 and the headline 4× claim |
 //! | [`outdoor`] | Figs. 16–18 — the forest deployment |
 //! | [`ablation`] | design-choice ablations; the storage-policy matrix behind `BENCH_policies.json` |
+//! | [`figures`] | all of the above at seeds 1–4: `BENCH_figures.json` and `figures.txt` |
 //! | [`retrieval`] | archive serving run behind `BENCH_retrieval.json` |
 //!
-//! Run `cargo run --release -p enviromic-bench --bin repro -- all` to
-//! print every figure; see EXPERIMENTS.md for the paper-vs-measured
-//! record. The `artifacts` bin regenerates every committed
-//! `BENCH_*.json` from [`ablation`], [`retrieval`] and the sweep pool.
+//! The `artifacts` bin regenerates every committed `BENCH_*.json`:
+//! `cargo run --release -p enviromic-bench --bin artifacts -- figures`
+//! writes `BENCH_figures.json` and seed 1's figure text, `figures.txt`,
+//! to `target/bench`. EXPERIMENTS.md compares them with the paper.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,6 +26,7 @@ pub mod ablation;
 pub mod fig03;
 pub mod fig06;
 pub mod fig08;
+pub mod figures;
 pub mod indoor;
 pub mod outdoor;
 pub mod retrieval;

@@ -41,15 +41,15 @@ pub fn run(seed: u64, duration_secs: f64) -> OutdoorRun {
 }
 
 impl OutdoorRun {
-    /// Fig. 16: seconds of audio recorded network-wide per one-minute bin.
+    /// Fig. 16: seconds of audio recorded network-wide in each minute.
     #[must_use]
-    pub fn fig16_activity_per_minute(&self) -> Vec<(f64, f64)> {
+    pub fn fig16_activity_per_minute(&self) -> Vec<f64> {
         let exp = self.run.experiment();
         let minutes = (self.duration_secs / 60.0) as usize;
         (0..minutes)
             .map(|m| {
                 let from = m as f64 * 60.0;
-                (from, exp.recorded_secs_between(from, from + 60.0))
+                exp.recorded_secs_between(from, from + 60.0)
             })
             .collect()
     }
@@ -84,17 +84,17 @@ impl OutdoorRun {
 /// Renders Fig. 16 as the paper's time series (one-minute bins, labelled
 /// with wall-clock times starting at 10:45).
 #[must_use]
-pub fn render_fig16(series: &[(f64, f64)]) -> String {
+pub fn render_fig16(per_minute: &[f64]) -> String {
     let mut out = String::from(
         "Fig. 16 — amount of acoustic event data over time\n\
          (seconds of audio recorded per minute, wall clock from 10:45)\n\n",
     );
-    let max = series.iter().map(|&(_, v)| v).fold(1e-9, f64::max);
-    for &(from, v) in series {
+    let max = per_minute.iter().copied().fold(1e-9, f64::max);
+    for (m, &v) in per_minute.iter().enumerate() {
         let bars = ((v / max) * 50.0).round() as usize;
         out.push_str(&format!(
             "  {} {:>7.1} |{}\n",
-            wall_clock_label(from),
+            wall_clock_label(m as f64 * 60.0),
             v,
             "#".repeat(bars)
         ));
@@ -113,7 +113,7 @@ mod tests {
         let outdoor = run(11, 600.0);
         let series = outdoor.fig16_activity_per_minute();
         assert_eq!(series.len(), 10);
-        let total: f64 = series.iter().map(|&(_, v)| v).sum();
+        let total: f64 = series.iter().sum();
         assert!(total > 10.0, "almost nothing recorded: {total:.1} s");
         let contour = outdoor.fig17_generated_contour();
         assert!(contour.max() > 0.0);

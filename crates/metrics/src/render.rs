@@ -1,6 +1,8 @@
 //! Plain-text rendering of series and spatial contours for the
 //! figure-reproduction harness.
 
+use serde::{Deserialize, Serialize};
+
 /// Renders a multi-column time series as an aligned text table.
 ///
 /// `columns` are the value-column names; each row is `(x, values)` with
@@ -29,7 +31,7 @@ pub fn render_series(x_name: &str, columns: &[&str], rows: &[(f64, Vec<f64>)]) -
 }
 
 /// A spatial grid of values for contour-style figures.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ContourGrid {
     /// Grid columns.
     pub cols: usize,

@@ -19,6 +19,7 @@
 
 use crate::rng::RngStreams;
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 
 /// Radio activity overlapping a sampling run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +98,7 @@ pub fn measure_sampling_intervals(
 }
 
 /// Summary statistics of a measured interval sequence.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct JitterSummary {
     /// Smallest observed interval, jiffies.
     pub min: u64,

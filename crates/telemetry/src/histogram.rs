@@ -14,7 +14,7 @@ const MIN_EXP: i32 = -16 * SUB_OCTAVE;
 const MAX_EXP: i32 = 48 * SUB_OCTAVE;
 
 #[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct HistData {
+struct HistData {
     /// Sparse `(bucket index, count)` pairs, kept sorted by index.
     buckets: Vec<(i16, u64)>,
     count: u64,
@@ -82,20 +82,7 @@ impl HistData {
         self.max
     }
 
-    /// Rebuilds series state from a snapshot (used when merging reports
-    /// back into a registry).
-    pub(crate) fn from_snapshot(snap: &HistogramSnapshot) -> HistData {
-        HistData {
-            buckets: snap.buckets.clone(),
-            count: snap.count,
-            sum: snap.sum,
-            min: snap.min,
-            max: snap.max,
-            zero_or_less: snap.zero_or_less,
-        }
-    }
-
-    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
+    fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             count: self.count,
             sum: self.sum,
@@ -114,7 +101,7 @@ impl HistData {
 /// [`Registry`](crate::Registry). Cloning shares the underlying series.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
-    pub(crate) data: Rc<RefCell<HistData>>,
+    data: Rc<RefCell<HistData>>,
 }
 
 impl Histogram {

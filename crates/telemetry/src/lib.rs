@@ -2,22 +2,20 @@
 //!
 //! The post-hoc [`Trace`](../enviromic_sim/trace/index.html) answers
 //! "what happened" after a run; this crate answers "what is happening"
-//! while one executes, and "where does wall-clock go" across a whole
-//! benchmark session. It provides:
+//! while one executes. It reads no clock, so a simulated run's telemetry
+//! is as deterministic as its trace. It provides:
 //!
 //! * a [`Registry`] of named [`Counter`]s, [`Gauge`]s, and log-bucket
 //!   [`Histogram`]s (p50/p90/p99 quantile estimates), cheap enough to
 //!   update on protocol hot paths;
-//! * hierarchical wall-clock [`Span`] timers for profiling phases of a
-//!   benchmark run;
 //! * a serializable [`TelemetryReport`] snapshot that merges across runs,
-//!   exports as JSON next to the figure CSVs, and renders as a plain-text
+//!   exports as JSON, and renders as a plain-text
 //!   [dashboard](TelemetryReport::render_dashboard);
 //! * a [`Timeline`] recorder that samples counters (as deltas) and gauges
 //!   at a sim-time cadence into a [`TimelineReport`] with sparkline
 //!   rendering — how metrics evolve *during* a run, not just their final
 //!   aggregate;
-//! * a process-wide leveled [logger](log) behind `--verbose`/`-q` flags.
+//! * a process-wide leveled [logger](log) behind the binaries' `-q` flag.
 //!
 //! Metric names follow a `subsystem.metric` convention, e.g.
 //! `core.election.won`, `sim.packets.delivered`, `flash.block_writes`
@@ -50,6 +48,6 @@ mod report;
 mod timeline;
 
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use registry::{Counter, Gauge, Registry, Span};
-pub use report::{SpanSnapshot, TelemetryReport};
+pub use registry::{Counter, Gauge, Registry};
+pub use report::TelemetryReport;
 pub use timeline::{SeriesKind, Timeline, TimelineReport, TimelineSeries};

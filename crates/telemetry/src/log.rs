@@ -1,11 +1,10 @@
 //! A minimal process-wide leveled logger for the CLI binaries.
 //!
-//! Status chatter in `repro`/`artifacts`/`enviromic` goes through
-//! [`log_info!`](crate::log_info)/[`log_debug!`](crate::log_debug)
-//! instead of bare `eprintln!`, so `-q`
-//! silences it and `--verbose` opens the firehose. Warnings always
-//! print. Output goes to stderr; stdout stays reserved for data
-//! (CSV, JSON, dashboards).
+//! Status chatter in `enviromic`, `trace` and `artifacts` goes through
+//! [`log_info!`](crate::log_info) instead of bare `eprintln!`, so `-q`
+//! silences it in the binaries that take that flag. Warnings always
+//! print. Output goes to stderr; stdout stays reserved for data (CSV,
+//! JSON, dashboards).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -16,8 +15,6 @@ pub enum Level {
     Quiet = 0,
     /// Normal status lines (default).
     Info = 1,
-    /// Extra detail (`--verbose`).
-    Debug = 2,
 }
 
 static LEVEL: AtomicU8 = AtomicU8::new(Level::Info as u8);
@@ -32,20 +29,13 @@ pub fn set_level(level: Level) {
 pub fn level() -> Level {
     match LEVEL.load(Ordering::Relaxed) {
         0 => Level::Quiet,
-        1 => Level::Info,
-        _ => Level::Debug,
+        _ => Level::Info,
     }
 }
 
-/// Derives the level from parsed `-q` / `--verbose` flags and installs it.
-pub fn init_from_flags(quiet: bool, verbose: bool) {
-    set_level(if quiet {
-        Level::Quiet
-    } else if verbose {
-        Level::Debug
-    } else {
-        Level::Info
-    });
+/// Derives the level from a parsed `-q` flag and installs it.
+pub fn init_from_flags(quiet: bool) {
+    set_level(if quiet { Level::Quiet } else { Level::Info });
 }
 
 /// True when messages at `level` should print. Used by the macros;
@@ -60,16 +50,6 @@ pub fn enabled(at: Level) -> bool {
 macro_rules! log_info {
     ($($arg:tt)*) => {
         if $crate::log::enabled($crate::log::Level::Info) {
-            eprintln!($($arg)*);
-        }
-    };
-}
-
-/// Prints a detail line to stderr only when `--verbose` is active.
-#[macro_export]
-macro_rules! log_debug {
-    ($($arg:tt)*) => {
-        if $crate::log::enabled($crate::log::Level::Debug) {
             eprintln!($($arg)*);
         }
     };
@@ -94,22 +74,14 @@ mod tests {
     fn flag_mapping_and_thresholds() {
         // Tests in this binary run in parallel; touch the global level
         // in one test only.
-        init_from_flags(false, false);
+        init_from_flags(false);
         assert_eq!(level(), Level::Info);
         assert!(enabled(Level::Info));
-        assert!(!enabled(Level::Debug));
 
-        init_from_flags(false, true);
-        assert_eq!(level(), Level::Debug);
-        assert!(enabled(Level::Debug));
-
-        init_from_flags(true, false);
+        init_from_flags(true);
         assert_eq!(level(), Level::Quiet);
         assert!(!enabled(Level::Info));
-
-        // Quiet wins when both flags are passed.
-        init_from_flags(true, true);
-        assert_eq!(level(), Level::Quiet);
+        assert!(enabled(Level::Quiet));
 
         set_level(Level::Info);
     }

@@ -64,11 +64,7 @@ impl TelemetryReport {
     #[must_use]
     pub fn render_dashboard(&self) -> String {
         let mut out = String::new();
-        if self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.spans.is_empty()
-        {
+        if self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty() {
             return "telemetry: no metrics recorded\n".to_string();
         }
 
@@ -122,27 +118,6 @@ impl TelemetryReport {
             }));
             table(&mut out, &rows);
         }
-
-        if !self.spans.is_empty() {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            section(&mut out, "Spans (wall clock)");
-            let rows: Vec<Vec<String>> = self
-                .spans
-                .iter()
-                .map(|s| {
-                    let depth = s.path.matches('/').count();
-                    let leaf = s.path.rsplit('/').next().unwrap_or(&s.path);
-                    vec![
-                        format!("{}{leaf}", "  ".repeat(depth)),
-                        format!("{:.3}s", s.secs),
-                        format!("x{}", s.count),
-                    ]
-                })
-                .collect();
-            table(&mut out, &rows);
-        }
         out
     }
 }
@@ -161,26 +136,18 @@ mod tests {
         for v in [40.0, 55.0, 70.0, 130.0] {
             h.observe(v);
         }
-        {
-            let _run = reg.span("run");
-            let _phase = reg.span("warmup");
-        }
         let text = reg.report().render_dashboard();
         for needle in [
             "Counters",
             "Gauges",
             "Histograms",
-            "Spans (wall clock)",
             "sim.packets.sent",
             "250",
             "flash.wear_spread",
             "p99",
-            "warmup",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
-        // Span nesting is shown by indentation.
-        assert!(text.contains("  run"), "span rows are indented:\n{text}");
     }
 
     #[test]

@@ -4,23 +4,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::histogram::HistogramSnapshot;
 
-/// One flattened span-tree entry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpanSnapshot {
-    /// `/`-separated path from the root span, e.g. `repro/fig3`.
-    pub path: String,
-    /// Times the span was entered.
-    pub count: u64,
-    /// Total wall-clock seconds across all entries.
-    pub secs: f64,
-}
-
 /// A point-in-time snapshot of every metric in a
 /// [`Registry`](crate::Registry): the machine-readable artifact the
 /// bench binaries export as JSON next to the figure CSVs.
 ///
-/// Entry lists are sorted by name (spans in pre-order of the span tree),
-/// so reports are deterministic and diff-friendly.
+/// Entry lists are sorted by name, so reports are deterministic and
+/// diff-friendly.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryReport {
     /// `(name, value)` for every counter.
@@ -29,8 +18,6 @@ pub struct TelemetryReport {
     pub gauges: Vec<(String, f64)>,
     /// `(name, snapshot)` for every histogram.
     pub histograms: Vec<(String, HistogramSnapshot)>,
-    /// Flattened wall-clock span timings.
-    pub spans: Vec<SpanSnapshot>,
 }
 
 impl TelemetryReport {
@@ -68,51 +55,8 @@ impl TelemetryReport {
             .sum()
     }
 
-    /// A copy with `prefix.` prepended to every metric name and `prefix`
-    /// prepended as a root segment of every span path.
-    #[must_use]
-    pub fn with_prefix(&self, prefix: &str) -> TelemetryReport {
-        if prefix.is_empty() {
-            return self.clone();
-        }
-        let mut spans: Vec<SpanSnapshot> = Vec::with_capacity(self.spans.len() + 1);
-        spans.push(SpanSnapshot {
-            path: prefix.to_string(),
-            count: 1,
-            secs: self
-                .spans
-                .iter()
-                .filter(|s| !s.path.contains('/'))
-                .map(|s| s.secs)
-                .sum(),
-        });
-        spans.extend(self.spans.iter().map(|s| SpanSnapshot {
-            path: format!("{prefix}/{}", s.path),
-            count: s.count,
-            secs: s.secs,
-        }));
-        TelemetryReport {
-            counters: self
-                .counters
-                .iter()
-                .map(|(k, v)| (format!("{prefix}.{k}"), *v))
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(k, v)| (format!("{prefix}.{k}"), *v))
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, v)| (format!("{prefix}.{k}"), v.clone()))
-                .collect(),
-            spans,
-        }
-    }
-
     /// Folds `other` into `self`: counters and histograms accumulate,
-    /// gauges take `other`'s value, span timings sum by path.
+    /// gauges take `other`'s value.
     pub fn merge(&mut self, other: &TelemetryReport) {
         for (name, v) in &other.counters {
             match self.counters.iter_mut().find(|(k, _)| k == name) {
@@ -130,15 +74,6 @@ impl TelemetryReport {
             match self.histograms.iter_mut().find(|(k, _)| k == name) {
                 Some((_, mine)) => mine.merge(snap),
                 None => self.histograms.push((name.clone(), snap.clone())),
-            }
-        }
-        for span in &other.spans {
-            match self.spans.iter_mut().find(|s| s.path == span.path) {
-                Some(mine) => {
-                    mine.count += span.count;
-                    mine.secs += span.secs;
-                }
-                None => self.spans.push(span.clone()),
             }
         }
         self.counters.sort_by(|a, b| a.0.cmp(&b.0));
@@ -177,9 +112,6 @@ mod tests {
         for v in [55.0, 68.0, 70.0, 71.0, 90.0] {
             h.observe(v);
         }
-        {
-            let _s = reg.span("run");
-        }
         reg.report()
     }
 
@@ -210,14 +142,5 @@ mod tests {
             a.histogram("core.task.confirm_latency_ms").map(|h| h.count),
             Some(10)
         );
-        assert_eq!(a.spans[0].count, 2);
-    }
-
-    #[test]
-    fn prefix_rewrites_names_and_span_roots() {
-        let p = sample().with_prefix("indoor");
-        assert_eq!(p.counter("indoor.core.election.won"), Some(4));
-        assert!(p.spans.iter().any(|s| s.path == "indoor/run"));
-        assert_eq!(p.spans[0].path, "indoor");
     }
 }

@@ -93,9 +93,8 @@ impl Timeline {
     }
 
     /// Takes one sample at sim-time `t_secs`: every counter of `report`
-    /// becomes a delta point, every gauge a value point. Histograms and
-    /// spans are not sampled (spans measure host wall-clock, which would
-    /// make the timeline non-deterministic).
+    /// becomes a delta point, every gauge a value point. Histograms are
+    /// not sampled.
     pub fn sample(&mut self, t_secs: f64, report: &TelemetryReport) {
         let at = self.times.len();
         self.times.push(t_secs);

@@ -30,7 +30,6 @@
 //!   --stats                                 print the telemetry dashboard
 //!                                           (and the timeline, if sampled)
 //!   -q / --quiet                            suppress status lines
-//!   -v / --verbose                          extra detail on stderr
 //! ```
 
 use enviromic::core::{Mode, NodeConfig, PolicyKind};
@@ -72,7 +71,7 @@ fn usage() -> ! {
          [--flash CHUNKS] [--beta-max X] \
          [--policy beta-ttl|no-migration|coordinated|flooding] \
          [--prelude SECS] [--timeline SECS] \
-         [--timeline-out PATH] [--series] [--stats] [-q|--quiet] [-v|--verbose]"
+         [--timeline-out PATH] [--series] [--stats] [-q|--quiet]"
     );
     std::process::exit(2);
 }
@@ -103,7 +102,6 @@ fn parse_args() -> Options {
         stats: false,
     };
     let mut quiet = false;
-    let mut verbose = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
@@ -135,7 +133,6 @@ fn parse_args() -> Options {
             "--series" => opts.series = true,
             "--stats" => opts.stats = true,
             "--quiet" | "-q" => quiet = true,
-            "--verbose" | "-v" => verbose = true,
             "--help" | "-h" => usage(),
             _ => {
                 eprintln!("enviromic: unknown flag {arg:?}");
@@ -149,7 +146,7 @@ fn parse_args() -> Options {
         eprintln!("enviromic: invalid node configuration: {e}");
         usage();
     }
-    log::init_from_flags(quiet, verbose);
+    log::init_from_flags(quiet);
     opts
 }
 

@@ -1,10 +1,9 @@
 //! `trace` — offline run-dump explorer.
 //!
-//! Loads a [`DumpFile`] written by `enviromic --timeline-out`,
-//! `repro --timeline-out`, or the `artifacts` sweep leg and answers the
-//! questions a debugging session actually asks: *what did node 3 do
-//! between 40 s and 60 s?*, *how many chunks migrated?*, *what did the
-//! energy curve look like?*
+//! Loads a [`DumpFile`] written by `enviromic --timeline-out` or the
+//! `artifacts` sweep leg and answers the questions a debugging session
+//! actually asks: *what did node 3 do between 40 s and 60 s?*, *how many
+//! chunks migrated?*, *what did the energy curve look like?*
 //!
 //! ```text
 //! trace DUMP.json [OPTIONS]
@@ -22,7 +21,6 @@
 //!                       (e.g. node.3, sim., core.)
 //!   --json              emit the filtered events as JSON
 //!   -q / --quiet        suppress status lines
-//!   -v / --verbose      extra detail on stderr
 //! ```
 //!
 //! With no options, prints a per-run summary: digest, event count, time
@@ -57,7 +55,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: trace DUMP.json [--run INDEX|LABEL|LABEL/SEED] [--node N] \
          [--kind K] [--from SECS] [--to SECS] [--ledger] [--timeline] \
-         [--series PREFIX] [--json] [-q|--quiet] [-v|--verbose]"
+         [--series PREFIX] [--json] [-q|--quiet]"
     );
     std::process::exit(2);
 }
@@ -73,7 +71,6 @@ fn parse_args() -> Options {
         json: false,
     };
     let mut quiet = false;
-    let mut verbose = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
@@ -94,13 +91,12 @@ fn parse_args() -> Options {
             "--series" => opts.series = Some(value()),
             "--json" => opts.json = true,
             "--quiet" | "-q" => quiet = true,
-            "--verbose" | "-v" => verbose = true,
             "--help" | "-h" => usage(),
             _ if opts.path.is_empty() && !arg.starts_with('-') => opts.path = arg,
             _ => usage(),
         }
     }
-    log::init_from_flags(quiet, verbose);
+    log::init_from_flags(quiet);
     if opts.path.is_empty() {
         usage();
     }
