@@ -2,5 +2,5 @@
 
 pub use crate::{
     any, prop_assert, prop_assert_eq, prop_oneof, proptest, Any, Arbitrary, BoxedStrategy, Just,
-    Strategy, TestCaseError, TestCaseResult, TestRng, Union,
+    Strategy, TestCaseError, TestRng, Union,
 };

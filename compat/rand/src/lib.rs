@@ -17,23 +17,10 @@
 
 use core::ops::{Range, RangeInclusive};
 
-/// A low-level source of random 32/64-bit words.
+/// A low-level source of random 64-bit words.
 pub trait RngCore {
     /// Returns the next random `u64`.
     fn next_u64(&mut self) -> u64;
-
-    /// Returns the next random `u32`.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes.
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
 }
 
 impl<R: RngCore + ?Sized> RngCore for &mut R {
@@ -63,7 +50,7 @@ macro_rules! impl_standard_int {
         }
     )*};
 }
-impl_standard_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_standard_int!(u8, u16, u32, u64);
 
 impl Standard for bool {
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
@@ -75,12 +62,6 @@ impl Standard for f64 {
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         // 53 random mantissa bits, uniform in [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl Standard for f32 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 }
 
@@ -114,7 +95,7 @@ macro_rules! impl_sample_uniform_int {
         }
     )*};
 }
-impl_sample_uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_sample_uniform_int!(u8, u32, u64, usize, i64);
 
 macro_rules! impl_sample_uniform_float {
     ($($t:ty),*) => {$(
@@ -137,7 +118,7 @@ macro_rules! impl_sample_uniform_float {
         }
     )*};
 }
-impl_sample_uniform_float!(f32, f64);
+impl_sample_uniform_float!(f64);
 
 /// Range arguments accepted by [`Rng::gen_range`].
 pub trait SampleRange<T> {
@@ -262,8 +243,6 @@ mod tests {
             assert!((10..20).contains(&v));
             let f = rng.gen_range(-2.5f64..=2.5);
             assert!((-2.5..=2.5).contains(&f));
-            let i = rng.gen_range(-8i32..8);
-            assert!((-8..8).contains(&i));
             let u = rng.gen::<f64>();
             assert!((0.0..1.0).contains(&u));
         }

@@ -1,6 +1,6 @@
 //! JSON text reader/writer for [`Value`].
 
-use crate::{DeError, Value};
+use crate::{DeError, Deserialize, Serialize, Value};
 
 impl Value {
     /// Renders the value as compact JSON.
@@ -38,6 +38,24 @@ impl Value {
         }
         Ok(v)
     }
+}
+
+/// Serializes `value` as indented (2-space) JSON: the form every report
+/// and dump is written in.
+#[must_use]
+pub fn to_json<T: Serialize + ?Sized>(value: &T) -> String {
+    value.to_value().to_json_pretty()
+}
+
+/// Parses JSON text into a `T`.
+///
+/// # Errors
+///
+/// Returns an error string for malformed JSON or a value of the wrong
+/// shape.
+pub fn from_json<T: Deserialize>(text: &str) -> Result<T, String> {
+    let value = Value::from_json(text).map_err(|e| e.to_string())?;
+    T::from_value(&value).map_err(|e| e.to_string())
 }
 
 fn write_json(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {

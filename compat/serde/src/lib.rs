@@ -8,8 +8,9 @@
 //! [`Deserialize::from_value`], following the `serde_json` data
 //! conventions (structs as maps, newtype structs transparent, unit enum
 //! variants as strings, data-carrying variants as single-key maps). A
-//! small JSON reader/writer on [`Value`] rounds the model out so reports
-//! can be exported without any external dependency.
+//! small JSON reader/writer on [`Value`], with [`to_json`] and
+//! [`from_json`] for any serializable type, rounds the model out so
+//! reports can be exported without any external dependency.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,6 +21,7 @@ pub use serde_derive::{Deserialize, Serialize};
 mod json;
 mod value;
 
+pub use json::{from_json, to_json};
 pub use value::Value;
 
 /// Error produced when a [`Value`] does not match the expected shape.
@@ -83,7 +85,7 @@ macro_rules! impl_serde_uint {
         }
     )*};
 }
-impl_serde_uint!(u8, u16, u32, u64, usize);
+impl_serde_uint!(u8, u32, u64, usize);
 
 macro_rules! impl_serde_int {
     ($($t:ty),*) => {$(
@@ -103,7 +105,7 @@ macro_rules! impl_serde_int {
         }
     )*};
 }
-impl_serde_int!(i8, i16, i32, i64, isize);
+impl_serde_int!(i16);
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
@@ -115,18 +117,6 @@ impl Deserialize for f64 {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         v.as_f64()
             .ok_or_else(|| DeError::custom(format!("expected number, got {v:?}")))
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(f64::from(*self))
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(f64::from_value(v)? as f32)
     }
 }
 
@@ -162,44 +152,11 @@ impl Deserialize for String {
     }
 }
 
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(DeError::custom(format!("expected char, got {other:?}"))),
-        }
-    }
-}
-
 // ------------------------------------------------------------- containers
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
-    }
-}
-
-impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(Box::new)
     }
 }
 
@@ -236,18 +193,6 @@ impl<T: Deserialize> Deserialize for Vec<T> {
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
 macro_rules! impl_serde_tuple {
     ($(($($name:ident : $idx:tt),+)),+) => {$(
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
@@ -270,26 +215,9 @@ macro_rules! impl_serde_tuple {
         }
     )+};
 }
-impl_serde_tuple!(
-    (A: 0),
-    (A: 0, B: 1),
-    (A: 0, B: 1, C: 2),
-    (A: 0, B: 1, C: 2, D: 3)
-);
+impl_serde_tuple!((A: 0, B: 1));
 
 impl<K: Serialize, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.iter()
-                .map(|(k, v)| (key_string(&k.to_value()), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<K: Serialize, V: Serialize, S: std::hash::BuildHasher> Serialize
-    for std::collections::HashMap<K, V, S>
-{
     fn to_value(&self) -> Value {
         Value::Map(
             self.iter()

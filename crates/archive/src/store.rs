@@ -7,7 +7,6 @@
 //! and `Sync`, so a worker pool can serve queries from a shared `&` with
 //! no locking.
 
-use enviromic_flash::Chunk;
 use enviromic_types::{EventId, NodeId, SimDuration, SimTime};
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -49,7 +48,12 @@ impl ArchiveRecord {
     /// the committed `BENCH_retrieval.json` contract.
     fn fold_digest(&self, mut h: u64) -> u64 {
         h = fnv_fold(h, u64::from(self.origin.0));
-        h = fnv_fold(h, self.event.map_or(u64::MAX, EventId::to_raw));
+        h = fnv_fold(
+            h,
+            self.event.map_or(u64::MAX, |e| {
+                (u64::from(e.leader().0) << 32) | u64::from(e.seq())
+            }),
+        );
         h = fnv_fold(h, self.t0.as_jiffies());
         h = fnv_fold(h, self.t1.as_jiffies());
         h = fnv_fold(h, u64::from(self.bytes));
@@ -95,21 +99,6 @@ impl ArchiveBuilder {
         } else {
             self.stats.duplicates += 1;
         }
-    }
-
-    /// Ingests a real flash [`Chunk`] held by `holder` (the
-    /// physically-collected-mote path).
-    pub fn ingest_chunk(&mut self, chunk: &Chunk, holder: NodeId) {
-        #[allow(clippy::cast_possible_truncation)]
-        let bytes = chunk.payload.len() as u32;
-        self.ingest(ArchiveRecord {
-            origin: chunk.meta.origin,
-            event: chunk.meta.event,
-            t0: chunk.meta.t_start,
-            t1: chunk.t_end(),
-            bytes,
-            holder,
-        });
     }
 
     /// Ingest statistics so far.
@@ -299,8 +288,8 @@ impl ArchiveStore {
     /// Answers `query`: candidate records come from the interval-index
     /// buckets the window touches, then each candidate is checked
     /// precisely. The result is identical to a full scan (the
-    /// `index_matches_full_scan` property test) but touches only the
-    /// window's buckets.
+    /// `index_matches_full_scan_on_a_grid` test in
+    /// `tests/archive_serving.rs`) but touches only the window's buckets.
     #[must_use]
     pub fn query(&self, query: &RangeQuery) -> QueryResult {
         let mut indices: Vec<u32> = Vec::new();
@@ -325,29 +314,6 @@ impl ArchiveStore {
             let r = &self.records[i as usize];
             digest = r.fold_digest(digest);
             bytes += u64::from(r.bytes);
-        }
-        QueryResult {
-            indices,
-            bytes,
-            digest,
-        }
-    }
-
-    /// Reference implementation of [`ArchiveStore::query`]: a full scan
-    /// with no index. The oracle for the property tests and the
-    /// uncached-baseline serving mode.
-    #[must_use]
-    pub fn query_full_scan(&self, query: &RangeQuery) -> QueryResult {
-        let mut digest = FNV_OFFSET;
-        let mut bytes = 0u64;
-        let mut indices = Vec::new();
-        for (i, r) in self.records.iter().enumerate() {
-            if query.matches(r) {
-                #[allow(clippy::cast_possible_truncation)]
-                indices.push(i as u32);
-                digest = r.fold_digest(digest);
-                bytes += u64::from(r.bytes);
-            }
         }
         QueryResult {
             indices,
@@ -458,25 +424,6 @@ mod tests {
     }
 
     #[test]
-    fn index_matches_full_scan_on_a_grid() {
-        let mut records = Vec::new();
-        for origin in 0..5u32 {
-            for k in 0..40 {
-                let t = f64::from(k) * 0.7 + f64::from(origin) * 0.1;
-                records.push(rec(origin, t, t + 0.4));
-            }
-        }
-        let s = store(records);
-        for w0 in 0..20 {
-            let query = RangeQuery {
-                origin: (w0 % 3 == 0).then_some(NodeId(w0 % 5)),
-                ..q(f64::from(w0) * 1.3, f64::from(w0) * 1.3 + 2.0)
-            };
-            assert_eq!(s.query(&query), s.query_full_scan(&query), "{query:?}");
-        }
-    }
-
-    #[test]
     fn span_and_origins_summarize() {
         let s = store([rec(3, 4.0, 5.0), rec(1, 0.0, 9.0), rec(3, 1.0, 2.0)]);
         let (lo, hi) = s.span().unwrap();
@@ -484,26 +431,5 @@ mod tests {
         assert_eq!(hi.as_secs_f64(), 9.0);
         assert_eq!(s.origins(), vec![NodeId(1), NodeId(3)]);
         assert!(ArchiveStore::empty().span().is_none());
-    }
-
-    #[test]
-    fn chunk_ingest_carries_metadata() {
-        use enviromic_flash::ChunkMeta;
-        let chunk = Chunk::new(
-            ChunkMeta {
-                origin: NodeId(5),
-                event: Some(EventId::new(NodeId(5), 2)),
-                t_start: SimTime::from_jiffies(1000),
-            },
-            vec![0; 100],
-        );
-        let mut b = ArchiveBuilder::new();
-        b.ingest_chunk(&chunk, NodeId(8));
-        let s = b.build();
-        let r = s.records()[0];
-        assert_eq!(r.origin, NodeId(5));
-        assert_eq!(r.holder, NodeId(8));
-        assert_eq!(r.bytes, 100);
-        assert_eq!(r.t1, chunk.t_end());
     }
 }

@@ -270,22 +270,6 @@ pub struct PolicyMatrix {
 }
 
 impl PolicyMatrix {
-    /// Serializes the report as indented JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde::Serialize::to_value(self).to_json_pretty()
-    }
-
-    /// Parses a report back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string for malformed JSON or mismatched shape.
-    pub fn from_json(text: &str) -> Result<PolicyMatrix, String> {
-        let value = serde::Value::from_json(text).map_err(|e| e.to_string())?;
-        serde::Deserialize::from_value(&value).map_err(|e: serde::DeError| e.to_string())
-    }
-
     /// Renders the seed-averaged comparison table.
     #[must_use]
     pub fn render(&self) -> String {
@@ -524,12 +508,12 @@ mod tests {
         // Byte-identical report regardless of worker count — the property
         // CI enforces on BENCH_policies.json.
         assert_eq!(serial, pooled);
-        assert_eq!(serial.to_json(), pooled.to_json());
+        assert_eq!(serde::to_json(&serial), serde::to_json(&pooled));
         assert_eq!(
             serial.rows.len(),
             POLICY_SCENARIOS.len() * PolicyKind::ALL.len() * seeds.len()
         );
-        let back = PolicyMatrix::from_json(&serial.to_json()).expect("parses");
+        let back: PolicyMatrix = serde::from_json(&serde::to_json(&serial)).expect("parses");
         assert_eq!(back, serial);
 
         for r in &serial.rows {

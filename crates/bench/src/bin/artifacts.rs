@@ -79,10 +79,10 @@ fn sweep(jobs: usize) -> Result<Files, String> {
     ];
     let outcome = run_plan(&SweepPlan::new(seeds(4), specs).with_timeline(10.0), jobs);
     Ok(vec![
-        ("BENCH_sweep.json", outcome.summary().to_json()),
+        ("BENCH_sweep.json", serde::to_json(&outcome.summary())),
         (
             "sweep_timeline.json",
-            DumpFile::sweep_timelines(&outcome).to_json(),
+            serde::to_json(&DumpFile::sweep_timelines(&outcome)),
         ),
     ])
 }
@@ -94,7 +94,10 @@ fn chaos(jobs: usize) -> Result<Files, String> {
         ScenarioSpec::chaos_forest(120.0),
     ];
     let outcome = run_plan(&SweepPlan::new(seeds(8), specs), jobs);
-    Ok(vec![("BENCH_chaos.json", outcome.summary().to_json())])
+    Ok(vec![(
+        "BENCH_chaos.json",
+        serde::to_json(&outcome.summary()),
+    )])
 }
 
 /// Seeds 42–44 of every storage policy through the indoor, forest and
@@ -102,7 +105,7 @@ fn chaos(jobs: usize) -> Result<Files, String> {
 fn policies(jobs: usize) -> Result<Files, String> {
     let matrix = run_policy_matrix(&seeds(3), 600.0, jobs);
     print!("{}", matrix.render());
-    Ok(vec![("BENCH_policies.json", matrix.to_json())])
+    Ok(vec![("BENCH_policies.json", serde::to_json(&matrix))])
 }
 
 /// One `BENCH_scale.json` row.
@@ -152,8 +155,7 @@ fn scale(jobs: usize) -> Result<Files, String> {
         duration_secs: CITY_SECS,
         rows,
     };
-    let json = serde::Serialize::to_value(&report).to_json_pretty();
-    Ok(vec![("BENCH_scale.json", json)])
+    Ok(vec![("BENCH_scale.json", serde::to_json(&report))])
 }
 
 /// 600 queries with a 256-entry cache over the golden run's archive
@@ -180,7 +182,7 @@ fn retrieval(jobs: usize) -> Result<Files, String> {
         run.outcome.workers,
         run.outcome.queries_per_sec(),
     );
-    Ok(vec![("BENCH_retrieval.json", run.report.to_json())])
+    Ok(vec![("BENCH_retrieval.json", serde::to_json(&run.report))])
 }
 
 /// Every figure and the ablation table at seeds 1–4, with the paper's
@@ -188,7 +190,7 @@ fn retrieval(jobs: usize) -> Result<Files, String> {
 fn figures(jobs: usize) -> Result<Files, String> {
     let (report, text) = enviromic_bench::figures::run(jobs);
     Ok(vec![
-        ("BENCH_figures.json", report.to_json()),
+        ("BENCH_figures.json", serde::to_json(&report)),
         ("figures.txt", text),
     ])
 }

@@ -15,7 +15,7 @@
 use enviromic::core::{EnviroMicNode, Mode, NodeConfig};
 use enviromic::harness::{build_world, indoor_world_config};
 use enviromic::metrics::{amplitude_envelope, best_xcorr};
-use enviromic::sim::acoustics::AcousticField;
+use enviromic::sim::acoustics::{AcousticField, MixScratch};
 use enviromic::types::{audio, NodeId, SimDuration};
 use enviromic::workloads::voice_scenario;
 
@@ -43,10 +43,14 @@ pub fn run(seed: u64) -> VoiceResult {
     let event_secs = source.duration().as_secs_f64();
 
     // Reference: a virtual mote carried with the speaker samples the field
-    // at the source position (distance zero).
+    // at the source position (distance zero). The listener moves every
+    // sample, so each sample is a one-sample block of the synthesis kernel
+    // at that sample's position, mixing the field's one source.
     let mut field = AcousticField::new();
     field.add_source(source.clone()).expect("valid source");
     let n_samples = (event_secs * f64::from(audio::SAMPLE_RATE_HZ)) as usize;
+    let mut scratch = MixScratch::new();
+    let mut sample = Vec::new();
     let reference: Vec<u8> = (0..n_samples)
         .map(|i| {
             let t_s = t0.as_secs_f64() + i as f64 / f64::from(audio::SAMPLE_RATE_HZ);
@@ -55,7 +59,8 @@ pub fn run(seed: u64) -> VoiceResult {
                 .position_at(enviromic::types::SimTime::from_jiffies(
                     (t_s * enviromic::types::JIFFIES_PER_SEC as f64) as u64,
                 ));
-            field.sample(pos, t_s, 0.0)
+            field.synthesize_batch(&[0], pos, t_s, &[0.0], &mut scratch, &mut sample);
+            sample[0]
         })
         .collect();
 

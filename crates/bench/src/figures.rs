@@ -51,24 +51,6 @@ pub struct FiguresReport {
     pub seeds: Vec<SeedFigures>,
 }
 
-impl FiguresReport {
-    /// Serializes the report as indented JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde::Serialize::to_value(self).to_json_pretty()
-    }
-
-    /// Parses a report back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string for malformed JSON or mismatched shape.
-    pub fn from_json(text: &str) -> Result<FiguresReport, String> {
-        let value = serde::Value::from_json(text).map_err(|e| e.to_string())?;
-        serde::Deserialize::from_value(&value).map_err(|e: serde::DeError| e.to_string())
-    }
-}
-
 /// Every figure at one seed. Contours hold their cells row-major.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SeedFigures {

@@ -140,22 +140,6 @@ pub struct RetrievalReport {
 }
 
 impl RetrievalReport {
-    /// Serializes to the committed pretty-JSON form.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde::Serialize::to_value(self).to_json_pretty()
-    }
-
-    /// Parses a report back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string for malformed JSON or mismatched shape.
-    pub fn from_json(text: &str) -> Result<RetrievalReport, String> {
-        let value = serde::Value::from_json(text).map_err(|e| e.to_string())?;
-        serde::Deserialize::from_value(&value).map_err(|e: serde::DeError| e.to_string())
-    }
-
     /// Console rendering of the committed figures.
     #[must_use]
     pub fn render(&self) -> String {
@@ -369,7 +353,7 @@ mod tests {
         assert!(run.cache_transparent(), "cache must not change results");
         assert!(run.report.cache.hits > 0, "grid workload revisits keys");
         assert!(run.report.archive.records > 0);
-        let back = RetrievalReport::from_json(&run.report.to_json()).expect("parses");
+        let back: RetrievalReport = serde::from_json(&serde::to_json(&run.report)).expect("parses");
         assert_eq!(back, run.report);
     }
 
@@ -383,7 +367,7 @@ mod tests {
         };
         let one = run_retrieval_on(&store, &base);
         let four = run_retrieval_on(&store, &RetrievalOptions { jobs: 4, ..base });
-        assert_eq!(one.report.to_json(), four.report.to_json());
+        assert_eq!(serde::to_json(&one.report), serde::to_json(&four.report));
         let per_query = |run: &RetrievalRun| -> Vec<u64> {
             run.outcome.results.iter().map(|r| r.digest).collect()
         };

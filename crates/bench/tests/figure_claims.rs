@@ -12,7 +12,7 @@ const COMMITTED: &str = include_str!("../../../BENCH_figures.json");
 
 /// The committed report, which must hold every seed of [`SEEDS`].
 fn report() -> FiguresReport {
-    let report = FiguresReport::from_json(COMMITTED).expect("BENCH_figures.json parses");
+    let report: FiguresReport = serde::from_json(COMMITTED).expect("BENCH_figures.json parses");
     let seeds: Vec<u64> = report.seeds.iter().map(|s| s.seed).collect();
     assert_eq!(seeds, SEEDS, "BENCH_figures.json seeds");
     report
@@ -50,7 +50,7 @@ const LOAD_BALANCING: [&str; 3] = ["lb-bmax4", "lb-bmax3", "lb-bmax2"];
 
 #[test]
 fn committed_report_round_trips_byte_for_byte() {
-    assert_eq!(report().to_json(), COMMITTED);
+    assert_eq!(serde::to_json(&report()), COMMITTED);
 }
 
 /// Fig. 10: "more than a 4-fold miss ratio improvement".

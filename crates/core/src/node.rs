@@ -376,12 +376,6 @@ impl EnviroMicNode {
         self.store.len()
     }
 
-    /// The node's current EWMA acquisition-rate estimate, bytes/second.
-    #[must_use]
-    pub fn acquisition_rate(&self) -> f64 {
-        self.rate
-    }
-
     /// The node's current storage TTL in whole seconds (§II-B), saturating
     /// at `u32::MAX` which also encodes "infinite".
     #[must_use]
@@ -890,7 +884,6 @@ mod tests {
     fn accessors_expose_configuration() {
         let node = EnviroMicNode::new(NodeConfig::default().with_beta_max(3.5));
         assert_eq!(node.config().beta_max, 3.5);
-        assert_eq!(node.acquisition_rate(), INITIAL_RATE);
     }
 
     /// Every node of a city world pays this inline size: 100k nodes at

@@ -333,8 +333,6 @@ pub struct DataMule {
     chunks: Vec<Chunk>,
     seen: HashSet<(u32, u64)>,
     receivers: HashMap<(NodeId, u32), BulkReceiver>,
-    /// Per-source advertised chunk counts from QUERY_DONE.
-    expected: HashMap<NodeId, u32>,
     new_this_round: usize,
     consecutive_empty_rounds: u32,
     /// Re-query rounds issued to close gaps left by lost answers (§II-C).
@@ -356,7 +354,6 @@ impl DataMule {
             chunks: Vec::new(),
             seen: HashSet::new(),
             receivers: HashMap::new(),
-            expected: HashMap::new(),
             new_this_round: 0,
             consecutive_empty_rounds: 0,
             m_requeries: Counter::default(),
@@ -368,12 +365,6 @@ impl DataMule {
     #[must_use]
     pub fn chunks(&self) -> &[Chunk] {
         &self.chunks
-    }
-
-    /// Per-source chunk counts the sources advertised via QUERY_DONE.
-    #[must_use]
-    pub fn advertised(&self) -> &HashMap<NodeId, u32> {
-        &self.expected
     }
 
     /// Groups retrieved chunks into per-event files, sorted by start time
@@ -510,16 +501,6 @@ impl Application for DataMule {
                     to, root, chunk, ..
                 } if to == self.me && root == self.me => {
                     self.accept(chunk);
-                }
-                Message::QueryDone {
-                    to,
-                    root,
-                    source,
-                    sent,
-                    ..
-                } if to == self.me && root == self.me => {
-                    let e = self.expected.entry(source).or_insert(0);
-                    *e = (*e).max(sent);
                 }
                 _ => {}
             }

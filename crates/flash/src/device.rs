@@ -197,12 +197,6 @@ impl Flash {
         self.bad.get(index as usize).copied().unwrap_or(false)
     }
 
-    /// Number of blocks currently marked bad.
-    #[must_use]
-    pub fn bad_block_count(&self) -> u32 {
-        self.bad.iter().filter(|b| **b).count() as u32
-    }
-
     /// The spread between the most- and least-written block.
     ///
     /// The chunk store's circular layout keeps this ≤ 1 — the §III-B.3
@@ -313,7 +307,6 @@ mod tests {
         f.write_block(2, &[7, 8]).unwrap();
         f.mark_bad(2);
         assert!(f.is_bad(2));
-        assert_eq!(f.bad_block_count(), 1);
         assert_eq!(
             f.write_block(2, &[9]),
             Err(FlashError::BadBlock { index: 2 })

@@ -325,20 +325,6 @@ impl ChunkStore {
         Ok(Some(chunk))
     }
 
-    /// Returns the oldest chunk without removing it.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Corrupt`] when the stored block fails to decode.
-    pub fn peek_front(&self) -> Result<Option<Chunk>, StoreError> {
-        if self.is_empty() {
-            return Ok(None);
-        }
-        let block = self.flash.read_block(self.head)?;
-        let (chunk, _) = Chunk::decode(block)?;
-        Ok(Some(chunk))
-    }
-
     /// Removes and returns the newest chunk, or `None` when empty.
     ///
     /// Used by the prelude optimization: a losing prelude holder erases the
@@ -517,7 +503,7 @@ mod tests {
         let (flash, eeprom) = s.into_parts();
         let r = ChunkStore::recover(flash, eeprom, 100);
         assert_eq!(r.len(), 2);
-        assert_eq!(r.peek_front().unwrap(), Some(chunk(1)));
+        assert_eq!(r.get(0).unwrap(), Some(chunk(1)));
         assert_eq!(
             r.resident_payload_bytes(),
             resident,
@@ -590,10 +576,9 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_get_do_not_consume() {
+    fn get_does_not_consume() {
         let mut s = ChunkStore::new(4, 100);
         s.push_back(chunk(9)).unwrap();
-        assert_eq!(s.peek_front().unwrap(), Some(chunk(9)));
         assert_eq!(s.get(0).unwrap(), Some(chunk(9)));
         assert_eq!(s.get(1).unwrap(), None);
         assert_eq!(s.len(), 1);

@@ -383,31 +383,6 @@ impl<'a> Experiment<'a> {
             .map(|(i, _)| NodeId::from_index(i))
     }
 
-    /// How many distinct event (file) IDs were used for each ground-truth
-    /// source — the paper's file-continuity measure (§II-A.1: handoffs
-    /// should keep one file per continuous event; "an acoustic event with
-    /// a large spatial signature may be associated with multiple
-    /// leaders and thus multiple files").
-    #[must_use]
-    pub fn files_per_source(&self) -> HashMap<SourceId, usize> {
-        let mut files: HashMap<SourceId, std::collections::HashSet<u64>> = HashMap::new();
-        for e in self.trace.iter() {
-            if let TraceEvent::Recorded {
-                node,
-                event: Some(ev),
-                t0,
-                t1,
-                ..
-            } = e
-            {
-                if let Some(src) = self.attribute(*node, *t0, *t1) {
-                    files.entry(src).or_default().insert(ev.to_raw());
-                }
-            }
-        }
-        files.into_iter().map(|(s, set)| (s, set.len())).collect()
-    }
-
     /// Total seconds recorded under each [`RecordKind`].
     #[must_use]
     pub fn recorded_secs_by_kind(&self) -> HashMap<RecordKind, f64> {
@@ -610,29 +585,6 @@ mod tests {
             exp.per_node_message_counts(&[MsgKind::TaskRequest]),
             vec![1, 1]
         );
-    }
-
-    #[test]
-    fn files_per_source_counts_distinct_event_ids() {
-        use enviromic_types::EventId;
-        let sources = [source(1, Position::new(0.0, 0.0), 0.0, 10.0)];
-        let positions = [Position::new(1.0, 0.0)];
-        let ev_a = EventId::new(NodeId(0), 1);
-        let ev_b = EventId::new(NodeId(2), 1);
-        let mk = |ev, a: f64, b: f64| TraceEvent::Recorded {
-            node: NodeId(0),
-            event: Some(ev),
-            t0: t(a),
-            t1: t(b),
-            bytes: 100,
-            kind: RecordKind::Task,
-        };
-        let trace: Trace = vec![mk(ev_a, 0.0, 2.0), mk(ev_a, 2.0, 4.0), mk(ev_b, 5.0, 7.0)]
-            .into_iter()
-            .collect();
-        let exp = Experiment::new(&trace, &sources, &positions);
-        let files = exp.files_per_source();
-        assert_eq!(files.get(&SourceId(1)), Some(&2));
     }
 
     #[test]

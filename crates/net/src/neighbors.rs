@@ -130,29 +130,6 @@ impl NeighborTable {
             .retain(|_, e| now.saturating_since(e.last_heard) <= expiry);
     }
 
-    /// Neighbors whose latest *fresh* sensing report names `event`,
-    /// i.e. the current group member candidates. A report older than the
-    /// freshness window no longer counts — the node may have stopped
-    /// hearing the event.
-    #[must_use]
-    pub fn members_for(
-        &self,
-        event: EventId,
-        now: SimTime,
-        freshness: SimDuration,
-    ) -> Vec<(NodeId, NeighborInfo)> {
-        let mut v: Vec<(NodeId, NeighborInfo)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| {
-                e.sensing == Some(event) && now.saturating_since(e.sensing_at) <= freshness
-            })
-            .map(|(&n, &e)| (n, e))
-            .collect();
-        v.sort_by_key(|(n, _)| *n);
-        v
-    }
-
     /// All current entries (sorted by node ID for determinism).
     #[must_use]
     pub fn entries(&self) -> Vec<(NodeId, NeighborInfo)> {
@@ -200,20 +177,6 @@ mod tests {
         tab.expire(t(1500));
         assert!(tab.get(NodeId(1)).is_none());
         assert!(tab.get(NodeId(2)).is_some());
-    }
-
-    #[test]
-    fn members_for_requires_fresh_matching_report() {
-        let ev = EventId::new(NodeId(9), 1);
-        let other = EventId::new(NodeId(9), 2);
-        let mut tab = NeighborTable::new(SimDuration::from_millis(10_000));
-        tab.sensing_report(NodeId(1), t(100), Some(ev), 200, false, 50);
-        tab.sensing_report(NodeId(2), t(100), Some(other), 100, false, 60);
-        tab.sensing_report(NodeId(3), t(2000), Some(ev), 150, true, 70);
-        // At t=2100 with 1 s freshness: node 1's report is stale.
-        let members = tab.members_for(ev, t(2100), SimDuration::from_millis(1000));
-        let ids: Vec<u32> = members.iter().map(|(n, _)| n.0).collect();
-        assert_eq!(ids, vec![3]);
     }
 
     #[test]

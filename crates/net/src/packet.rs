@@ -340,22 +340,6 @@ impl Message {
         }
     }
 
-    /// The explicit unicast destination, when the message has one. Other
-    /// nodes may still overhear and exploit the message.
-    #[must_use]
-    pub fn destination(&self) -> Option<NodeId> {
-        match *self {
-            Message::TaskRequest { recorder, .. } => Some(recorder),
-            Message::MigrateOffer { to, .. }
-            | Message::MigrateAccept { to, .. }
-            | Message::BulkData { to, .. }
-            | Message::BulkAck { to, .. }
-            | Message::QueryData { to, .. }
-            | Message::QueryDone { to, .. } => Some(to),
-            _ => None,
-        }
-    }
-
     /// True for messages the sender must get on the air immediately
     /// (task management); false for delay-tolerant traffic that may wait
     /// for a piggybacking opportunity (§III-A).
@@ -956,38 +940,6 @@ mod tests {
         let mut bytes = encode_envelope(&msgs).to_vec();
         bytes.truncate(bytes.len() - 1);
         assert!(decode_envelope(&bytes).is_err());
-    }
-
-    #[test]
-    fn destinations_and_kinds() {
-        assert_eq!(
-            Message::BulkAck {
-                to: NodeId(8),
-                session: 0,
-                seq: 0
-            }
-            .destination(),
-            Some(NodeId(8))
-        );
-        assert_eq!(
-            Message::LeaderAnnounce {
-                event: EventId::new(NodeId(1), 1)
-            }
-            .destination(),
-            None
-        );
-        assert_eq!(
-            Message::TaskRequest {
-                event: EventId::new(NodeId(1), 1),
-                recorder: NodeId(6),
-                task_seq: 0,
-                duration: SimDuration::ZERO,
-                leader_time: SimTime::ZERO,
-                keep_prelude: None,
-            }
-            .destination(),
-            Some(NodeId(6))
-        );
     }
 
     #[test]

@@ -233,43 +233,6 @@ impl AcousticField {
         &self.sources
     }
 
-    /// The strongest single-source level heard at `listener` at `t`, not
-    /// counting ambient noise. Concurrent sources do not add powers — for
-    /// detection purposes the dominant source masks the rest, which mirrors
-    /// the paper's "collision" discussion.
-    #[must_use]
-    pub fn peak_level(&self, listener: Position, t: SimTime) -> f64 {
-        self.sources
-            .iter()
-            .map(|s| s.level_at(listener, t))
-            .fold(0.0, f64::max)
-    }
-
-    /// Synthesizes one 8-bit audio sample heard at `listener` at absolute
-    /// time `t_s` (seconds on the global clock). `noise` is an
-    /// already-drawn ambient deviation added around the 128 midpoint.
-    #[must_use]
-    pub fn sample(&self, listener: Position, t_s: f64, noise: f64) -> u8 {
-        mix(self.sources.iter(), listener, t_s, noise)
-    }
-
-    /// Like [`AcousticField::sample`], but consulting only the sources at
-    /// the given ascending indices into [`AcousticField::sources`].
-    ///
-    /// `candidates` must be a superset of the sources audible at `t_s`;
-    /// inaudible candidates contribute exactly zero, and the contributing
-    /// sources are mixed in the same (index) order as the full scan, so the
-    /// result is bit-identical to [`AcousticField::sample`].
-    #[must_use]
-    pub fn sample_from(&self, candidates: &[u32], listener: Position, t_s: f64, noise: f64) -> u8 {
-        mix(
-            candidates.iter().map(|&i| &self.sources[i as usize]),
-            listener,
-            t_s,
-            noise,
-        )
-    }
-
     /// The last instant at which any source is active, or `None` for an
     /// empty field. Useful for sizing simulation runs.
     #[must_use]
@@ -277,14 +240,19 @@ impl AcousticField {
         self.sources.iter().map(|s| s.stop).max()
     }
 
-    /// Synthesizes a whole block of samples at once — the batch form of
-    /// calling [`AcousticField::sample_from`] once per sample.
+    /// Synthesizes a block of 8-bit audio samples heard at `listener`,
+    /// mixing only the sources at the ascending indices `candidates` into
+    /// [`AcousticField::sources`].
     ///
-    /// Sample `i` is taken at `t0_s + i / SAMPLE_RATE_HZ` seconds with the
-    /// pre-drawn ambient deviation `noise[i]`; `noise.len()` fixes the
-    /// block length. The result pushed into `out` (cleared first) is
-    /// **bit-identical** to the per-sample loop — see the order-preservation
-    /// argument on the private `mix_block` helper.
+    /// Sample `i` is taken at `t0_s + i / SAMPLE_RATE_HZ` seconds (on the
+    /// global clock) with the pre-drawn ambient deviation `noise[i]` added
+    /// around the 128 midpoint; `noise.len()` fixes the block length.
+    /// `candidates` must be a superset of the sources audible during the
+    /// block: an inaudible candidate contributes exactly zero. The result
+    /// pushed into `out` (cleared first) is **bit-identical** to mixing
+    /// each sample on its own, source by source in index order — see the
+    /// order-preservation argument on the private `mix_block` helper and
+    /// the per-sample reference in `crates/sim/tests/prop_sim.rs`.
     pub fn synthesize_batch(
         &self,
         candidates: &[u32],
@@ -299,7 +267,7 @@ impl AcousticField {
         out.reserve(n);
         if candidates.is_empty() {
             // Nothing audible: every sample is the centered ambient floor.
-            // `mix` would compute 128.0 + 0.0 + noise, and adding 0.0 is
+            // Mixing would compute 128.0 + 0.0 + noise, and adding 0.0 is
             // exact, so this shortcut is bit-identical.
             out.extend(noise.iter().map(|&nz| (128.0 + nz).clamp(0.0, 255.0) as u8));
             return;
@@ -337,8 +305,8 @@ pub struct MixScratch {
     acc: Vec<f64>,
     /// Per-sample absolute times, seconds on the global clock.
     ts_s: Vec<f64>,
-    /// Per-sample quantized instants — exactly the `SimTime` that `mix`
-    /// derives from each `t_s`, non-decreasing across the block.
+    /// Per-sample quantized instants — the jiffy each `t_s` falls in,
+    /// non-decreasing across the block.
     times: Vec<SimTime>,
 }
 
@@ -350,9 +318,8 @@ impl MixScratch {
     }
 
     /// Fills the per-sample time arrays for a block of `n` samples
-    /// starting at `t0_s`, using the same arithmetic as the per-sample
-    /// loop (`t_s = t0_s + i / SAMPLE_RATE_HZ`, then the `mix` jiffy
-    /// quantization).
+    /// starting at `t0_s`: `t_s = t0_s + i / SAMPLE_RATE_HZ`, then
+    /// truncated to whole jiffies.
     fn fill_times(&mut self, t0_s: f64, n: usize) {
         self.ts_s.clear();
         self.ts_s.extend(
@@ -376,8 +343,9 @@ impl MixScratch {
 const LEG_SKIP_MARGIN_FT: f64 = 1e-6;
 
 /// Accumulates one source's contribution to every sample of a block —
-/// the batch (source-major) form of the per-sample `level_at` +
-/// `value_at` work inside [`mix`].
+/// the batch (source-major) form of the per-sample
+/// `level * value_at(t_s)` term, added when
+/// [`SourceSpec::level_at`] is positive.
 ///
 /// Bit-exactness argument, piece by piece:
 ///
@@ -397,7 +365,7 @@ const LEG_SKIP_MARGIN_FT: f64 = 1e-6;
 ///   once is the same arithmetic on the same operands.
 /// * **Accumulation order.** The caller iterates candidates in ascending
 ///   index order and each call adds at most one term per sample, so every
-///   `acc[i]` sees its terms in exactly the per-sample `mix` order.
+///   `acc[i]` sees its terms in exactly the per-sample order.
 fn mix_block(s: &SourceSpec, listener: Position, times: &[SimTime], ts_s: &[f64], acc: &mut [f64]) {
     // The contiguous sample range where the source is active.
     let lo = times.partition_point(|&t| t < s.start);
@@ -485,25 +453,6 @@ fn mix_run_fixed(
     }
 }
 
-/// Mixes the given sources into one centered 8-bit sample.
-fn mix<'a>(
-    sources: impl Iterator<Item = &'a SourceSpec>,
-    listener: Position,
-    t_s: f64,
-    noise: f64,
-) -> u8 {
-    let t = SimTime::from_jiffies((t_s * enviromic_types::JIFFIES_PER_SEC as f64) as u64);
-    let mut acc = 0.0;
-    for s in sources {
-        let lvl = s.level_at(listener, t);
-        if lvl > 0.0 {
-            acc += lvl * s.waveform.value_at(t_s);
-        }
-    }
-    let centered = 128.0 + acc + noise;
-    centered.clamp(0.0, 255.0) as u8
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,7 +516,9 @@ mod tests {
             .unwrap();
         let t = SimTime::from_jiffies(10);
         // Listener at origin: source 1 at full 100, source 2 at 50.
-        assert_eq!(f.peak_level(Position::new(0.0, 0.0), t), 100.0);
+        let listener = Position::new(0.0, 0.0);
+        let idx = crate::spatial::AudibleIndex::build(&[listener], f.sources());
+        assert_eq!(idx.peak_level(&f, 0, listener, t), 100.0);
     }
 
     #[test]
@@ -616,22 +567,33 @@ mod tests {
 
     #[test]
     fn synthesized_samples_center_at_128() {
+        let mut scratch = MixScratch::new();
+        let mut out = Vec::new();
         let f = AcousticField::new();
-        let s = f.sample(Position::new(0.0, 0.0), 0.1, 0.0);
-        assert_eq!(s, 128);
+        f.synthesize_batch(
+            &[],
+            Position::new(0.0, 0.0),
+            0.1,
+            &[0.0],
+            &mut scratch,
+            &mut out,
+        );
+        assert_eq!(out, vec![128]);
         // A very loud source must clamp at the rails without panicking.
         let mut loud = AcousticField::new();
         let mut spec = tone_source(1, Position::new(0.0, 0.0), 0.0, 10.0);
         spec.amplitude = 500.0;
         loud.add_source(spec).unwrap();
-        let mut saw_low = false;
-        let mut saw_high = false;
-        for i in 0..200 {
-            let v = loud.sample(Position::new(0.0, 0.0), i as f64 / 2730.0, 0.0);
-            saw_low |= v == 0;
-            saw_high |= v == 255;
-        }
-        assert!(saw_low && saw_high);
+        let noise = [0.0; 200];
+        loud.synthesize_batch(
+            &[0],
+            Position::new(0.0, 0.0),
+            0.0,
+            &noise,
+            &mut scratch,
+            &mut out,
+        );
+        assert!(out.contains(&0) && out.contains(&255));
     }
 
     #[test]

@@ -107,8 +107,8 @@ pub struct WorldConfig {
     /// If set, the world polls every node's storage occupancy at this
     /// period and records it in the trace (used by the contour figures).
     pub occupancy_snapshot_period: Option<SimDuration>,
-    /// If set, the world samples every registered counter and gauge plus
-    /// the per-node probes into a sim-time
+    /// If set, the world samples every registered counter plus the
+    /// per-node probes into a sim-time
     /// [`Timeline`](enviromic_telemetry::Timeline) at this period. The
     /// sampler is a passive observer — it draws no randomness and emits
     /// no trace records, so enabling it at any cadence leaves the trace

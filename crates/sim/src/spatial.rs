@@ -334,9 +334,12 @@ impl AudibleIndex {
         &self.per_node[node]
     }
 
-    /// The strongest single-source level heard at `listener` at `t` —
-    /// bit-identical to [`AcousticField::peak_level`], consulting only the
-    /// node's candidates.
+    /// The strongest single-source level heard at `listener` at `t`, not
+    /// counting ambient noise. Concurrent sources do not add powers — for
+    /// detection purposes the dominant source masks the rest, which
+    /// mirrors the paper's "collision" discussion. Only the node's
+    /// candidates are consulted; the result is bit-identical to a scan of
+    /// every source in the field (`crates/sim/tests/prop_sim.rs`).
     #[must_use]
     pub fn peak_level(
         &self,
@@ -504,32 +507,6 @@ mod tests {
                 (secs(10.0), Position::new(8.0, 8.0)),
             ]),
             waveform: Waveform::Noise,
-        }
-    }
-
-    #[test]
-    fn audible_index_is_a_superset_of_audible_sources() {
-        let positions = vec![
-            Position::new(4.0, 1.0),   // near the first leg
-            Position::new(9.0, 7.0),   // near the second leg
-            Position::new(40.0, 40.0), // never audible
-        ];
-        let sources = vec![mobile_source(2.0)];
-        let idx = AudibleIndex::build(&positions, &sources);
-        assert!(!idx.entries(0).is_empty());
-        assert!(!idx.entries(1).is_empty());
-        assert!(idx.entries(2).is_empty(), "far node must have no entries");
-        // Everywhere the brute-force level is positive, the index agrees
-        // bit-for-bit.
-        let mut field = AcousticField::new();
-        field.add_source(sources[0].clone()).unwrap();
-        for (ni, &p) in positions.iter().enumerate() {
-            for j in 0..1200 {
-                let t = secs(f64::from(j) * 0.01);
-                let brute = field.peak_level(p, t);
-                let fast = idx.peak_level(&field, ni, p, t);
-                assert_eq!(brute.to_bits(), fast.to_bits(), "node {ni} t {t:?}");
-            }
         }
     }
 

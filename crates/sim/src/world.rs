@@ -735,8 +735,8 @@ impl World {
         }
     }
 
-    /// Takes one timeline sample: every registered counter and gauge,
-    /// plus the per-node probe series.
+    /// Takes one timeline sample: every registered counter, plus the
+    /// per-node probe series.
     ///
     /// Determinism: this observes only — it consumes no RNG stream,
     /// emits no trace records, and mutates no node state (battery levels
@@ -998,7 +998,7 @@ impl Inner {
 
     /// The microphone level node currently perceives: field peak plus
     /// ambient noise. The audible index shrinks the source scan; its
-    /// result is bit-identical to the full [`AcousticField::peak_level`].
+    /// result is bit-identical to a scan of every source in the field.
     fn sample_level(&mut self, node: NodeId) -> f64 {
         let idx = node.index();
         let pos = self.nodes.pos[idx];

@@ -1,12 +1,65 @@
 //! Property tests for the simulation kernel: queue ordering against a
-//! reference model, waveform/motion invariants, and spatial-index
-//! equivalence against the brute-force scans it replaced.
+//! reference model, waveform/motion invariants, and spatial-index and
+//! batch-synthesis equivalence against the brute-force scans and the
+//! per-sample synthesis they replaced. Those references live here, not in
+//! the library: [`brute_force_peak_level`] and [`reference_sample`].
 
 use enviromic_sim::acoustics::{AcousticField, MixScratch, Motion, SourceId, SourceSpec, Waveform};
 use enviromic_sim::queue::EventQueue;
 use enviromic_sim::spatial::{AudibleEntry, AudibleIndex, NodeGrid};
-use enviromic_types::{audio, Position, SimDuration, SimTime};
+use enviromic_types::{audio, Position, SimDuration, SimTime, JIFFIES_PER_SEC};
 use proptest::prelude::*;
+
+/// The strongest single-source level heard at `listener` at `t`, over
+/// every source of the field: the scan [`AudibleIndex::peak_level`]
+/// replaced.
+fn brute_force_peak_level(field: &AcousticField, listener: Position, t: SimTime) -> f64 {
+    field
+        .sources()
+        .iter()
+        .map(|s| s.level_at(listener, t))
+        .fold(0.0, f64::max)
+}
+
+/// One 8-bit sample heard at `listener` at `t_s` seconds, mixing
+/// `sources` one after another around the 128 midpoint with the ambient
+/// deviation `noise`: the per-sample path that
+/// [`AcousticField::synthesize_batch`] replaced.
+fn reference_sample<'a>(
+    sources: impl Iterator<Item = &'a SourceSpec>,
+    listener: Position,
+    t_s: f64,
+    noise: f64,
+) -> u8 {
+    let t = SimTime::from_jiffies((t_s * JIFFIES_PER_SEC as f64) as u64);
+    let mut acc = 0.0;
+    for s in sources {
+        let lvl = s.level_at(listener, t);
+        if lvl > 0.0 {
+            acc += lvl * s.waveform.value_at(t_s);
+        }
+    }
+    let centered = 128.0 + acc + noise;
+    centered.clamp(0.0, 255.0) as u8
+}
+
+/// [`reference_sample`] over the sources at the ascending indices
+/// `candidates` into [`AcousticField::sources`].
+fn reference_sample_from(
+    field: &AcousticField,
+    candidates: &[u32],
+    listener: Position,
+    t_s: f64,
+    noise: f64,
+) -> u8 {
+    let sources = field.sources();
+    reference_sample(
+        candidates.iter().map(|&i| &sources[i as usize]),
+        listener,
+        t_s,
+        noise,
+    )
+}
 
 /// Builds a small random field: one static source and one mobile source
 /// per `(start, stop, amp, range, x)` tuple, alternating waveforms.
@@ -228,7 +281,7 @@ proptest! {
         for (ni, &p) in positions.iter().enumerate() {
             for &tj in &times {
                 let t = SimTime::from_jiffies(tj);
-                let brute = field.peak_level(p, t);
+                let brute = brute_force_peak_level(&field, p, t);
                 let fast = idx.peak_level(&field, ni, p, t);
                 prop_assert_eq!(brute.to_bits(), fast.to_bits(),
                     "node {} at {} jiffies: {} != {}", ni, tj, brute, fast);
@@ -237,8 +290,8 @@ proptest! {
                 let t_s = t.as_secs_f64();
                 idx.block_sources(ni, t, t + SimDuration::from_millis(85), &mut block);
                 prop_assert_eq!(
-                    field.sample(p, t_s, 0.35),
-                    field.sample_from(&block, p, t_s, 0.35)
+                    reference_sample(field.sources().iter(), p, t_s, 0.35),
+                    reference_sample_from(&field, &block, p, t_s, 0.35)
                 );
             }
         }
@@ -287,7 +340,7 @@ proptest! {
     }
 
     /// The batched synthesis kernel produces exactly the bytes of the
-    /// per-sample reference path (`sample_from` in a loop) for arbitrary
+    /// per-sample reference path ([`reference_sample_from`] in a loop) for arbitrary
     /// fields, candidate sets, listeners, block starts, and noise vectors.
     /// This is the bit-exactness property the golden digests rest on: the
     /// batch path may skip work only when a contribution is exactly zero.
@@ -321,7 +374,7 @@ proptest! {
             .enumerate()
             .map(|(i, &nz)| {
                 let t_s = t0_s + i as f64 / audio::SAMPLE_RATE_HZ as f64;
-                field.sample_from(&candidates, listener, t_s, nz)
+                reference_sample_from(&field, &candidates, listener, t_s, nz)
             })
             .collect();
         prop_assert_eq!(batched, reference);
@@ -406,6 +459,48 @@ proptest! {
         prop_assert!(level >= 0.0 && level <= amp);
         if t < start || t >= start + len || lx.abs() >= range {
             prop_assert_eq!(level, 0.0);
+        }
+    }
+}
+
+fn secs(s: f64) -> SimTime {
+    SimTime::ZERO + SimDuration::from_secs_f64(s)
+}
+
+#[test]
+fn audible_index_is_a_superset_of_audible_sources() {
+    let positions = vec![
+        Position::new(4.0, 1.0),   // near the first leg
+        Position::new(9.0, 7.0),   // near the second leg
+        Position::new(40.0, 40.0), // never audible
+    ];
+    let sources = vec![SourceSpec {
+        id: SourceId(1),
+        start: secs(1.0),
+        stop: secs(11.0),
+        amplitude: 100.0,
+        range_ft: 2.0,
+        motion: Motion::Waypoints(vec![
+            (secs(2.0), Position::new(0.0, 0.0)),
+            (secs(6.0), Position::new(8.0, 0.0)),
+            (secs(10.0), Position::new(8.0, 8.0)),
+        ]),
+        waveform: Waveform::Noise,
+    }];
+    let idx = AudibleIndex::build(&positions, &sources);
+    assert!(!idx.entries(0).is_empty());
+    assert!(!idx.entries(1).is_empty());
+    assert!(idx.entries(2).is_empty(), "far node must have no entries");
+    // Everywhere the brute-force level is positive, the index agrees
+    // bit-for-bit.
+    let mut field = AcousticField::new();
+    field.add_source(sources[0].clone()).unwrap();
+    for (ni, &p) in positions.iter().enumerate() {
+        for j in 0..1200 {
+            let t = secs(f64::from(j) * 0.01);
+            let brute = brute_force_peak_level(&field, p, t);
+            let fast = idx.peak_level(&field, ni, p, t);
+            assert_eq!(brute.to_bits(), fast.to_bits(), "node {ni} t {t:?}");
         }
     }
 }

@@ -5,16 +5,16 @@
 //! while one executes. It reads no clock, so a simulated run's telemetry
 //! is as deterministic as its trace. It provides:
 //!
-//! * a [`Registry`] of named [`Counter`]s, [`Gauge`]s, and log-bucket
-//!   [`Histogram`]s (p50/p90/p99 quantile estimates), cheap enough to
-//!   update on protocol hot paths;
+//! * a [`Registry`] of named [`Counter`]s and log-bucket [`Histogram`]s
+//!   (p50/p90/p99 quantile estimates), cheap enough to update on protocol
+//!   hot paths;
 //! * a serializable [`TelemetryReport`] snapshot that merges across runs,
 //!   exports as JSON, and renders as a plain-text
 //!   [dashboard](TelemetryReport::render_dashboard);
-//! * a [`Timeline`] recorder that samples counters (as deltas) and gauges
-//!   at a sim-time cadence into a [`TimelineReport`] with sparkline
-//!   rendering — how metrics evolve *during* a run, not just their final
-//!   aggregate;
+//! * a [`Timeline`] recorder that samples counters (as deltas) and
+//!   host-pushed per-node values at a sim-time cadence into a
+//!   [`TimelineReport`] with sparkline rendering — how metrics evolve
+//!   *during* a run, not just their final aggregate;
 //! * a process-wide leveled [logger](log) behind the binaries' `-q` flag.
 //!
 //! Metric names follow a `subsystem.metric` convention, e.g.
@@ -48,6 +48,6 @@ mod report;
 mod timeline;
 
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use registry::{Counter, Gauge, Registry};
+pub use registry::{Counter, Registry};
 pub use report::TelemetryReport;
 pub use timeline::{SeriesKind, Timeline, TimelineReport, TimelineSeries};

@@ -1,4 +1,4 @@
-//! The metrics registry and its counter/gauge handles.
+//! The metrics registry and its counter handles.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -31,34 +31,9 @@ impl Counter {
     }
 }
 
-/// A last-value gauge handle. Cloning shares the value.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge {
-    value: Rc<Cell<f64>>,
-}
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, v: f64) {
-        self.value.set(v);
-    }
-
-    /// Adds `delta` to the gauge.
-    pub fn add(&self, delta: f64) {
-        self.value.set(self.value.get() + delta);
-    }
-
-    /// The current value.
-    #[must_use]
-    pub fn get(&self) -> f64 {
-        self.value.get()
-    }
-}
-
 #[derive(Debug, Default)]
 struct Inner {
     counters: RefCell<BTreeMap<String, Counter>>,
-    gauges: RefCell<BTreeMap<String, Gauge>>,
     histograms: RefCell<BTreeMap<String, Histogram>>,
 }
 
@@ -86,12 +61,6 @@ impl Registry {
         handle(&self.inner.counters, name)
     }
 
-    /// The gauge registered under `name` (created on first use).
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Gauge {
-        handle(&self.inner.gauges, name)
-    }
-
     /// The histogram registered under `name` (created on first use).
     #[must_use]
     pub fn histogram(&self, name: &str) -> Histogram {
@@ -108,13 +77,6 @@ impl Registry {
             .iter()
             .map(|(k, v)| (k.clone(), v.get()))
             .collect();
-        let gauges = self
-            .inner
-            .gauges
-            .borrow()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
         let histograms = self
             .inner
             .histograms
@@ -124,7 +86,6 @@ impl Registry {
             .collect();
         TelemetryReport {
             counters,
-            gauges,
             histograms,
         }
     }
@@ -153,31 +114,25 @@ mod tests {
         a.inc();
         b.add(2);
         reg.counter("a.first").inc();
-        reg.gauge("g.level").set(0.5);
         reg.histogram("h.lat").observe(3.0);
         let report = reg.report();
         assert_eq!(
             report.counters,
             vec![("a.first".to_string(), 1), ("b.second".to_string(), 3)]
         );
-        assert_eq!(report.gauges, vec![("g.level".to_string(), 0.5)]);
         assert_eq!(report.histograms[0].1.count, 1);
     }
 
-    /// Pins the documented merge semantics: counters sum, gauges are
-    /// last-write-wins.
+    /// Pins the documented merge semantics: counters sum.
     #[test]
-    fn merge_sums_counters_and_keeps_the_later_gauge() {
+    fn merge_sums_counters() {
         let early = Registry::new();
-        early.gauge("core.balance.beta").set(1.5);
         early.counter("sim.packets.sent").add(10);
         let late = Registry::new();
-        late.gauge("core.balance.beta").set(0.25);
         late.counter("sim.packets.sent").add(7);
 
         let mut merged = early.report();
         merged.merge(&late.report());
-        assert_eq!(merged.gauge("core.balance.beta"), Some(0.25));
         assert_eq!(merged.counter("sim.packets.sent"), Some(17));
     }
 }

@@ -64,7 +64,7 @@ impl TelemetryReport {
     #[must_use]
     pub fn render_dashboard(&self) -> String {
         let mut out = String::new();
-        if self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty() {
+        if self.counters.is_empty() && self.histograms.is_empty() {
             return "telemetry: no metrics recorded\n".to_string();
         }
 
@@ -74,19 +74,6 @@ impl TelemetryReport {
                 .counters
                 .iter()
                 .map(|(k, v)| vec![k.clone(), v.to_string()])
-                .collect();
-            table(&mut out, &rows);
-        }
-
-        if !self.gauges.is_empty() {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            section(&mut out, "Gauges");
-            let rows: Vec<Vec<String>> = self
-                .gauges
-                .iter()
-                .map(|(k, v)| vec![k.clone(), fmt_f64(*v)])
                 .collect();
             table(&mut out, &rows);
         }
@@ -131,21 +118,12 @@ mod tests {
         let reg = Registry::new();
         reg.counter("sim.packets.sent").add(250);
         reg.counter("sim.packets.delivered").add(243);
-        reg.gauge("flash.wear_spread").set(0.0625);
         let h = reg.histogram("core.task.confirm_latency_ms");
         for v in [40.0, 55.0, 70.0, 130.0] {
             h.observe(v);
         }
         let text = reg.report().render_dashboard();
-        for needle in [
-            "Counters",
-            "Gauges",
-            "Histograms",
-            "sim.packets.sent",
-            "250",
-            "flash.wear_spread",
-            "p99",
-        ] {
+        for needle in ["Counters", "Histograms", "sim.packets.sent", "250", "p99"] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
     }

@@ -1,12 +1,13 @@
-//! Sim-time timelines: how counters and gauges evolve *during* a run.
+//! Sim-time timelines: how counters and per-node values evolve *during* a
+//! run.
 //!
 //! A [`TelemetryReport`] is an end-of-run aggregate; it cannot distinguish
 //! a steady delivery rate from a mid-run collapse that recovers. The
 //! [`Timeline`] recorder closes that gap: at a fixed simulation-time
 //! cadence it snapshots every registered counter (stored as the *delta*
-//! since the previous sample) and gauge (stored as-is), plus any extra
-//! per-sample values the host pushes in (the simulator's per-node probes:
-//! occupancy, energy, role, chunks held).
+//! since the previous sample), plus the per-sample values the host pushes
+//! in (the simulator's per-node probes: occupancy, energy, role, chunks
+//! held).
 //!
 //! The recorder is a passive observer. It draws no randomness and emits
 //! no trace records, so enabling it — at any cadence — leaves a seeded
@@ -31,8 +32,9 @@ pub enum SeriesKind {
     /// Counter increase since the previous sample (the first sample is the
     /// delta from zero).
     CounterDelta,
-    /// Gauge value at the sample instant (also used for host-pushed
-    /// per-node probe values).
+    /// A value the host pushed with [`Timeline::record`] at the sample
+    /// instant (the simulator's per-node probes). Its serialized name,
+    /// `"Gauge"`, is part of the dump format.
     Gauge,
 }
 
@@ -46,7 +48,7 @@ struct SeriesBuf {
     points: Vec<f64>,
 }
 
-/// Records periodic samples of a registry's counters and gauges.
+/// Records periodic samples of a registry's counters.
 ///
 /// The host drives it: call [`Timeline::sample`] with the current
 /// sim-time and a fresh [`TelemetryReport`], then optionally
@@ -93,8 +95,7 @@ impl Timeline {
     }
 
     /// Takes one sample at sim-time `t_secs`: every counter of `report`
-    /// becomes a delta point, every gauge a value point. Histograms are
-    /// not sampled.
+    /// becomes a delta point. Histograms are not sampled.
     pub fn sample(&mut self, t_secs: f64, report: &TelemetryReport) {
         let at = self.times.len();
         self.times.push(t_secs);
@@ -103,12 +104,9 @@ impl Timeline {
             let delta = value.saturating_sub(last) as f64;
             self.push_point(name, SeriesKind::CounterDelta, at, delta);
         }
-        for (name, value) in &report.gauges {
-            self.push_point(name, SeriesKind::Gauge, at, *value);
-        }
     }
 
-    /// Appends an extra gauge-style point named `name` to the sample taken
+    /// Appends a value point named `name` to the sample taken
     /// by the latest [`Timeline::sample`] call. No-op before the first
     /// sample. The simulator uses this for per-node probe series
     /// (`node.<id>.energy_mj`, `node.<id>.occupancy`, ...).
@@ -297,22 +295,6 @@ impl TimelineReport {
         }
         out
     }
-
-    /// Serializes the report as indented JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde::Serialize::to_value(self).to_json_pretty()
-    }
-
-    /// Parses a report back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string for malformed JSON or mismatched shape.
-    pub fn from_json(text: &str) -> Result<TimelineReport, String> {
-        let value = serde::Value::from_json(text).map_err(|e| e.to_string())?;
-        serde::Deserialize::from_value(&value).map_err(|e: serde::DeError| e.to_string())
-    }
 }
 
 /// Downsamples `points` to at most `width` points by averaging equal
@@ -336,17 +318,14 @@ mod tests {
     use crate::Registry;
 
     #[test]
-    fn counters_become_deltas_and_gauges_values() {
+    fn counters_become_deltas() {
         let reg = Registry::new();
         let c = reg.counter("sim.packets.sent");
-        let g = reg.gauge("core.balance.beta");
         let mut tl = Timeline::new(1.0);
 
         c.add(5);
-        g.set(1.5);
         tl.sample(1.0, &reg.report());
         c.add(2);
-        g.set(0.5);
         tl.sample(2.0, &reg.report());
         tl.sample(3.0, &reg.report());
 
@@ -356,9 +335,6 @@ mod tests {
         assert_eq!(sent.kind, SeriesKind::CounterDelta);
         assert_eq!(sent.points, vec![5.0, 2.0, 0.0]);
         assert_eq!(sent.total(), 7.0);
-        let beta = report.series("core.balance.beta").expect("gauge series");
-        assert_eq!(beta.kind, SeriesKind::Gauge);
-        assert_eq!(beta.points, vec![1.5, 0.5, 0.5]);
     }
 
     #[test]
@@ -393,13 +369,12 @@ mod tests {
     fn json_round_trip_preserves_report() {
         let reg = Registry::new();
         reg.counter("a").add(1);
-        reg.gauge("b").set(2.25);
         let mut tl = Timeline::new(0.5);
         tl.sample(0.5, &reg.report());
         tl.record("node.1.role", 2.0);
         tl.sample(1.0, &reg.report());
         let report = tl.report();
-        let back = TimelineReport::from_json(&report.to_json()).expect("parses");
+        let back: TimelineReport = serde::from_json(&serde::to_json(&report)).expect("parses");
         assert_eq!(back, report);
     }
 

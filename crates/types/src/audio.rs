@@ -11,9 +11,9 @@
 //! ```
 //! use enviromic_types::audio;
 //!
-//! // One second of audio is ~11.8 chunks of payload.
-//! let chunks = audio::bytes_to_chunks_ceil(audio::SAMPLE_RATE_HZ as u64);
-//! assert_eq!(chunks, 12);
+//! // One full chunk holds ~85 ms of audio.
+//! let secs = audio::chunks_to_secs(1);
+//! assert!((secs - 0.085).abs() < 1e-3);
 //! ```
 
 use crate::SimDuration;
@@ -58,18 +58,6 @@ pub fn bytes_to_secs(bytes: u64) -> f64 {
     bytes as f64 / BYTES_PER_SEC as f64
 }
 
-/// Payload bytes needed to store `secs` seconds of audio.
-#[must_use]
-pub fn secs_to_bytes(secs: f64) -> u64 {
-    (secs * BYTES_PER_SEC as f64).ceil() as u64
-}
-
-/// Number of chunks needed to hold `bytes` of audio payload (rounded up).
-#[must_use]
-pub fn bytes_to_chunks_ceil(bytes: u64) -> u64 {
-    bytes.div_ceil(CHUNK_PAYLOAD_BYTES as u64)
-}
-
 /// Seconds of audio that fit in `chunks` full chunks.
 #[must_use]
 pub fn chunks_to_secs(chunks: u64) -> f64 {
@@ -91,21 +79,6 @@ mod tests {
         let d = chunk_duration();
         let expect = 232.0 / 2730.0;
         assert!((d.as_secs_f64() - expect).abs() < 1e-4);
-    }
-
-    #[test]
-    fn bytes_seconds_round_trip() {
-        let secs = 12.5;
-        let bytes = secs_to_bytes(secs);
-        assert!((bytes_to_secs(bytes) - secs).abs() < 1e-3);
-    }
-
-    #[test]
-    fn chunk_count_rounds_up() {
-        assert_eq!(bytes_to_chunks_ceil(0), 0);
-        assert_eq!(bytes_to_chunks_ceil(1), 1);
-        assert_eq!(bytes_to_chunks_ceil(232), 1);
-        assert_eq!(bytes_to_chunks_ceil(233), 2);
     }
 
     #[test]

@@ -52,21 +52,6 @@ impl EventId {
     pub const fn seq(self) -> u32 {
         self.seq
     }
-
-    /// Packs the ID into a `u64` for compact wire encoding.
-    #[must_use]
-    pub const fn to_raw(self) -> u64 {
-        ((self.leader.0 as u64) << 32) | self.seq as u64
-    }
-
-    /// Unpacks an ID previously produced by [`EventId::to_raw`].
-    #[must_use]
-    pub const fn from_raw(raw: u64) -> Self {
-        EventId {
-            leader: NodeId((raw >> 32) as u32),
-            seq: raw as u32,
-        }
-    }
 }
 
 impl fmt::Display for EventId {
@@ -80,19 +65,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn raw_round_trip() {
-        let id = EventId::new(NodeId(65535), u32::MAX);
-        assert_eq!(EventId::from_raw(id.to_raw()), id);
-        let id2 = EventId::new(NodeId(0), 0);
-        assert_eq!(EventId::from_raw(id2.to_raw()), id2);
-    }
-
-    #[test]
     fn distinct_leaders_distinct_ids() {
         let a = EventId::new(NodeId(1), 5);
         let b = EventId::new(NodeId(2), 5);
         assert_ne!(a, b);
-        assert_ne!(a.to_raw(), b.to_raw());
     }
 
     #[test]

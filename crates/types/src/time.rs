@@ -73,29 +73,11 @@ impl SimTime {
         self.0 as f64 / JIFFIES_PER_SEC as f64
     }
 
-    /// Returns the instant as whole milliseconds since simulation start
-    /// (rounded down).
-    #[must_use]
-    pub const fn as_millis(self) -> u64 {
-        self.0 * 1000 / JIFFIES_PER_SEC
-    }
-
     /// The span from `earlier` to `self`, saturating to zero if `earlier`
     /// is in the future.
     #[must_use]
     pub const fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// The span from `earlier` to `self`.
-    ///
-    /// Returns `None` when `earlier > self`.
-    #[must_use]
-    pub const fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        match self.0.checked_sub(earlier.0) {
-            Some(d) => Some(SimDuration(d)),
-            None => None,
-        }
     }
 }
 
@@ -275,8 +257,6 @@ mod tests {
         assert_eq!((t1 - t0).as_jiffies(), 50);
         // Subtraction of a later instant saturates rather than wrapping.
         assert_eq!((t0 - t1).as_jiffies(), 0);
-        assert_eq!(t0.checked_since(t1), None);
-        assert_eq!(t1.checked_since(t0), Some(SimDuration::from_jiffies(50)));
     }
 
     #[test]

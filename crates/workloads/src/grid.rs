@@ -127,21 +127,6 @@ impl Topology {
         self.positions.is_empty()
     }
 
-    /// The position of the node index closest to `p`.
-    #[must_use]
-    pub fn nearest(&self, p: Position) -> usize {
-        self.positions
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                a.distance_to(p)
-                    .partial_cmp(&b.distance_to(p))
-                    .unwrap_or(core::cmp::Ordering::Equal)
-            })
-            .map(|(i, _)| i)
-            .expect("topology is non-empty")
-    }
-
     /// The grid cell `(col, row)` a node falls into when the bounding box
     /// is binned into the logical `cols × rows` grid.
     #[must_use]
@@ -199,14 +184,6 @@ mod tests {
             assert!((0.0..=105.0).contains(&p.x), "{p}");
             assert!((0.0..=105.0).contains(&p.y), "{p}");
         }
-    }
-
-    #[test]
-    fn nearest_finds_the_closest_node() {
-        let t = Topology::grid(3, 3, 2.0);
-        assert_eq!(t.nearest(Position::new(0.1, 0.1)), 0);
-        assert_eq!(t.nearest(Position::new(4.1, 4.2)), 8);
-        assert_eq!(t.nearest(Position::new(2.0, 0.0)), 1);
     }
 
     #[test]

@@ -140,6 +140,16 @@ fn parse_args() -> Options {
             }
         }
     }
+    // A sweep runs seeds `seed..=seed + seeds - 1`: the last one must fit.
+    if opts.seed.checked_add(opts.seeds - 1).is_none() {
+        eprintln!(
+            "enviromic: --seed {} --seeds {} runs past the last seed, {}",
+            opts.seed,
+            opts.seeds,
+            u64::MAX
+        );
+        usage();
+    }
     // Check the node flags together, before any run: a bad value must not
     // reach `EnviroMicNode::new`, which panics on it.
     if let Err(e) = node_config(&opts).validate() {
@@ -222,7 +232,7 @@ fn run_seed_sweep(opts: &Options) {
             faults: enviromic_sim::FaultPlan::new(),
         }
     });
-    let seeds: Vec<u64> = (opts.seed..opts.seed + opts.seeds).collect();
+    let seeds: Vec<u64> = (opts.seed..=opts.seed + (opts.seeds - 1)).collect();
     log_info!(
         "[enviromic] sweeping {} seeds of {} on {} workers...",
         opts.seeds,
@@ -240,7 +250,7 @@ fn run_seed_sweep(opts: &Options) {
         print!("{}", outcome.aggregate.render_dashboard());
     }
     if let Some(path) = &opts.timeline_out {
-        write_dump(path, &DumpFile::sweep_timelines(&outcome).to_json());
+        write_dump(path, &serde::to_json(&DumpFile::sweep_timelines(&outcome)));
     }
 }
 
@@ -332,6 +342,6 @@ fn main() {
         let dump = DumpFile {
             runs: vec![RunDump::from_run(&opts.scenario, opts.seed, &run, true)],
         };
-        write_dump(path, &dump.to_json());
+        write_dump(path, &serde::to_json(&dump));
     }
 }

@@ -222,7 +222,7 @@ fn main() {
         log_warn!("could not read {}: {e}", opts.path);
         std::process::exit(1);
     });
-    let dump = DumpFile::from_json(&text).unwrap_or_else(|e| {
+    let dump: DumpFile = serde::from_json(&text).unwrap_or_else(|e| {
         log_warn!("could not parse {}: {e}", opts.path);
         std::process::exit(1);
     });

@@ -29,7 +29,7 @@
 //! | [`workloads`] | paper testbed topologies and acoustic scenarios |
 //! | [`metrics`] | miss ratio, redundancy, overhead, contours |
 //! | [`archive`] | basestation archive: interval index, query cache, gap re-requests |
-//! | [`telemetry`] | runtime counters, gauges, histograms, sim-time timelines, logging |
+//! | [`telemetry`] | runtime counters, histograms, sim-time timelines, logging |
 //! | [`harness`] | one-call experiment assembly and execution |
 //! | [`sweep`] | parallel seed × scenario sweeps with deterministic replay |
 //! | [`observe`] | run dumps, trace filtering, per-node ledgers (the `trace` explorer) |

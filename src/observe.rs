@@ -84,22 +84,6 @@ impl DumpFile {
                 .collect(),
         }
     }
-
-    /// Serializes the dump as indented JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde::Serialize::to_value(self).to_json_pretty()
-    }
-
-    /// Parses a dump back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string for malformed JSON or mismatched shape.
-    pub fn from_json(text: &str) -> Result<DumpFile, String> {
-        let value = serde::Value::from_json(text).map_err(|e| e.to_string())?;
-        serde::Deserialize::from_value(&value).map_err(|e: serde::DeError| e.to_string())
-    }
 }
 
 /// Exports a completed run into the basestation archive: every
@@ -112,13 +96,6 @@ impl DumpFile {
 #[must_use]
 pub fn archive_run(run: &ExperimentRun) -> ArchiveStore {
     archive_events(&run.trace)
-}
-
-/// Like [`archive_run`], from a previously written [`RunDump`] — the
-/// offline path: dump a run once, rebuild the archive from the file.
-#[must_use]
-pub fn archive_dump(dump: &RunDump) -> ArchiveStore {
-    archive_events(&dump.events)
 }
 
 fn archive_events<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> ArchiveStore {
@@ -278,7 +255,7 @@ mod tests {
         let dump = DumpFile {
             runs: vec![RunDump::from_run("quick-indoor", 7, &run, true)],
         };
-        let back = DumpFile::from_json(&dump.to_json()).expect("parses");
+        let back: DumpFile = serde::from_json(&serde::to_json(&dump)).expect("parses");
         assert_eq!(back, dump);
         let r = &back.runs[0];
         assert_eq!(
@@ -400,7 +377,7 @@ mod tests {
         assert!(!from_run.is_empty());
 
         let dump = RunDump::from_run("quick-indoor", 7, &run, true);
-        let from_dump = archive_dump(&dump);
+        let from_dump = archive_events(&dump.events);
         assert_eq!(from_run.records(), from_dump.records());
         assert_eq!(from_run.ingest_stats(), from_dump.ingest_stats());
     }

@@ -310,12 +310,6 @@ impl SweepPlan {
         self.timeline_secs = Some(secs);
         self
     }
-
-    /// Total number of jobs the plan expands to.
-    #[must_use]
-    pub fn job_count(&self) -> usize {
-        self.seeds.len() * self.scenarios.len()
-    }
 }
 
 /// One completed job, in full: the run itself plus its identity and cost.
@@ -440,24 +434,6 @@ pub struct SweepSummary {
     pub aggregate: TelemetryReport,
 }
 
-impl SweepSummary {
-    /// Serializes the summary as indented JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        serde::Serialize::to_value(self).to_json_pretty()
-    }
-
-    /// Parses a summary back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string for malformed JSON or mismatched shape.
-    pub fn from_json(text: &str) -> Result<SweepSummary, String> {
-        let value = serde::Value::from_json(text).map_err(|e| e.to_string())?;
-        serde::Deserialize::from_value(&value).map_err(|e: serde::DeError| e.to_string())
-    }
-}
-
 /// One queued unit of work.
 struct SweepJob {
     index: usize,
@@ -494,7 +470,7 @@ fn execute(job: &SweepJob) -> JobOutcome {
 /// Runs every job of `plan` on a pool of `workers` threads and returns
 /// the outcomes in plan order.
 ///
-/// `workers` is clamped to `[1, job_count]`. Work distribution is a
+/// `workers` is clamped to `[1, number of jobs]`. Work distribution is a
 /// shared `Mutex<VecDeque>` job queue (idle workers steal the next job),
 /// which affects only *which thread* runs a job — never its result,
 /// because each job owns all of its mutable state.
@@ -584,7 +560,10 @@ mod tests {
         // the summary the `artifacts` bin commits is byte-identical.
         assert_eq!(serial.aggregate.counters, pooled.aggregate.counters);
         assert_eq!(serial.aggregate.histograms, pooled.aggregate.histograms);
-        assert_eq!(serial.summary().to_json(), pooled.summary().to_json());
+        assert_eq!(
+            serde::to_json(&serial.summary()),
+            serde::to_json(&pooled.summary())
+        );
     }
 
     #[test]
@@ -601,7 +580,6 @@ mod tests {
                 ("quick-forest".into(), 2),
             ]
         );
-        assert_eq!(out.jobs.len(), plan.job_count());
         for j in &out.jobs {
             assert!(
                 j.events > 0,
@@ -616,7 +594,7 @@ mod tests {
     fn summary_round_trips_through_json() {
         let out = run_sweep(&quick_plan(vec![5], 10.0), 2);
         let summary = out.summary();
-        let back = SweepSummary::from_json(&summary.to_json()).expect("parses");
+        let back: SweepSummary = serde::from_json(&serde::to_json(&summary)).expect("parses");
         assert_eq!(back, summary);
         assert_eq!(back.jobs.len(), 2);
         assert!(back.jobs[0].digest.starts_with("0x"));

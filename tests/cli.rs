@@ -23,7 +23,7 @@ fn bad_flag_values_exit_2_with_the_usage_line() {
     // Every case but the `--duration` one runs a 1 s scenario, so a flag
     // that slips through fails the test quickly instead of running the
     // default 1,100 s indoor campaign.
-    let cases: [&[&str]; 9] = [
+    let cases: [&[&str]; 10] = [
         &["--duration", "1", "--flash", "0"],
         &["--duration", "1", "--beta-max", "0.5"],
         &["--duration", "1", "--beta-max", "NaN"],
@@ -33,6 +33,14 @@ fn bad_flag_values_exit_2_with_the_usage_line() {
         &["--duration", "1", "--timeline", "0"],
         &["--duration", "0"],
         &["--duration", "1", "--scenario", "nowhere"],
+        &[
+            "--duration",
+            "1",
+            "--seed",
+            "18446744073709551615",
+            "--seeds",
+            "2",
+        ],
     ];
     let failures: Vec<String> = cases
         .iter()

@@ -161,7 +161,7 @@ fn timelines_are_bit_identical_across_worker_counts() {
         .iter()
         .map(|j| {
             let tl = j.run.timeline.as_ref().expect("timeline sampled");
-            (j.seed, tl.to_json())
+            (j.seed, serde::to_json(tl))
         })
         .collect();
     let parallel: Vec<(u64, String)> = run_sweep(&plan, 4)
@@ -169,7 +169,7 @@ fn timelines_are_bit_identical_across_worker_counts() {
         .iter()
         .map(|j| {
             let tl = j.run.timeline.as_ref().expect("timeline sampled");
-            (j.seed, tl.to_json())
+            (j.seed, serde::to_json(tl))
         })
         .collect();
     assert_eq!(reference, parallel, "timeline JSON varies with pool size");

@@ -32,6 +32,6 @@ fn cooperative_run_populates_protocol_counters() {
     // The same report renders as text and survives the JSON export path.
     let dashboard = t.render_dashboard();
     assert!(dashboard.contains("core.task.assigned"));
-    let back = TelemetryReport::from_json(&t.to_json()).expect("export round-trips");
+    let back: TelemetryReport = serde::from_json(&serde::to_json(&t)).expect("export round-trips");
     assert_eq!(&back, t);
 }
