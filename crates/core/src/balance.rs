@@ -109,12 +109,10 @@ impl EnviroMicNode {
         self.arm(ctx, T_STATE, STATE_PERIOD);
     }
 
-    /// A policy-ready snapshot of the neighbour table, in node-ID order
-    /// (so no policy can depend on hash-map iteration order).
+    /// A policy-ready snapshot of the neighbour table, in node-ID order.
     fn neighbor_views(&self) -> Vec<NeighborView> {
         self.neighbors
             .entries()
-            .into_iter()
             .map(|(node, info)| NeighborView {
                 node,
                 ttl_secs: info.ttl_secs,

@@ -29,7 +29,6 @@ use enviromic_telemetry::{Counter, Histogram, Registry};
 use enviromic_timesync::{BeaconScheduler, SyncState};
 use enviromic_types::{audio, EventId, NodeId, SimDuration, SimTime};
 use rand::Rng;
-use std::collections::HashMap;
 
 // Timer tokens. Each token names one logical timer; the node remembers the
 // latest handle armed per token and ignores stale firings.
@@ -46,6 +45,12 @@ pub(crate) const T_SYNC: u32 = 10;
 pub(crate) const T_PIGGY: u32 = 11;
 pub(crate) const T_REPLY_START: u32 = 12;
 pub(crate) const T_REPLY_PACE: u32 = 13;
+/// Tokens run from 1 to the last one; token `t` owns slot `t - 1` of
+/// `EnviroMicNode::timers`.
+const TIMER_TOKENS: usize = T_REPLY_PACE as usize;
+/// What a `timers` slot holds while its token is not armed. Backends
+/// count handles up from 0 or 1, so none hands out this one.
+const UNARMED: TimerHandle = TimerHandle(u64::MAX);
 
 /// An in-progress recording (task, prelude, or baseline interval).
 #[derive(Debug)]
@@ -237,7 +242,8 @@ pub struct EnviroMicNode {
     pub(crate) piggyback: PiggybackQueue,
     pub(crate) sync: SyncState,
     pub(crate) beacons: BeaconScheduler,
-    pub(crate) tree: TreeState,
+    /// Spanning-tree state, created by the first `TREE_BUILD` or `QUERY`.
+    pub(crate) tree: Option<Box<TreeState>>,
 
     // group / event state
     pub(crate) hearing: bool,
@@ -288,7 +294,8 @@ pub struct EnviroMicNode {
     pub(crate) pending_reply: Option<Box<PendingReply>>,
 
     // plumbing
-    pub(crate) timers: HashMap<u32, TimerHandle>,
+    /// The handle armed per timer token, or [`UNARMED`].
+    pub(crate) timers: [TimerHandle; TIMER_TOKENS],
     pub(crate) stats: NodeStats,
     pub(crate) metrics: CoreMetrics,
 }
@@ -322,7 +329,7 @@ impl EnviroMicNode {
             piggyback: PiggybackQueue::new(PIGGYBACK_MAX_WAIT, PACKET_BUDGET),
             sync: SyncState::new(NodeId(0)),
             beacons: BeaconScheduler::new(SYNC_MIN_PERIOD, SYNC_MAX_PERIOD),
-            tree: TreeState::new(),
+            tree: None,
             hearing: false,
             current_level: 0.0,
             group_event: None,
@@ -346,7 +353,7 @@ impl EnviroMicNode {
             bulk_in: None,
             session_seq: 0,
             pending_reply: None,
-            timers: HashMap::new(),
+            timers: [UNARMED; TIMER_TOKENS],
             stats: NodeStats::default(),
             metrics: CoreMetrics::detached(),
         }
@@ -400,23 +407,29 @@ impl EnviroMicNode {
     /// Arms (or re-arms) the logical timer `token`.
     pub(crate) fn arm(&mut self, ctx: &mut dyn Runtime, token: u32, delay: SimDuration) {
         let handle = ctx.set_timer(delay, token);
-        if let Some(old) = self.timers.insert(token, handle) {
+        let old = core::mem::replace(&mut self.timers[token as usize - 1], handle);
+        if old != UNARMED {
             ctx.cancel_timer(old);
         }
     }
 
     /// Disarms the logical timer `token`.
     pub(crate) fn disarm(&mut self, ctx: &mut dyn Runtime, token: u32) {
-        if let Some(h) = self.timers.remove(&token) {
-            ctx.cancel_timer(h);
+        let old = core::mem::replace(&mut self.timers[token as usize - 1], UNARMED);
+        if old != UNARMED {
+            ctx.cancel_timer(old);
         }
     }
 
-    /// True when `timer` is the current firing of its token.
+    /// True when `timer` is the current firing of its token. A token
+    /// without a slot is never armed.
     fn is_current(&mut self, timer: Timer) -> bool {
-        match self.timers.get(&timer.token) {
-            Some(&h) if h == timer.handle => {
-                self.timers.remove(&timer.token);
+        let slot = (timer.token as usize)
+            .checked_sub(1)
+            .and_then(|i| self.timers.get_mut(i));
+        match slot {
+            Some(slot) if *slot != UNARMED && *slot == timer.handle => {
+                *slot = UNARMED;
                 true
             }
             _ => false,
@@ -447,7 +460,7 @@ impl EnviroMicNode {
         } else {
             self.piggyback.enqueue(ctx.now(), msg);
             if let Some(due) = self.piggyback.next_due() {
-                if !self.timers.contains_key(&T_PIGGY) {
+                if self.timers[T_PIGGY as usize - 1] == UNARMED {
                     let delay = due.saturating_since(ctx.now());
                     self.arm(ctx, T_PIGGY, delay);
                 }
@@ -831,7 +844,7 @@ impl Application for EnviroMicNode {
             TracedStore::from_recovered(ChunkStore::recover(flash, eeprom, checkpoint_interval));
         ctx.telemetry().counter("core.node.reboots").inc();
         // Stale timers armed before the crash are filtered by is_current:
-        // the rebuilt timer map holds no pre-crash handles.
+        // the rebuilt timer slots hold no pre-crash handles.
         self.on_start(ctx);
     }
 
@@ -887,15 +900,15 @@ mod tests {
     }
 
     /// Every node of a city world pays this inline size: 100k nodes at
-    /// 1,088 B is 109 MB. Keep new state that most nodes never use
-    /// behind an `Option<Box<_>>`, as `leader`, `task`, `pending_offer`,
-    /// the bulk sessions and `pending_reply` are, rather than raising the
-    /// limit. Each node carries its own [`NodeConfig`], so a value no
-    /// experiment varies belongs in a constant, not a field.
+    /// 1,024 B is 102 MB. Keep new state that most nodes never use
+    /// behind an `Option<Box<_>>`, as `leader`, `task`, `tree`,
+    /// `pending_offer`, the bulk sessions and `pending_reply` are, rather
+    /// than raising the limit. Each node carries its own [`NodeConfig`],
+    /// so a value no experiment varies belongs in a constant, not a field.
     #[test]
     fn node_fits_its_inline_budget() {
         let size = std::mem::size_of::<EnviroMicNode>();
-        assert!(size <= 1_088, "EnviroMicNode is {size} B inline");
+        assert!(size <= 1_024, "EnviroMicNode is {size} B inline");
         let cfg = std::mem::size_of::<NodeConfig>();
         assert!(cfg <= 64, "NodeConfig is {cfg} B");
     }

@@ -41,7 +41,8 @@ impl EnviroMicNode {
         build_id: u32,
         hops: u8,
     ) {
-        if let TreeAction::Rebroadcast(msg) = self.tree.on_build(from, root, build_id, hops) {
+        let tree = self.tree.get_or_insert_with(Box::default);
+        if let TreeAction::Rebroadcast(msg) = tree.on_build(from, root, build_id, hops) {
             self.send(ctx, msg);
         }
     }
@@ -55,7 +56,8 @@ impl EnviroMicNode {
         t1: SimTime,
         all: bool,
     ) {
-        let (answer, action) = self.tree.on_query(root, query_id, t0, t1, all);
+        let tree = self.tree.get_or_insert_with(Box::default);
+        let (answer, action) = tree.on_query(root, query_id, t0, t1, all);
         if let TreeAction::Rebroadcast(msg) = action {
             self.send(ctx, msg);
         }
@@ -103,7 +105,10 @@ impl EnviroMicNode {
             self.send(ctx, done);
             return;
         }
-        let use_tree = self.tree.root() == Some(root) && self.tree.hops().unwrap_or(0) > 1;
+        let use_tree = self
+            .tree
+            .as_ref()
+            .is_some_and(|t| t.root() == Some(root) && t.hops().unwrap_or(0) > 1);
         if use_tree {
             let reply = self.pending_reply.as_mut().expect("checked above");
             reply.chunks = matching;
@@ -170,7 +175,13 @@ impl EnviroMicNode {
     /// Where an upward-travelling answer goes next: the tree parent when
     /// attached, otherwise straight to the root.
     fn answer_next_hop(&self, root: NodeId) -> NodeId {
-        self.tree.should_relay_to(root).unwrap_or(root)
+        self.relay_parent(root).unwrap_or(root)
+    }
+
+    /// The tree parent an answer addressed to this node climbs to, when
+    /// the node relays for `root`.
+    fn relay_parent(&self, root: NodeId) -> Option<NodeId> {
+        self.tree.as_ref().and_then(|t| t.should_relay_to(root))
     }
 
     /// Reports completion of a bulk-path answer.
@@ -203,7 +214,7 @@ impl EnviroMicNode {
             return;
         }
         // Relay one hop up the tree.
-        if let Some(parent) = self.tree.should_relay_to(root) {
+        if let Some(parent) = self.relay_parent(root) {
             self.send(
                 ctx,
                 Message::QueryData {
@@ -229,7 +240,7 @@ impl EnviroMicNode {
         if to != self.me || root == self.me {
             return;
         }
-        if let Some(parent) = self.tree.should_relay_to(root) {
+        if let Some(parent) = self.relay_parent(root) {
             self.send(
                 ctx,
                 Message::QueryDone {

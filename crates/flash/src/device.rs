@@ -82,17 +82,25 @@ impl std::error::Error for FlashError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Flash {
-    /// Block payloads, allocated lazily on first write: a freshly
-    /// constructed (or never-written) block is `None` and reads as all
-    /// `0xFF` — indistinguishable from an eagerly erased array, at none of
-    /// the memory cost. A 100k-node city world carries
-    /// gigabytes of *addressable* flash but writes only a sliver of it;
-    /// sparse backing makes construction O(blocks) pointer-sized slots
-    /// instead of first-touching every payload page.
-    blocks: Vec<Option<Box<[u8; BLOCK_BYTES]>>>,
-    write_counts: Vec<u64>,
-    endurance: u64,
-    bad: Vec<bool>,
+    /// Per-block records, empty until the first [`Flash::write_block`] or
+    /// [`Flash::mark_bad`] and then one per block. A device nobody
+    /// touches, like most of a city world's, owns no heap at all, and
+    /// reads as erased, unworn and good everywhere.
+    blocks: Vec<Block>,
+    block_count: u32,
+    endurance: u32,
+}
+
+/// One block's state: 16 B, so a touched 2,048-block device costs 32 KB
+/// of records on top of the payloads it actually wrote.
+#[derive(Debug, Clone, Default)]
+struct Block {
+    /// The payload, allocated on the block's first write: `None` reads as
+    /// all `0xFF`, indistinguishable from an eagerly erased array.
+    payload: Option<Box<[u8; BLOCK_BYTES]>>,
+    /// Completed writes; they stop at the endurance, which fits a `u32`.
+    writes: u32,
+    bad: bool,
 }
 
 /// What an unwritten (erased) block reads as.
@@ -100,56 +108,84 @@ static ERASED_BLOCK: [u8; BLOCK_BYTES] = [0xFF; BLOCK_BYTES];
 
 impl Flash {
     /// Creates a device with `blocks` erased blocks and the given per-block
-    /// write `endurance`. No block payload is allocated until its first
-    /// write ([`Flash::resident_payload_bytes`] starts at zero).
+    /// write `endurance`. Nothing is allocated until the first write or
+    /// bad-block mark ([`Flash::resident_payload_bytes`] starts at zero).
     ///
     /// # Panics
     ///
-    /// Panics when `blocks` is zero.
+    /// Panics when `blocks` is zero or `endurance` exceeds `u32::MAX`.
     #[must_use]
     pub fn new(blocks: u32, endurance: u64) -> Self {
         assert!(blocks > 0, "flash needs at least one block");
+        let endurance = u32::try_from(endurance).expect("flash endurance must fit in a u32");
         Flash {
-            blocks: vec![None; blocks as usize],
-            write_counts: vec![0; blocks as usize],
+            blocks: Vec::new(),
+            block_count: blocks,
             endurance,
-            bad: vec![false; blocks as usize],
         }
     }
 
     /// Number of blocks on the device.
     #[must_use]
     pub fn block_count(&self) -> u32 {
-        self.blocks.len() as u32
+        self.block_count
+    }
+
+    /// `index` as a position in `blocks`, or the error naming it.
+    fn position(&self, index: u32) -> Result<usize, FlashError> {
+        if index < self.block_count {
+            Ok(index as usize)
+        } else {
+            Err(FlashError::OutOfBounds {
+                index,
+                capacity: self.block_count,
+            })
+        }
+    }
+
+    /// The record of block `index`, if the device has been touched.
+    fn block(&self, index: u32) -> Option<&Block> {
+        self.blocks.get(index as usize)
+    }
+
+    /// The record of block `index`, creating every block's record on the
+    /// device's first touch.
+    fn block_mut(&mut self, index: u32) -> Result<&mut Block, FlashError> {
+        let i = self.position(index)?;
+        if self.blocks.is_empty() {
+            self.blocks
+                .resize_with(self.block_count as usize, Block::default);
+        }
+        Ok(&mut self.blocks[i])
     }
 
     /// Writes `data` to block `index` (short data is padded with `0xFF`).
     ///
     /// # Errors
     ///
-    /// [`FlashError::OutOfBounds`] for a bad index,
-    /// [`FlashError::DataTooLong`] when `data` exceeds a block, and
+    /// Checked in this order: [`FlashError::DataTooLong`] when `data`
+    /// exceeds a block, [`FlashError::OutOfBounds`] for a bad index,
+    /// [`FlashError::BadBlock`] for a block marked bad, and
     /// [`FlashError::WearExceeded`] when the block hit its endurance limit.
     pub fn write_block(&mut self, index: u32, data: &[u8]) -> Result<(), FlashError> {
         if data.len() > BLOCK_BYTES {
             return Err(FlashError::DataTooLong { len: data.len() });
         }
-        let capacity = self.block_count();
-        let slot = self
-            .blocks
-            .get_mut(index as usize)
-            .ok_or(FlashError::OutOfBounds { index, capacity })?;
-        if self.bad[index as usize] {
+        let endurance = self.endurance;
+        let block = self.block_mut(index)?;
+        if block.bad {
             return Err(FlashError::BadBlock { index });
         }
-        if self.write_counts[index as usize] >= self.endurance {
+        if block.writes >= endurance {
             return Err(FlashError::WearExceeded { index });
         }
         // First write to this block materializes its payload.
-        let block = slot.get_or_insert_with(|| Box::new([0xFF; BLOCK_BYTES]));
-        block[..data.len()].copy_from_slice(data);
-        block[data.len()..].fill(0xFF);
-        self.write_counts[index as usize] += 1;
+        let payload = block
+            .payload
+            .get_or_insert_with(|| Box::new([0xFF; BLOCK_BYTES]));
+        payload[..data.len()].copy_from_slice(data);
+        payload[data.len()..].fill(0xFF);
+        block.writes += 1;
         Ok(())
     }
 
@@ -160,11 +196,11 @@ impl Flash {
     ///
     /// [`FlashError::OutOfBounds`] for a bad index.
     pub fn read_block(&self, index: u32) -> Result<&[u8; BLOCK_BYTES], FlashError> {
-        let capacity = self.block_count();
-        self.blocks
-            .get(index as usize)
-            .map(|slot| slot.as_deref().unwrap_or(&ERASED_BLOCK))
-            .ok_or(FlashError::OutOfBounds { index, capacity })
+        self.position(index)?;
+        Ok(self
+            .block(index)
+            .and_then(|b| b.payload.as_deref())
+            .unwrap_or(&ERASED_BLOCK))
     }
 
     /// Bytes of block payload actually resident in memory:
@@ -172,13 +208,13 @@ impl Flash {
     /// A fresh device reports zero no matter its addressable capacity.
     #[must_use]
     pub fn resident_payload_bytes(&self) -> u64 {
-        self.blocks.iter().filter(|b| b.is_some()).count() as u64 * BLOCK_BYTES as u64
+        self.blocks.iter().filter(|b| b.payload.is_some()).count() as u64 * BLOCK_BYTES as u64
     }
 
     /// The number of completed writes to block `index` (0 for bad indices).
     #[must_use]
     pub fn write_count(&self, index: u32) -> u64 {
-        self.write_counts.get(index as usize).copied().unwrap_or(0)
+        self.block(index).map_or(0, |b| u64::from(b.writes))
     }
 
     /// Marks block `index` bad: subsequent writes return
@@ -186,15 +222,15 @@ impl Flash {
     /// block stays readable, which is how real NAND bad blocks behave for
     /// previously-programmed pages. Out-of-range indices are ignored.
     pub fn mark_bad(&mut self, index: u32) {
-        if let Some(b) = self.bad.get_mut(index as usize) {
-            *b = true;
+        if let Ok(block) = self.block_mut(index) {
+            block.bad = true;
         }
     }
 
     /// True when block `index` has been marked bad.
     #[must_use]
     pub fn is_bad(&self, index: u32) -> bool {
-        self.bad.get(index as usize).copied().unwrap_or(false)
+        self.block(index).is_some_and(|b| b.bad)
     }
 
     /// The spread between the most- and least-written block.
@@ -203,9 +239,9 @@ impl Flash {
     /// wear-leveling property the tests assert.
     #[must_use]
     pub fn wear_spread(&self) -> u64 {
-        let max = self.write_counts.iter().copied().max().unwrap_or(0);
-        let min = self.write_counts.iter().copied().min().unwrap_or(0);
-        max - min
+        let max = self.blocks.iter().map(|b| b.writes).max().unwrap_or(0);
+        let min = self.blocks.iter().map(|b| b.writes).min().unwrap_or(0);
+        u64::from(max - min)
     }
 }
 
@@ -284,6 +320,75 @@ mod tests {
     #[should_panic(expected = "at least one block")]
     fn zero_blocks_panics() {
         let _ = Flash::new(0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "endurance must fit in a u32")]
+    fn endurance_beyond_u32_panics() {
+        let _ = Flash::new(1, u64::from(u32::MAX) + 1);
+    }
+
+    #[test]
+    fn block_record_stays_at_16_bytes() {
+        assert_eq!(std::mem::size_of::<Block>(), 16);
+    }
+
+    #[test]
+    fn never_written_device_owns_nothing_and_reads_erased() {
+        let f = Flash::new(64, 10_000);
+        assert!(f.blocks.is_empty(), "no per-block table before a touch");
+        assert_eq!(f.block_count(), 64);
+        for i in 0..64 {
+            assert!(f.read_block(i).unwrap().iter().all(|&b| b == 0xFF));
+            assert_eq!(f.write_count(i), 0);
+            assert!(!f.is_bad(i));
+        }
+        assert_eq!(f.wear_spread(), 0);
+        assert_eq!(f.resident_payload_bytes(), 0);
+        let copy = f.clone();
+        assert!(copy.blocks.is_empty());
+    }
+
+    #[test]
+    fn mark_bad_before_any_write_rejects_that_block_only() {
+        let mut f = Flash::new(4, 100);
+        f.mark_bad(1);
+        assert_eq!(f.blocks.len(), 4, "the first touch creates every record");
+        assert!(f.is_bad(1));
+        assert!(!f.is_bad(0));
+        assert_eq!(
+            f.write_block(1, &[1]),
+            Err(FlashError::BadBlock { index: 1 })
+        );
+        assert!(f.read_block(1).unwrap().iter().all(|&b| b == 0xFF));
+        assert_eq!(f.resident_payload_bytes(), 0, "a mark writes no payload");
+        f.write_block(0, &[5]).unwrap();
+        assert_eq!(f.write_count(0), 1);
+        assert_eq!(f.write_count(1), 0);
+        assert_eq!(f.wear_spread(), 1);
+    }
+
+    #[test]
+    fn out_of_range_indices_touch_nothing() {
+        let mut f = Flash::new(3, 100);
+        let oob = FlashError::OutOfBounds {
+            index: 3,
+            capacity: 3,
+        };
+        assert_eq!(f.write_block(3, &[1]), Err(oob));
+        assert_eq!(f.read_block(3), Err(oob));
+        f.mark_bad(3);
+        assert!(!f.is_bad(3));
+        assert_eq!(f.write_count(3), 0);
+        assert!(f.blocks.is_empty(), "a rejected index allocates nothing");
+        // Oversized data is rejected before the index is looked at.
+        let big = vec![0u8; BLOCK_BYTES + 1];
+        assert_eq!(
+            f.write_block(3, &big),
+            Err(FlashError::DataTooLong {
+                len: BLOCK_BYTES + 1
+            })
+        );
     }
 
     #[test]

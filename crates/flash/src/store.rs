@@ -98,10 +98,10 @@ pub struct ChunkStore {
     next_store_seq: u32,
     checkpoint_interval: u32,
     ops_since_checkpoint: u32,
-    /// Store-level bad map: slots the queue flows around. Entries are only
-    /// ever set on *free* slots (discovery happens on a failed write, and
-    /// writes only target free slots), so `head` and every live position is
-    /// always a good block.
+    /// Store-level bad map: slots the queue flows around, empty until the
+    /// first bad block is found. Entries are only ever set on *free* slots
+    /// (discovery happens on a failed write, and writes only target free
+    /// slots), so `head` and every live position is always a good block.
     bad: Vec<bool>,
     bad_count: u32,
     remapped_writes: u64,
@@ -129,7 +129,7 @@ impl ChunkStore {
             next_store_seq: 0,
             checkpoint_interval,
             ops_since_checkpoint: 0,
-            bad: vec![false; blocks as usize],
+            bad: Vec::new(),
             bad_count: 0,
             remapped_writes: 0,
         }
@@ -210,7 +210,7 @@ impl ChunkStore {
         let mut idx = self.head;
         let mut remaining = logical;
         loop {
-            if !self.bad[idx as usize] {
+            if !self.is_store_bad(idx) {
                 if remaining == 0 {
                     return idx;
                 }
@@ -220,9 +220,17 @@ impl ChunkStore {
         }
     }
 
+    /// True when the store has found block `index` bad.
+    fn is_store_bad(&self, index: u32) -> bool {
+        self.bad.get(index as usize).copied().unwrap_or(false)
+    }
+
     /// Records a freshly-discovered bad block and restores the
     /// head-is-good invariant when the queue is empty.
     fn note_bad(&mut self, index: u32) {
+        if self.bad.is_empty() {
+            self.bad = vec![false; self.flash.block_count() as usize];
+        }
         let slot = &mut self.bad[index as usize];
         if !*slot {
             *slot = true;
@@ -416,8 +424,12 @@ impl ChunkStore {
             };
             seqs.push(seq);
         }
-        let bad: Vec<bool> = (0..cap).map(|idx| flash.is_bad(idx)).collect();
-        let bad_count = bad.iter().filter(|b| **b).count() as u32;
+        let bad_count = (0..cap).filter(|&idx| flash.is_bad(idx)).count() as u32;
+        let bad = if bad_count == 0 {
+            Vec::new()
+        } else {
+            (0..cap).map(|idx| flash.is_bad(idx)).collect()
+        };
         let mut store = ChunkStore {
             flash,
             eeprom,
@@ -453,7 +465,7 @@ impl ChunkStore {
         while scanned < cap {
             j = (j + cap - 1) % cap;
             scanned += 1;
-            if store.bad[j as usize] {
+            if store.is_store_bad(j) {
                 continue; // hole inside the window: step over it
             }
             match seqs[j as usize] {
@@ -509,6 +521,24 @@ mod tests {
             resident,
             "recovery must not materialize unwritten blocks"
         );
+    }
+
+    #[test]
+    fn never_written_store_recovers_empty_and_owns_nothing() {
+        let s = ChunkStore::new(64, 16);
+        assert!(s.bad.is_empty(), "no bad map before a bad block is found");
+        let (flash, eeprom) = s.into_parts();
+        let mut r = ChunkStore::recover(flash, eeprom, 16);
+        assert!(r.is_empty());
+        assert_eq!(r.capacity(), 64);
+        assert!(
+            r.bad.is_empty(),
+            "recovery builds no bad map for a clean device"
+        );
+        assert_eq!(r.resident_payload_bytes(), 0);
+        assert_eq!(r.flash().wear_spread(), 0);
+        r.push_back(chunk(1)).unwrap();
+        assert_eq!(r.pop_front().unwrap(), Some(chunk(1)));
     }
 
     #[test]
@@ -685,6 +715,7 @@ mod tests {
             s.push_back(chunk(n)).unwrap(); // block 1 discovered bad mid-way
         }
         assert_eq!(s.remapped_writes(), 1);
+        assert_eq!(s.bad.len(), 4, "the first bad block creates the map");
         assert_eq!(s.capacity(), 3, "bad block shrank usable capacity");
         assert!(s.is_full());
         assert_eq!(s.push_back(chunk(9)), Err(StoreError::Full));

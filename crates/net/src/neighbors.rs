@@ -9,7 +9,6 @@
 //! information is not required").
 
 use enviromic_types::{EventId, NodeId, SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// What is known about one neighbor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,6 +48,11 @@ impl Default for NeighborInfo {
 
 /// The soft-state table of one-hop neighbors.
 ///
+/// Neighbor IDs are kept in ascending order beside their infos, so a
+/// node's table is two vectors sized to its neighbourhood. The lookup
+/// made for each received packet is a binary search over 4-byte keys, and
+/// [`NeighborTable::entries`] reads in ID order without sorting.
+///
 /// # Examples
 ///
 /// ```
@@ -61,7 +65,9 @@ impl Default for NeighborInfo {
 /// ```
 #[derive(Debug, Clone)]
 pub struct NeighborTable {
-    entries: HashMap<NodeId, NeighborInfo>,
+    /// Known neighbors, ascending; `infos[i]` belongs to `ids[i]`.
+    ids: Vec<NodeId>,
+    infos: Vec<NeighborInfo>,
     expiry: SimDuration,
 }
 
@@ -71,15 +77,32 @@ impl NeighborTable {
     #[must_use]
     pub fn new(expiry: SimDuration) -> Self {
         NeighborTable {
-            entries: HashMap::new(),
+            ids: Vec::new(),
+            infos: Vec::new(),
             expiry,
         }
     }
 
+    /// The info of `node`, inserted in ID order with defaults when the
+    /// node is new. The vectors grow one slot at a time: a neighbourhood
+    /// is small and settles early, so doubling would mostly buy slack.
+    fn entry(&mut self, node: NodeId) -> &mut NeighborInfo {
+        let i = match self.ids.binary_search(&node) {
+            Ok(i) => i,
+            Err(i) => {
+                self.ids.reserve_exact(1);
+                self.infos.reserve_exact(1);
+                self.ids.insert(i, node);
+                self.infos.insert(i, NeighborInfo::default());
+                i
+            }
+        };
+        &mut self.infos[i]
+    }
+
     /// Records that `node` was heard at `now` (any message).
     pub fn heard(&mut self, node: NodeId, now: SimTime) {
-        let e = self.entries.entry(node).or_default();
-        e.last_heard = now;
+        self.entry(node).last_heard = now;
     }
 
     /// Records a `SENSING` report from `node`.
@@ -92,7 +115,7 @@ impl NeighborTable {
         has_prelude: bool,
         ttl_secs: u32,
     ) {
-        let e = self.entries.entry(node).or_default();
+        let e = self.entry(node);
         e.last_heard = now;
         e.sensing = event;
         e.sensing_at = now;
@@ -110,7 +133,7 @@ impl NeighborTable {
         free_chunks: u32,
         avg_free_pct: u8,
     ) {
-        let e = self.entries.entry(node).or_default();
+        let e = self.entry(node);
         e.last_heard = now;
         e.ttl_secs = ttl_secs;
         e.free_chunks = free_chunks;
@@ -120,41 +143,47 @@ impl NeighborTable {
     /// Looks up a neighbor.
     #[must_use]
     pub fn get(&self, node: NodeId) -> Option<&NeighborInfo> {
-        self.entries.get(&node)
+        self.ids.binary_search(&node).ok().map(|i| &self.infos[i])
     }
 
-    /// Drops entries not heard within the expiry window before `now`.
+    /// Drops entries not heard within the expiry window before `now`,
+    /// keeping the survivors in ID order.
     pub fn expire(&mut self, now: SimTime) {
-        let expiry = self.expiry;
-        self.entries
-            .retain(|_, e| now.saturating_since(e.last_heard) <= expiry);
+        let mut kept = 0;
+        for i in 0..self.ids.len() {
+            if now.saturating_since(self.infos[i].last_heard) <= self.expiry {
+                self.ids[kept] = self.ids[i];
+                self.infos[kept] = self.infos[i];
+                kept += 1;
+            }
+        }
+        self.ids.truncate(kept);
+        self.infos.truncate(kept);
     }
 
-    /// All current entries (sorted by node ID for determinism).
-    #[must_use]
-    pub fn entries(&self) -> Vec<(NodeId, NeighborInfo)> {
-        let mut v: Vec<(NodeId, NeighborInfo)> =
-            self.entries.iter().map(|(&n, &e)| (n, e)).collect();
-        v.sort_by_key(|(n, _)| *n);
-        v
+    /// All current entries, in ascending node-ID order.
+    pub fn entries(&self) -> impl Iterator<Item = (NodeId, &NeighborInfo)> + '_ {
+        self.ids.iter().copied().zip(&self.infos)
     }
 
     /// Number of known neighbors.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ids.len()
     }
 
     /// True when no neighbors are known.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ids.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
@@ -199,7 +228,131 @@ mod tests {
         tab.heard(NodeId(5), t(1));
         tab.heard(NodeId(2), t(1));
         tab.heard(NodeId(9), t(1));
-        let ids: Vec<u32> = tab.entries().iter().map(|(n, _)| n.0).collect();
+        let ids: Vec<u32> = tab.entries().map(|(n, _)| n.0).collect();
         assert_eq!(ids, vec![2, 5, 9]);
+    }
+
+    /// One table operation, applied at a time advanced by the step's
+    /// millisecond delta.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Heard(NodeId),
+        Sensing {
+            node: NodeId,
+            event: Option<EventId>,
+            level: u8,
+            has_prelude: bool,
+            ttl_secs: u32,
+        },
+        State {
+            node: NodeId,
+            ttl_secs: u32,
+            free_chunks: u32,
+            avg_free_pct: u8,
+        },
+        Expire,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        // A small ID range makes re-hearing, insertion between existing
+        // keys and expiry of middle entries all common.
+        let node = || (0u32..12).prop_map(NodeId);
+        prop_oneof![
+            3 => node().prop_map(Op::Heard),
+            2 => (node(), 0u32..4, any::<u8>(), 0u8..2, any::<u32>()).prop_map(
+                |(node, ev, level, prelude, ttl_secs)| Op::Sensing {
+                    node,
+                    event: (ev > 0).then(|| EventId::new(NodeId(ev), ev)),
+                    level,
+                    has_prelude: prelude == 1,
+                    ttl_secs,
+                }
+            ),
+            2 => (node(), any::<u32>(), any::<u32>(), 0u8..=100).prop_map(
+                |(node, ttl_secs, free_chunks, avg_free_pct)| Op::State {
+                    node,
+                    ttl_secs,
+                    free_chunks,
+                    avg_free_pct,
+                }
+            ),
+            2 => Just(Op::Expire),
+        ]
+    }
+
+    /// What the table must hold, as a map that sorts its own keys.
+    fn apply_model(
+        model: &mut BTreeMap<NodeId, NeighborInfo>,
+        op: &Op,
+        now: SimTime,
+        expiry: SimDuration,
+    ) {
+        match *op {
+            Op::Heard(node) => model.entry(node).or_default().last_heard = now,
+            Op::Sensing {
+                node,
+                event,
+                level,
+                has_prelude,
+                ttl_secs,
+            } => {
+                let e = model.entry(node).or_default();
+                e.last_heard = now;
+                e.sensing = event;
+                e.sensing_at = now;
+                e.level = level;
+                e.has_prelude = has_prelude;
+                e.ttl_secs = ttl_secs;
+            }
+            Op::State {
+                node,
+                ttl_secs,
+                free_chunks,
+                avg_free_pct,
+            } => {
+                let e = model.entry(node).or_default();
+                e.last_heard = now;
+                e.ttl_secs = ttl_secs;
+                e.free_chunks = free_chunks;
+                e.avg_free_pct = avg_free_pct;
+            }
+            Op::Expire => model.retain(|_, e| now.saturating_since(e.last_heard) <= expiry),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn table_matches_an_ordered_map_model(
+            steps in proptest::collection::vec((0u64..700, arb_op()), 1..80),
+        ) {
+            let expiry = SimDuration::from_millis(1000);
+            let mut tab = NeighborTable::new(expiry);
+            let mut model = BTreeMap::new();
+            let mut now = SimTime::ZERO;
+            for (dt, op) in &steps {
+                now += SimDuration::from_millis(*dt);
+                match *op {
+                    Op::Heard(node) => tab.heard(node, now),
+                    Op::Sensing { node, event, level, has_prelude, ttl_secs } => {
+                        tab.sensing_report(node, now, event, level, has_prelude, ttl_secs);
+                    }
+                    Op::State { node, ttl_secs, free_chunks, avg_free_pct } => {
+                        tab.state_update(node, now, ttl_secs, free_chunks, avg_free_pct);
+                    }
+                    Op::Expire => tab.expire(now),
+                }
+                apply_model(&mut model, op, now, expiry);
+                let got: Vec<(NodeId, NeighborInfo)> =
+                    tab.entries().map(|(n, e)| (n, *e)).collect();
+                let want: Vec<(NodeId, NeighborInfo)> =
+                    model.iter().map(|(&n, &e)| (n, e)).collect();
+                prop_assert_eq!(got, want, "entries after {:?}", op);
+                prop_assert_eq!(tab.len(), model.len());
+                prop_assert_eq!(tab.is_empty(), model.is_empty());
+                for id in 0..12 {
+                    prop_assert_eq!(tab.get(NodeId(id)), model.get(&NodeId(id)));
+                }
+            }
+        }
     }
 }

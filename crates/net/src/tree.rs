@@ -14,7 +14,7 @@ use crate::packet::Message;
 use enviromic_types::{NodeId, SimTime};
 use std::collections::HashSet;
 
-/// Per-node spanning-tree and query-dedup state.
+/// Per-node spanning-tree and query-dedup state, detached by default.
 #[derive(Debug, Default)]
 pub struct TreeState {
     /// Current tree membership, if any.
@@ -41,12 +41,6 @@ pub enum TreeAction {
 }
 
 impl TreeState {
-    /// Creates detached state.
-    #[must_use]
-    pub fn new() -> Self {
-        TreeState::default()
-    }
-
     /// The node's current parent in the tree, if attached.
     #[must_use]
     pub fn parent(&self) -> Option<NodeId> {
@@ -140,7 +134,7 @@ mod tests {
 
     #[test]
     fn first_build_attaches_and_rebroadcasts() {
-        let mut s = TreeState::new();
+        let mut s = TreeState::default();
         let action = s.on_build(NodeId(3), ROOT, 1, 0);
         assert_eq!(s.parent(), Some(NodeId(3)));
         assert_eq!(s.hops(), Some(1));
@@ -152,7 +146,7 @@ mod tests {
 
     #[test]
     fn shorter_route_wins_longer_is_ignored() {
-        let mut s = TreeState::new();
+        let mut s = TreeState::default();
         let _ = s.on_build(NodeId(3), ROOT, 1, 4); // 5 hops via n3
         assert_eq!(s.hops(), Some(5));
         let action = s.on_build(NodeId(7), ROOT, 1, 1); // 2 hops via n7
@@ -166,7 +160,7 @@ mod tests {
 
     #[test]
     fn newer_build_wave_supersedes() {
-        let mut s = TreeState::new();
+        let mut s = TreeState::default();
         let _ = s.on_build(NodeId(3), ROOT, 1, 0);
         let action = s.on_build(NodeId(4), ROOT, 2, 3);
         assert!(matches!(action, TreeAction::Rebroadcast(_)));
@@ -176,7 +170,7 @@ mod tests {
 
     #[test]
     fn query_flood_dedups() {
-        let mut s = TreeState::new();
+        let mut s = TreeState::default();
         let (answer, action) = s.on_query(ROOT, 9, SimTime::ZERO, SimTime::MAX, true);
         assert!(answer);
         assert!(matches!(action, TreeAction::Rebroadcast(_)));
@@ -190,7 +184,7 @@ mod tests {
 
     #[test]
     fn relay_goes_to_parent_only_when_attached() {
-        let mut s = TreeState::new();
+        let mut s = TreeState::default();
         assert_eq!(s.should_relay_to(ROOT), None);
         let _ = s.on_build(NodeId(3), ROOT, 1, 0);
         assert_eq!(s.should_relay_to(ROOT), Some(NodeId(3)));

@@ -24,9 +24,12 @@
 //! wheel advances far enough to admit them. An entry is placed by the
 //! highest 6-bit group in which its firing jiffy differs from the wheel's
 //! current position (`at XOR elapsed`), exactly the hashed hierarchy of
-//! classic kernel timer wheels. Slot buckets keep their capacity once
-//! drained, so steady-state operation allocates nothing; that capacity
-//! costs 4 bytes per index.
+//! classic kernel timer wheels. A level-0 bucket refills every jiffy, so
+//! it keeps its capacity once drained and steady-state operation stops
+//! allocating there. A higher-level bucket is drained by a cascade and
+//! refills only when the wheel comes round to its frame again, so it
+//! gives its buffer back instead of keeping room for the most that slot
+//! ever held.
 //!
 //! # Determinism argument
 //!
@@ -239,20 +242,20 @@ impl<E> EventQueue<E> {
                 let width = 1u64 << SLOT_BITS;
                 self.elapsed = (self.elapsed & !(width - 1)) | slot as u64;
                 self.front.extend(bucket.drain(..));
+                // Hand the capacity back: the slot refills next frame.
+                self.slots[idx] = bucket;
             } else {
                 // Enter the slot's range, then redistribute its entries
-                // into lower levels (replayed in scheduling order).
+                // into lower levels (replayed in scheduling order). The
+                // drained buffer is dropped (see module docs).
                 let shift = SLOT_BITS * level as u32;
                 let frame = !((1u64 << (shift + SLOT_BITS)) - 1);
                 let base = (self.elapsed & frame) | ((slot as u64) << shift);
                 self.elapsed = self.elapsed.max(base);
-                for cell in bucket.drain(..) {
+                for cell in bucket {
                     self.insert(cell);
                 }
             }
-            // Hand the (possibly shrunk) capacity back to the slot so
-            // steady-state operation stops allocating.
-            self.slots[idx] = bucket;
             return true;
         }
         if self.overflow.is_empty() {
@@ -431,6 +434,34 @@ mod tests {
             assert!(q.cells.len() <= BURST as usize, "the cell slab grew");
         }
         assert_eq!(q.cells.len(), BURST as usize);
+    }
+
+    /// A cascade gives a higher-level bucket's buffer back, while a
+    /// drained level-0 bucket keeps its capacity for the next frame.
+    #[test]
+    fn cascaded_buckets_keep_no_capacity() {
+        let mut q = EventQueue::new();
+        // Jiffies 4096..4195 sit in level 2, slot 1; jiffy 5 in level 0.
+        for i in 0..100u64 {
+            q.schedule(SimTime::from_jiffies(4096 + i), i);
+        }
+        q.schedule(SimTime::from_jiffies(5), 0);
+        assert!(q.slots[2 * SLOTS + 1].capacity() >= 100);
+        assert_eq!(q.pop(), Some((SimTime::from_jiffies(5), 0)));
+        assert!(q.slots[5].capacity() > 0, "level 0 keeps its buffer");
+        assert_eq!(q.pop(), Some((SimTime::from_jiffies(4096), 0)));
+        assert_eq!(q.slots[2 * SLOTS + 1].capacity(), 0);
+        let level1: usize = q.slots[SLOTS..2 * SLOTS].iter().map(Vec::len).sum();
+        assert_eq!(level1, 36, "jiffies 4160..4195 cascaded to level 1");
+        let rest: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        assert_eq!(rest, (1..100).collect::<Vec<_>>());
+        for level in 1..LEVELS {
+            let retained: usize = q.slots[level * SLOTS..(level + 1) * SLOTS]
+                .iter()
+                .map(Vec::capacity)
+                .sum();
+            assert_eq!(retained, 0, "level {level} kept {retained} indices");
+        }
     }
 
     /// Scheduling before the wheel position is a caller bug and fails

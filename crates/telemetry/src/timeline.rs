@@ -180,12 +180,18 @@ impl TimelineSeries {
     /// Smallest point (0 when the series is empty).
     #[must_use]
     pub fn min(&self) -> f64 {
+        if self.points.is_empty() {
+            return 0.0;
+        }
         self.points.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
     /// Largest point (0 when the series is empty).
     #[must_use]
     pub fn max(&self) -> f64 {
+        if self.points.is_empty() {
+            return 0.0;
+        }
         self.points
             .iter()
             .copied()
@@ -316,6 +322,23 @@ fn condense(points: &[f64], width: usize) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::Registry;
+
+    #[test]
+    fn empty_series_reads_zero_at_both_ends() {
+        let empty = TimelineSeries {
+            name: "sim.packets.sent".into(),
+            kind: SeriesKind::CounterDelta,
+            points: Vec::new(),
+        };
+        assert_eq!(empty.min(), 0.0);
+        assert_eq!(empty.max(), 0.0);
+        assert_eq!(empty.total(), 0.0);
+        let one = TimelineSeries {
+            points: vec![-2.0, 3.0],
+            ..empty
+        };
+        assert_eq!((one.min(), one.max()), (-2.0, 3.0));
+    }
 
     #[test]
     fn counters_become_deltas() {
