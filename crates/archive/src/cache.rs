@@ -11,7 +11,7 @@
 
 use crate::store::RangeQuery;
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Hit/miss/eviction totals — the `archive.cache.*` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
@@ -42,7 +42,7 @@ impl CacheStats {
 /// What the cache decided for one query, in workload order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheDecision {
-    /// The query was resident: its result is a copy of an earlier
+    /// The query was resident: its result is that of an earlier
     /// execution of the same query.
     Hit,
     /// The query must execute; `evicted` reports whether admitting it
@@ -60,7 +60,7 @@ pub struct QueryCache {
     capacity: usize,
     stamp: u64,
     /// Resident query → its last-use stamp.
-    entries: BTreeMap<RangeQuery, u64>,
+    entries: HashMap<RangeQuery, u64>,
     /// Last-use stamp → query; the first entry is the LRU victim.
     recency: BTreeMap<u64, RangeQuery>,
     stats: CacheStats,
@@ -73,7 +73,7 @@ impl QueryCache {
         QueryCache {
             capacity,
             stamp: 0,
-            entries: BTreeMap::new(),
+            entries: HashMap::new(),
             recency: BTreeMap::new(),
             stats: CacheStats::default(),
         }

@@ -6,10 +6,10 @@
 //! **indexed archive** that can serve millions of range queries over the
 //! collected audio, long after the motes are gone.
 //!
-//! * [`ArchiveStore`] — an immutable, queryable index over collected
-//!   chunk records, keyed by (time window × origin node × event id),
-//!   with a bucketed interval index for range scans. Built once via
-//!   [`ArchiveBuilder`], then shared read-only across query workers.
+//! * [`ArchiveStore`] — an immutable store of collected chunk records,
+//!   sorted by audio start so a time × origin × event range scan reads
+//!   one contiguous run. Built once via [`ArchiveBuilder`], then shared
+//!   read-only across query workers.
 //! * [`RangeQuery`] / [`QueryResult`] — time × origin × event range
 //!   scans returning records in canonical order plus an order-sensitive
 //!   FNV-1a digest (the determinism fingerprint CI diffs across worker

@@ -11,7 +11,7 @@
 //! 2. **Execute (parallel):** every miss runs [`ArchiveStore::query`]
 //!    against the shared immutable store. Queries are pure functions of
 //!    the store, so scheduling affects wall-clock only.
-//! 3. **Fill (serial):** hits copy the result of an earlier execution of
+//! 3. **Fill (serial):** hits share the result of an earlier execution of
 //!    the same query.
 //!
 //! Only the workload's wall-clock time varies across worker counts, and
@@ -20,15 +20,16 @@
 use crate::cache::{CacheDecision, CacheStats, QueryCache};
 use crate::store::{ArchiveStore, QueryResult, RangeQuery};
 use enviromic_telemetry::Registry;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Mutex;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// The outcome of serving one query workload.
 #[derive(Debug)]
 pub struct ServeOutcome {
-    /// One result per query, in workload order.
-    pub results: Vec<QueryResult>,
+    /// One result per query, in workload order. A hit shares its source
+    /// scan's result.
+    pub results: Vec<Arc<QueryResult>>,
     /// Cache totals, fixed in workload order.
     pub stats: CacheStats,
     /// Worker threads used.
@@ -91,7 +92,8 @@ pub fn serve_queries(
     let mut cache = QueryCache::new(cache_capacity);
     let mut source: Vec<usize> = Vec::with_capacity(queries.len());
     let mut miss_indices: Vec<usize> = Vec::new();
-    let mut last_miss: BTreeMap<RangeQuery, usize> = BTreeMap::new();
+    // Only a cache that can hit needs to know where each key last missed.
+    let mut last_miss: HashMap<RangeQuery, usize> = HashMap::new();
     for (i, q) in queries.iter().enumerate() {
         match cache.probe(q) {
             CacheDecision::Hit => {
@@ -100,7 +102,9 @@ pub fn serve_queries(
             CacheDecision::Miss { .. } => {
                 source.push(i);
                 miss_indices.push(i);
-                last_miss.insert(*q, i);
+                if cache_capacity > 0 {
+                    last_miss.insert(*q, i);
+                }
             }
         }
     }
@@ -109,7 +113,7 @@ pub fn serve_queries(
     // Phase 2: execute the misses on the pool.
     let workers = workers.clamp(1, miss_indices.len().max(1));
     let queue: Mutex<VecDeque<usize>> = Mutex::new(miss_indices.into_iter().collect());
-    let slots: Mutex<Vec<Option<QueryResult>>> =
+    let slots: Mutex<Vec<Option<Arc<QueryResult>>>> =
         Mutex::new((0..queries.len()).map(|_| None).collect());
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -118,7 +122,7 @@ pub fn serve_queries(
                     let Some(i) = queue.lock().expect("query queue poisoned").pop_front() else {
                         break;
                     };
-                    let result = store.query(&queries[i]);
+                    let result = Arc::new(store.query(&queries[i]));
                     slots.lock().expect("result table poisoned")[i] = Some(result);
                 })
             })
@@ -129,10 +133,10 @@ pub fn serve_queries(
     });
     let slots = slots.into_inner().expect("result table poisoned");
 
-    // Phase 3: assemble in workload order; hits copy their source scan.
-    let results: Vec<QueryResult> = source
+    // Phase 3: assemble in workload order; hits share their source scan.
+    let results: Vec<Arc<QueryResult>> = source
         .iter()
-        .map(|&src| slots[src].clone().expect("source scan was executed"))
+        .map(|&src| Arc::clone(slots[src].as_ref().expect("source scan was executed")))
         .collect();
 
     let outcome = ServeOutcome {
@@ -218,6 +222,27 @@ mod tests {
         assert!(cached.stats.hits > 0, "repeats in the workload hit");
         assert_eq!(uncached.stats.hits, 0);
         assert_eq!(uncached.stats.misses as usize, queries.len());
+
+        // Every hit shares the result of the miss that last scanned its
+        // key; every miss has a result of its own.
+        let mut cache = QueryCache::new(64);
+        let mut last_miss = HashMap::new();
+        for (i, q) in queries.iter().enumerate() {
+            let result = &cached.results[i];
+            match cache.probe(q) {
+                CacheDecision::Hit => {
+                    assert!(
+                        Arc::ptr_eq(result, &cached.results[last_miss[q]]),
+                        "hit {i}"
+                    );
+                }
+                CacheDecision::Miss { .. } => {
+                    let mut earlier = cached.results[..i].iter();
+                    assert!(!earlier.any(|r| Arc::ptr_eq(r, result)), "miss {i}");
+                    last_miss.insert(*q, i);
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,25 +2,47 @@
 //!
 //! Records enter through an [`ArchiveBuilder`] (which deduplicates the
 //! copies storage balancing scattered across the network) and are frozen
-//! into an [`ArchiveStore`]: records in canonical order plus a bucketed
-//! interval index over their audio time spans. The store is immutable
-//! and `Sync`, so a worker pool can serve queries from a shared `&` with
-//! no locking.
+//! into an [`ArchiveStore`]: records in canonical order, where a query's
+//! candidates are one contiguous run found by binary search on the audio
+//! start time. The store is immutable and `Sync`, so a worker pool can
+//! serve queries from a shared `&` with no locking.
 
-use enviromic_types::{EventId, NodeId, SimDuration, SimTime};
+use enviromic_types::{EventId, NodeId, SimTime};
 use serde::Serialize;
-use std::collections::BTreeMap;
+use std::collections::HashSet;
 
 /// FNV-1a offset basis (the digest of an empty result).
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-fn fnv_fold(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+/// `FNV_PRIME^k` for `k` in `0..=8`.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
     }
-    h
+    pow
+};
+
+/// Folds the eight little-endian bytes of `v` into the FNV-1a state `h`.
+/// A zero byte's `h ^= 0` does nothing, so a run of `k` zero bytes folds
+/// as one multiply by `FNV_PRIME^k`; node IDs, sequence numbers and jiffy
+/// times leave most bytes zero. Runs below a non-zero byte fold in the
+/// loop, and the run above the highest one folds last.
+fn fnv_fold(mut h: u64, mut v: u64) -> u64 {
+    let high_zeros = v.leading_zeros() / 8;
+    while v != 0 {
+        let zeros = v.trailing_zeros() / 8;
+        if zeros > 0 {
+            v >>= 8 * zeros;
+            h = h.wrapping_mul(FNV_PRIME_POW[zeros as usize]);
+        }
+        h = (h ^ (v & 0xFF)).wrapping_mul(FNV_PRIME);
+        v >>= 8;
+    }
+    h.wrapping_mul(FNV_PRIME_POW[high_zeros as usize])
 }
 
 /// One collected chunk as the archive sees it: pure metadata. Payloads
@@ -77,7 +99,7 @@ pub struct IngestStats {
 #[derive(Debug, Default)]
 pub struct ArchiveBuilder {
     records: Vec<ArchiveRecord>,
-    seen: BTreeMap<(u32, u64), ()>,
+    seen: HashSet<(u32, u64)>,
     stats: IngestStats,
 }
 
@@ -93,7 +115,7 @@ impl ArchiveBuilder {
     /// decides which copy the archive points at, deterministically.
     pub fn ingest(&mut self, record: ArchiveRecord) {
         let key = (record.origin.0, record.t0.as_jiffies());
-        if self.seen.insert(key, ()).is_none() {
+        if self.seen.insert(key) {
             self.records.push(record);
             self.stats.records += 1;
         } else {
@@ -107,45 +129,29 @@ impl ArchiveBuilder {
         self.stats
     }
 
-    /// Freezes the builder into a queryable store with the default
-    /// interval-index bucket width.
+    /// Freezes the builder into a queryable store.
     #[must_use]
     pub fn build(self) -> ArchiveStore {
-        self.build_with_bucket(ArchiveStore::DEFAULT_BUCKET)
-    }
-
-    /// Freezes the builder with an explicit bucket width.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bucket` is zero.
-    #[must_use]
-    pub fn build_with_bucket(self, bucket: SimDuration) -> ArchiveStore {
-        assert!(!bucket.is_zero(), "interval-index bucket must be non-zero");
         let ArchiveBuilder {
             mut records, stats, ..
         } = self;
         // Canonical record order: by audio start, then origin, then end.
         // Every query result is a subsequence of this order, which is
-        // what makes result digests independent of index layout and
-        // worker scheduling.
+        // what makes result digests independent of worker scheduling.
         records.sort_by_key(|r| (r.t0, r.origin, r.t1));
-        let mut buckets: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-        let width = bucket.as_jiffies();
-        for (i, r) in records.iter().enumerate() {
-            let first = r.t0.as_jiffies() / width;
-            // End jiffy is exclusive when the record ends exactly on a
-            // bucket edge; max() keeps zero-length records indexed.
-            let last = (r.t1.as_jiffies().max(r.t0.as_jiffies() + 1) - 1) / width;
-            for b in first..=last {
-                #[allow(clippy::cast_possible_truncation)]
-                buckets.entry(b).or_default().push(i as u32);
-            }
-        }
+        let max_span = records
+            .iter()
+            .map(|r| r.t1.saturating_since(r.t0).as_jiffies())
+            .max()
+            .unwrap_or(0);
+        let span = records
+            .first()
+            .map(|r| r.t0)
+            .zip(records.iter().map(|r| r.t1).max());
         ArchiveStore {
             records,
-            buckets,
-            bucket_jiffies: width,
+            max_span,
+            span,
             stats,
         }
     }
@@ -213,25 +219,21 @@ impl QueryResult {
     }
 }
 
-/// The frozen, queryable archive: records in canonical order plus the
-/// bucketed interval index. Immutable after build, so `&ArchiveStore`
-/// can be shared across query workers without locks.
+/// The frozen, queryable archive: records in canonical order, plus the
+/// longest record span and the archive's span, both worked out at build.
+/// Immutable after build, so `&ArchiveStore` can be shared across query
+/// workers without locks.
 #[derive(Debug)]
 pub struct ArchiveStore {
     records: Vec<ArchiveRecord>,
-    /// Interval index: time-bucket number → indices of records whose
-    /// audio span overlaps the bucket, ascending.
-    buckets: BTreeMap<u64, Vec<u32>>,
-    bucket_jiffies: u64,
+    /// The longest `t1 - t0` of any record, in jiffies: a record that
+    /// ends after `t` starts after `t - max_span`.
+    max_span: u64,
+    span: Option<(SimTime, SimTime)>,
     stats: IngestStats,
 }
 
 impl ArchiveStore {
-    /// Default interval-index bucket width: 4 s of audio. City/indoor
-    /// chunks span well under a second, so a record lands in one or two
-    /// buckets and a scan touches `window / 4 s` buckets.
-    pub const DEFAULT_BUCKET: SimDuration = SimDuration::from_jiffies(4 * 32_768);
-
     /// An empty archive.
     #[must_use]
     pub fn empty() -> Self {
@@ -266,14 +268,7 @@ impl ArchiveStore {
     /// `None` when empty.
     #[must_use]
     pub fn span(&self) -> Option<(SimTime, SimTime)> {
-        let first = self.records.first()?.t0;
-        let last = self
-            .records
-            .iter()
-            .map(|r| r.t1)
-            .max()
-            .expect("non-empty archive has a max end");
-        Some((first, last))
+        self.span
     }
 
     /// The distinct origin nodes present, ascending.
@@ -285,47 +280,43 @@ impl ArchiveStore {
         origins
     }
 
-    /// Answers `query`: candidate records come from the interval-index
-    /// buckets the window touches, then each candidate is checked
-    /// precisely. The result is identical to a full scan (the
-    /// `index_matches_full_scan_on_a_grid` test in
-    /// `tests/archive_serving.rs`) but touches only the window's buckets.
+    /// Answers `query`. Records are sorted by `t0`, so the candidates are
+    /// the contiguous run that starts after `query.t0 - max_span` (an
+    /// earlier record ends by `query.t0`) and before `query.t1`; each is
+    /// then checked precisely. The run is in canonical order, so the
+    /// result equals a full scan (the oracle tests in
+    /// `tests/archive_serving.rs`) with nothing to sort or dedup.
     #[must_use]
     pub fn query(&self, query: &RangeQuery) -> QueryResult {
-        let mut indices: Vec<u32> = Vec::new();
-        if query.t1 > query.t0 && !self.records.is_empty() {
-            let first = query.t0.as_jiffies() / self.bucket_jiffies;
-            let last = (query.t1.as_jiffies() - 1) / self.bucket_jiffies;
-            for ids in self.buckets.range(first..=last).map(|(_, v)| v) {
-                for &i in ids {
-                    if query.matches(&self.records[i as usize]) {
-                        indices.push(i);
-                    }
+        let mut result = QueryResult {
+            indices: Vec::new(),
+            bytes: 0,
+            digest: FNV_OFFSET,
+        };
+        if query.t1 > query.t0 {
+            let earliest = query.t0.as_jiffies().saturating_sub(self.max_span);
+            let lo = self
+                .records
+                .partition_point(|r| r.t0.as_jiffies() < earliest);
+            let hi = lo + self.records[lo..].partition_point(|r| r.t0 < query.t1);
+            for (i, r) in (lo..).zip(&self.records[lo..hi]) {
+                if query.matches(r) {
+                    #[allow(clippy::cast_possible_truncation)]
+                    result.indices.push(i as u32);
+                    result.bytes += u64::from(r.bytes);
+                    result.digest = r.fold_digest(result.digest);
                 }
             }
-            // A record spanning several buckets appears once per bucket;
-            // canonical order is ascending-unique store order.
-            indices.sort_unstable();
-            indices.dedup();
         }
-        let mut digest = FNV_OFFSET;
-        let mut bytes = 0u64;
-        for &i in &indices {
-            let r = &self.records[i as usize];
-            digest = r.fold_digest(digest);
-            bytes += u64::from(r.bytes);
-        }
-        QueryResult {
-            indices,
-            bytes,
-            digest,
-        }
+        result
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use enviromic_types::SimDuration;
+    use proptest::prelude::*;
 
     fn rec(origin: u32, t0: f64, t1: f64) -> ArchiveRecord {
         ArchiveRecord {
@@ -416,8 +407,7 @@ mod tests {
     }
 
     #[test]
-    fn long_record_spanning_many_buckets_dedups() {
-        // 30 s record crosses ~8 default buckets; must appear once.
+    fn long_record_appears_once_in_a_wider_window() {
         let s = store([rec(1, 1.0, 31.0)]);
         let res = s.query(&q(0.0, 40.0));
         assert_eq!(res.indices, vec![0]);
@@ -431,5 +421,44 @@ mod tests {
         assert_eq!(hi.as_secs_f64(), 9.0);
         assert_eq!(s.origins(), vec![NodeId(1), NodeId(3)]);
         assert!(ArchiveStore::empty().span().is_none());
+    }
+
+    /// Byte-serial FNV-1a, the reference `fnv_fold` must equal.
+    fn fnv1a_reference(mut h: u64, v: u64) -> u64 {
+        for b in v.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
+    /// Arbitrary words, the all-zero and all-ones words, words with one
+    /// non-zero byte, and all-non-zero words with one zero run inside.
+    fn fold_input() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            any::<u64>(),
+            Just(0),
+            Just(u64::MAX),
+            (0u32..8, 1u64..=255).prop_map(|(at, b)| b << (8 * at)),
+            (any::<u64>(), 0u32..8, 1u32..8).prop_map(|(v, at, len)| {
+                let run = u64::MAX >> (64 - 8 * len.min(8 - at)) << (8 * at);
+                (v | 0x0101_0101_0101_0101) & !run
+            }),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn fnv_fold_equals_byte_serial_fnv1a(
+            h in any::<u64>(),
+            words in proptest::collection::vec(fold_input(), 1..64),
+        ) {
+            let (mut fast, mut reference) = (h, h);
+            for &v in &words {
+                fast = fnv_fold(fast, v);
+                reference = fnv1a_reference(reference, v);
+                prop_assert_eq!(fast, reference, "after {:#018x}", v);
+            }
+        }
     }
 }

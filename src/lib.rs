@@ -28,7 +28,7 @@
 //! | [`core`] | the EnviroMic protocol node, baselines, data mule |
 //! | [`workloads`] | paper testbed topologies and acoustic scenarios |
 //! | [`metrics`] | miss ratio, redundancy, overhead, contours |
-//! | [`archive`] | basestation archive: interval index, query cache, gap re-requests |
+//! | [`archive`] | basestation archive: range queries, query cache, gap re-requests |
 //! | [`telemetry`] | runtime counters, histograms, sim-time timelines, logging |
 //! | [`harness`] | one-call experiment assembly and execution |
 //! | [`sweep`] | parallel seed × scenario sweeps with deterministic replay |

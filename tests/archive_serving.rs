@@ -12,8 +12,10 @@
 use enviromic::archive::{
     find_gaps, serve_queries, ArchiveBuilder, ArchiveRecord, ArchiveStore, QueryResult, RangeQuery,
 };
-use enviromic::observe::rerequest_plan;
-use enviromic_types::{NodeId, SimDuration, SimTime};
+use enviromic::harness::run_scenario_with_faults;
+use enviromic::observe::{archive_run, rerequest_plan};
+use enviromic::sweep::ScenarioSpec;
+use enviromic_types::{EventId, NodeId, SimDuration, SimTime};
 
 const SEC: u64 = 32_768;
 
@@ -28,10 +30,36 @@ fn record(origin: u32, t0_j: u64, t1_j: u64) -> ArchiveRecord {
     }
 }
 
-/// Checks an indexed answer against a full scan of the archive with no
-/// index: every record `query` matches, in store order, and their total
-/// bytes. The digest is a fold over the matched records in that order, so
-/// equal indices give an equal digest.
+/// Byte-serial FNV-1a over the eight little-endian bytes of `v`.
+fn fnv1a(mut h: u64, v: u64) -> u64 {
+    for b in v.to_le_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Folds one record into a result digest, in the field order
+/// `BENCH_retrieval.json` commits.
+fn fold_record(h: u64, r: &ArchiveRecord) -> u64 {
+    let event = r.event.map_or(u64::MAX, |e| {
+        (u64::from(e.leader().0) << 32) | u64::from(e.seq())
+    });
+    [
+        u64::from(r.origin.0),
+        event,
+        r.t0.as_jiffies(),
+        r.t1.as_jiffies(),
+        u64::from(r.bytes),
+        u64::from(r.holder.0),
+    ]
+    .into_iter()
+    .fold(h, fnv1a)
+}
+
+/// Checks an answer against a full scan of the archive: every record
+/// `query` matches, in store order, their total bytes, and their digest
+/// folded byte by byte.
 fn assert_matches_full_scan(store: &ArchiveStore, query: &RangeQuery, result: &QueryResult) {
     let records = store.records();
     let indices: Vec<u32> = (0..records.len() as u32)
@@ -41,8 +69,12 @@ fn assert_matches_full_scan(store: &ArchiveStore, query: &RangeQuery, result: &Q
         .iter()
         .map(|&i| u64::from(records[i as usize].bytes))
         .sum();
+    let digest = indices.iter().fold(0xCBF2_9CE4_8422_2325, |h, &i| {
+        fold_record(h, &records[i as usize])
+    });
     assert_eq!(result.indices, indices, "{query:?}");
     assert_eq!(result.bytes, bytes, "{query:?}");
+    assert_eq!(result.digest, digest, "{query:?}");
 }
 
 /// Coverage for origin 0 with a hole from 10 s to 20 s.
@@ -189,6 +221,106 @@ fn index_matches_full_scan_on_a_grid() {
         };
         assert_matches_full_scan(&store, &query, &store.query(&query));
     }
+}
+
+#[test]
+fn scan_matches_full_scan_at_its_edges() {
+    let mut b = ArchiveBuilder::new();
+    // Half-second records from three origins, one a second from 10 s to
+    // 30 s, every other one tagged with an event.
+    for origin in 0..3u32 {
+        for k in 0..20u64 {
+            let t0 = (10 + k) * SEC + u64::from(origin) * 97;
+            b.ingest(ArchiveRecord {
+                event: (k % 2 == 0).then(|| EventId::new(NodeId(origin), k as u32)),
+                ..record(origin, t0, t0 + SEC / 2)
+            });
+        }
+    }
+    // One record 40 times longer than the rest: every window up to its
+    // end must reach back to its start.
+    b.ingest(record(3, 12 * SEC, 32 * SEC));
+    // Zero-length records.
+    b.ingest(record(4, 15 * SEC, 15 * SEC));
+    b.ingest(record(4, 20 * SEC + SEC / 4, 20 * SEC + SEC / 4));
+    // Several records sharing a t0, of different lengths.
+    for origin in 5..9u32 {
+        b.ingest(record(
+            origin,
+            18 * SEC,
+            18 * SEC + u64::from(origin) * SEC / 8,
+        ));
+    }
+    let store = b.build();
+    let (first, last) = store.span().expect("non-empty archive");
+    assert_eq!(
+        (first, last),
+        (
+            SimTime::from_jiffies(10 * SEC),
+            SimTime::from_jiffies(32 * SEC)
+        )
+    );
+
+    let window =
+        |t0: u64, t1: u64| RangeQuery::window(SimTime::from_jiffies(t0), SimTime::from_jiffies(t1));
+    // Wholly before and wholly after the archive.
+    for q in [window(0, 10 * SEC), window(32 * SEC, 40 * SEC)] {
+        assert!(store.query(&q).is_empty(), "{q:?}");
+    }
+    // Late in the long record's tail, past every short record's reach.
+    assert_eq!(store.query(&window(31 * SEC, 40 * SEC)).len(), 1);
+
+    let mut queries = Vec::new();
+    for r in store.records() {
+        let (t0, t1) = (r.t0.as_jiffies(), r.t1.as_jiffies());
+        // A window whose end is a record's start (the half-open edge),
+        // one starting at a record's end, and one jiffy at either edge.
+        queries.push(window(t0.saturating_sub(SEC), t0));
+        queries.push(window(t1, t1 + SEC));
+        queries.push(window(t0, t0 + 1));
+        queries.push(window(t1.saturating_sub(1), t1));
+    }
+    for start in (0..44).map(|k| k * SEC * 3 / 4) {
+        for len in [1, SEC / 4, 3 * SEC, 25 * SEC] {
+            queries.push(window(start, start + len));
+        }
+    }
+    for q in queries.clone() {
+        for origin in [3, 4, 6] {
+            queries.push(RangeQuery {
+                origin: Some(NodeId(origin)),
+                ..q
+            });
+        }
+        queries.push(RangeQuery {
+            event: Some(EventId::new(NodeId(1), 4)),
+            ..q
+        });
+    }
+    for q in &queries {
+        assert_matches_full_scan(&store, q, &store.query(q));
+    }
+}
+
+/// The archive the repository benchmark serves, the seed-42
+/// `quick-indoor` run at 600 s, keeps the pins the benchmark checks.
+#[test]
+fn benchmark_archive_keeps_its_pins() {
+    let input = ScenarioSpec::quick_indoor(600.0).build(42);
+    let run = run_scenario_with_faults(
+        input.scenario,
+        &input.node_cfg,
+        input.world_cfg,
+        input.drain_secs,
+        &input.faults,
+    );
+    let store = archive_run(&run);
+    assert_eq!(store.len(), 1789);
+    let (t0, t1) = store.span().expect("non-empty archive");
+    let whole = RangeQuery::window(t0, t1);
+    let result = store.query(&whole);
+    assert_eq!(result.digest, 0x82ba_8ae3_71c8_8f8d);
+    assert_matches_full_scan(&store, &whole, &result);
 }
 
 #[test]
