@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn empty_archive_and_unknown_origin() {
-        let s = ArchiveStore::empty();
+        let s = ArchiveBuilder::new().build();
         assert!(find_gaps(&s, tol(0.1)).is_empty());
         assert!(coverage_span(&s, NodeId(0)).is_none());
     }

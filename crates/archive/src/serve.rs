@@ -18,7 +18,7 @@
 //! it never enters the committed artifact.
 
 use crate::cache::{CacheDecision, CacheStats, QueryCache};
-use crate::store::{ArchiveStore, QueryResult, RangeQuery};
+use crate::store::{fnv_fold, ArchiveStore, QueryResult, RangeQuery, FNV_OFFSET};
 use enviromic_telemetry::Registry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -43,14 +43,9 @@ impl ServeOutcome {
     /// the workload's determinism fingerprint.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        for r in &self.results {
-            for b in r.digest.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
-        h
+        self.results
+            .iter()
+            .fold(FNV_OFFSET, |h, r| fnv_fold(h, r.digest))
     }
 
     /// Total records matched across the workload.

@@ -12,7 +12,7 @@ use serde::Serialize;
 use std::collections::HashSet;
 
 /// FNV-1a offset basis (the digest of an empty result).
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// `FNV_PRIME^k` for `k` in `0..=8`.
@@ -31,7 +31,7 @@ const FNV_PRIME_POW: [u64; 9] = {
 /// as one multiply by `FNV_PRIME^k`; node IDs, sequence numbers and jiffy
 /// times leave most bytes zero. Runs below a non-zero byte fold in the
 /// loop, and the run above the highest one folds last.
-fn fnv_fold(mut h: u64, mut v: u64) -> u64 {
+pub(crate) fn fnv_fold(mut h: u64, mut v: u64) -> u64 {
     let high_zeros = v.leading_zeros() / 8;
     while v != 0 {
         let zeros = v.trailing_zeros() / 8;
@@ -183,10 +183,12 @@ impl RangeQuery {
     }
 
     /// Does `record` fall in this query's window and filters? A record
-    /// matches when its audio span overlaps `[t0, t1)`.
+    /// matches when its audio span overlaps `[t0, t1)`; an empty or
+    /// reversed window (`t1 <= t0`) matches nothing.
     #[must_use]
     pub fn matches(&self, record: &ArchiveRecord) -> bool {
-        record.t1 > self.t0
+        self.t0 < self.t1
+            && record.t1 > self.t0
             && record.t0 < self.t1
             && self.origin.is_none_or(|o| record.origin == o)
             && self.event.is_none_or(|e| record.event == Some(e))
@@ -234,12 +236,6 @@ pub struct ArchiveStore {
 }
 
 impl ArchiveStore {
-    /// An empty archive.
-    #[must_use]
-    pub fn empty() -> Self {
-        ArchiveBuilder::new().build()
-    }
-
     /// The records, in canonical order.
     #[must_use]
     pub fn records(&self) -> &[ArchiveRecord] {
@@ -400,10 +396,16 @@ mod tests {
 
     #[test]
     fn empty_window_and_reversed_window_match_nothing() {
-        let s = store([rec(1, 0.0, 1.0)]);
-        assert!(s.query(&q(0.5, 0.5)).is_empty());
-        assert!(s.query(&q(3.0, 2.0)).is_empty());
-        assert_eq!(s.query(&q(0.5, 0.5)).digest, FNV_OFFSET);
+        // The [0 s, 10 s) record spans every window's bounds.
+        let s = store([rec(1, 0.0, 1.0), rec(2, 0.0, 10.0)]);
+        for w in [q(0.5, 0.5), q(3.0, 2.0), q(5.0, 3.0)] {
+            let res = s.query(&w);
+            assert!(res.is_empty(), "{w:?} found {:?}", res.indices);
+            assert_eq!(res.digest, FNV_OFFSET);
+            for r in s.records() {
+                assert!(!w.matches(r), "{w:?} matches {r:?}");
+            }
+        }
     }
 
     #[test]
@@ -420,7 +422,7 @@ mod tests {
         assert_eq!(lo.as_secs_f64(), 0.0);
         assert_eq!(hi.as_secs_f64(), 9.0);
         assert_eq!(s.origins(), vec![NodeId(1), NodeId(3)]);
-        assert!(ArchiveStore::empty().span().is_none());
+        assert!(ArchiveBuilder::new().build().span().is_none());
     }
 
     /// Byte-serial FNV-1a, the reference `fnv_fold` must equal.

@@ -28,7 +28,7 @@ use enviromic::runtime::EnergyModel;
 use enviromic::sim::TraceEvent;
 use enviromic::sweep::{run_sweep, JobInput, JobOutcome, ScenarioSpec, SweepPlan};
 use enviromic::types::{MsgKind, SimDuration, RADIO_BITRATE_BPS};
-use enviromic::workloads::{forest_scenario, indoor_scenario, ForestParams, IndoorParams};
+use enviromic::workloads::{forest_scenario, indoor_scenario};
 use serde::{Deserialize, Serialize};
 
 /// One ablation row: a label and its measured metrics.
@@ -116,12 +116,8 @@ pub fn run_jobs(seed: u64, duration: f64, jobs: usize) -> Vec<AblationRow> {
     let specs = configs
         .into_iter()
         .map(|(label, cfg)| {
-            let params = IndoorParams {
-                duration_secs: duration,
-                ..IndoorParams::default()
-            };
             ScenarioSpec::new(label, move |seed| JobInput {
-                scenario: indoor_scenario(&params, seed),
+                scenario: indoor_scenario(duration, seed),
                 node_cfg: cfg.clone(),
                 world_cfg: suite_world_config(seed),
                 drain_secs: 20.0,
@@ -374,16 +370,12 @@ fn policy_spec(family: &'static str, kind: PolicyKind, duration: f64) -> Scenari
     let label = format!("{family}+{}", kind.name());
     match family {
         "forest" => ScenarioSpec::new(label, move |seed| {
-            let params = ForestParams {
-                duration_secs: duration,
-                ..ForestParams::default()
-            };
             // Forest worlds do not snapshot occupancy by default; the
             // matrix needs the polls for its utilization columns.
             let mut world_cfg = forest_world_config(seed);
             world_cfg.occupancy_snapshot_period = Some(SimDuration::from_secs_f64(60.0));
             JobInput {
-                scenario: forest_scenario(&params, seed),
+                scenario: forest_scenario(duration, seed),
                 node_cfg: policy_cfg(kind),
                 world_cfg,
                 drain_secs: 20.0,
@@ -391,11 +383,7 @@ fn policy_spec(family: &'static str, kind: PolicyKind, duration: f64) -> Scenari
             }
         }),
         _ => ScenarioSpec::new(label, move |seed| {
-            let params = IndoorParams {
-                duration_secs: duration,
-                ..IndoorParams::default()
-            };
-            let scenario = indoor_scenario(&params, seed);
+            let scenario = indoor_scenario(duration, seed);
             let faults = if family == "chaos-indoor" {
                 enviromic_sim::FaultPlan::chaos(
                     seed,

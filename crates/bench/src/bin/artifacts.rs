@@ -158,14 +158,11 @@ fn scale(jobs: usize) -> Result<Files, String> {
     Ok(vec![("BENCH_scale.json", serde::to_json(&report))])
 }
 
-/// 600 queries with a 256-entry cache over the golden run's archive
-/// ([`RetrievalOptions::default`]). Writes nothing unless the cached and
+/// The [`run_retrieval`] workload (600 queries, a 256-entry cache) over
+/// the golden run's archive. Writes nothing unless the cached and
 /// uncached passes agree and the cache hit at least once.
 fn retrieval(jobs: usize) -> Result<Files, String> {
-    let run = run_retrieval(&RetrievalOptions {
-        jobs,
-        ..RetrievalOptions::default()
-    });
+    let run = run_retrieval(&RetrievalOptions { jobs });
     if !run.cache_transparent() {
         return Err(format!(
             "cached digest {} != uncached digest {:#018x}",

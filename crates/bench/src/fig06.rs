@@ -13,7 +13,7 @@ use enviromic::metrics::mean_ci90;
 use enviromic::sim::{FaultPlan, RecordKind, TraceEvent};
 use enviromic::sweep::{self, JobInput, ScenarioSpec, SweepPlan};
 use enviromic::types::{NodeId, SimDuration};
-use enviromic::workloads::{mobile_scenario, MobileParams};
+use enviromic::workloads::mobile_scenario;
 use serde::{Deserialize, Serialize};
 
 /// The swept `Dta` values, milliseconds (the paper's x axis).
@@ -48,7 +48,7 @@ pub fn run_sweep(base_seed: u64, runs: u64, jobs: usize) -> Vec<SweepPoint> {
         .iter()
         .map(|&(trc_s, dta_ms)| {
             ScenarioSpec::new(format!("trc{trc_s}-dta{dta_ms}"), move |k| JobInput {
-                scenario: mobile_scenario(&MobileParams::default()),
+                scenario: mobile_scenario(),
                 node_cfg: NodeConfig::default()
                     .with_mode(Mode::CooperativeOnly)
                     .with_trc(SimDuration::from_secs_f64(trc_s))
@@ -124,7 +124,7 @@ pub struct TimelineRow {
 /// per-node recording timeline plus the event window.
 #[must_use]
 pub fn run_timeline(seed: u64) -> (Vec<TimelineRow>, (f64, f64)) {
-    let scenario = mobile_scenario(&MobileParams::default());
+    let scenario = mobile_scenario();
     let event = (
         scenario.sources[0].start.as_secs_f64(),
         scenario.sources[0].stop.as_secs_f64(),

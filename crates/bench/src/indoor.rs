@@ -18,7 +18,7 @@ use enviromic::harness::{indoor_world_config, ExperimentRun};
 use enviromic::metrics::ContourGrid;
 use enviromic::sweep::{run_sweep, JobInput, ScenarioSpec, SweepPlan};
 use enviromic::types::{MsgKind, SimDuration};
-use enviromic::workloads::{indoor_scenario, IndoorParams, Topology};
+use enviromic::workloads::{indoor_scenario, Topology};
 
 /// Message kinds counted as "control messages" in Figs. 12/14 (task
 /// assignment plus load transfer, per the paper's definition).
@@ -109,12 +109,8 @@ pub fn run_suite_jobs(seed: u64, duration_secs: f64, jobs: usize) -> IndoorSuite
     let specs = settings
         .iter()
         .map(|&setting| {
-            let params = IndoorParams {
-                duration_secs,
-                ..IndoorParams::default()
-            };
             ScenarioSpec::new(setting.label(), move |seed| JobInput {
-                scenario: indoor_scenario(&params, seed),
+                scenario: indoor_scenario(duration_secs, seed),
                 node_cfg: setting.node_config(),
                 world_cfg: suite_world_config(seed),
                 drain_secs: 20.0,

@@ -9,7 +9,7 @@ use enviromic::core::NodeConfig;
 use enviromic::harness::{forest_world_config, run_scenario, ExperimentRun};
 use enviromic::metrics::ContourGrid;
 use enviromic::types::{NodeId, SimDuration};
-use enviromic::workloads::{forest_scenario, wall_clock_label, ForestParams};
+use enviromic::workloads::{forest_scenario, wall_clock_label};
 
 /// The completed outdoor run.
 #[derive(Debug)]
@@ -24,11 +24,7 @@ pub struct OutdoorRun {
 /// 10 800 (3 h) in the paper.
 #[must_use]
 pub fn run(seed: u64, duration_secs: f64) -> OutdoorRun {
-    let params = ForestParams {
-        duration_secs,
-        ..ForestParams::default()
-    };
-    let scenario = forest_scenario(&params, seed);
+    let scenario = forest_scenario(duration_secs, seed);
     // Full 0.5 MB stores, like the deployed motes.
     let cfg = NodeConfig::default()
         .with_flash_chunks(2048)

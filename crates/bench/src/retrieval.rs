@@ -35,25 +35,21 @@ pub const DURATION_SECS: f64 = 120.0;
 pub const GAP_TOLERANCE_SECS: f64 = 0.5;
 /// Gaps closer than this ride the same spanning-tree query flood.
 pub const GAP_SLACK_SECS: f64 = 1.0;
+/// Queries in the generated workload.
+const QUERIES: usize = 600;
+/// LRU capacity (distinct queries) of the cached pass.
+const CACHE_CAPACITY: usize = 256;
 
-/// Knobs of one benchmark invocation.
+/// Options of one benchmark invocation.
 #[derive(Debug, Clone, Copy)]
 pub struct RetrievalOptions {
-    /// Queries in the generated workload.
-    pub queries: usize,
-    /// LRU capacity (distinct queries) for the cached pass.
-    pub cache_capacity: usize,
     /// Worker threads serving the workload.
     pub jobs: usize,
 }
 
 impl Default for RetrievalOptions {
     fn default() -> Self {
-        RetrievalOptions {
-            queries: 600,
-            cache_capacity: 256,
-            jobs: 1,
-        }
+        RetrievalOptions { jobs: 1 }
     }
 }
 
@@ -269,21 +265,21 @@ pub fn build_archive() -> ArchiveStore {
     archive_run(&run)
 }
 
-/// Runs the whole benchmark: build the archive, generate the workload,
-/// serve it cached and uncached, detect gaps, and assemble the report.
+/// Runs the whole benchmark: build the archive, generate the 600-query
+/// workload, serve it with a 256-entry cache and uncached, detect gaps,
+/// and assemble the report.
 #[must_use]
 pub fn run_retrieval(opts: &RetrievalOptions) -> RetrievalRun {
     run_retrieval_on(&build_archive(), opts)
 }
 
-/// [`run_retrieval`] with a pre-built archive (lets tests and multi-pass
-/// callers simulate the run once).
-#[must_use]
-pub fn run_retrieval_on(store: &ArchiveStore, opts: &RetrievalOptions) -> RetrievalRun {
-    let queries = build_workload(store, opts.queries);
+/// [`run_retrieval`] with a pre-built archive (lets the tests simulate the
+/// run once).
+fn run_retrieval_on(store: &ArchiveStore, opts: &RetrievalOptions) -> RetrievalRun {
+    let queries = build_workload(store, QUERIES);
     let distinct = queries.iter().collect::<BTreeSet<_>>().len() as u64;
 
-    let outcome = serve_queries(store, &queries, opts.cache_capacity, opts.jobs, None);
+    let outcome = serve_queries(store, &queries, CACHE_CAPACITY, opts.jobs, None);
     let uncached = serve_queries(store, &queries, 0, opts.jobs, None);
 
     let tolerance = SimDuration::from_secs_f64(GAP_TOLERANCE_SECS);
@@ -308,7 +304,7 @@ pub fn run_retrieval_on(store: &ArchiveStore, opts: &RetrievalOptions) -> Retrie
         workload: WorkloadSummary {
             queries: queries.len() as u64,
             distinct,
-            cache_capacity: opts.cache_capacity as u64,
+            cache_capacity: CACHE_CAPACITY as u64,
         },
         cache: CacheSummary {
             hits: outcome.stats.hits,
@@ -338,18 +334,9 @@ pub fn run_retrieval_on(store: &ArchiveStore, opts: &RetrievalOptions) -> Retrie
 mod tests {
     use super::*;
 
-    fn small_run() -> RetrievalRun {
-        let opts = RetrievalOptions {
-            queries: 120,
-            cache_capacity: 64,
-            jobs: 2,
-        };
-        run_retrieval(&opts)
-    }
-
     #[test]
     fn report_round_trips_and_caches_transparently() {
-        let run = small_run();
+        let run = run_retrieval(&RetrievalOptions { jobs: 2 });
         assert!(run.cache_transparent(), "cache must not change results");
         assert!(run.report.cache.hits > 0, "grid workload revisits keys");
         assert!(run.report.archive.records > 0);
@@ -360,13 +347,8 @@ mod tests {
     #[test]
     fn job_count_leaves_the_report_byte_identical() {
         let store = build_archive();
-        let base = RetrievalOptions {
-            queries: 120,
-            cache_capacity: 64,
-            jobs: 1,
-        };
-        let one = run_retrieval_on(&store, &base);
-        let four = run_retrieval_on(&store, &RetrievalOptions { jobs: 4, ..base });
+        let one = run_retrieval_on(&store, &RetrievalOptions { jobs: 1 });
+        let four = run_retrieval_on(&store, &RetrievalOptions { jobs: 4 });
         assert_eq!(serde::to_json(&one.report), serde::to_json(&four.report));
         let per_query = |run: &RetrievalRun| -> Vec<u64> {
             run.outcome.results.iter().map(|r| r.digest).collect()

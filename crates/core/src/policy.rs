@@ -176,8 +176,7 @@ pub trait BalancePolicy: std::fmt::Debug + Send {
 }
 
 /// [`PolicyKind::Flooding`]: number of distinct neighbours each chunk
-/// batch is copied to before the local copy is released. 1 degenerates to
-/// plain (non-redundant) migration.
+/// batch is copied to before the local copy is released.
 pub const DISPERSAL_K: u8 = 2;
 
 /// [`PolicyKind::Coordinated`]: a node is "under storage pressure" — and
@@ -196,11 +195,8 @@ pub fn build_policy(kind: PolicyKind) -> Box<dyn BalancePolicy> {
     match kind {
         PolicyKind::BetaTtl => Box::new(BetaTtlPolicy),
         PolicyKind::NoMigration => Box::new(NoMigrationPolicy),
-        PolicyKind::Coordinated => Box::new(CoordinatedStoragePolicy {
-            low_water: COORD_LOW_WATER,
-            headroom: COORD_HEADROOM,
-        }),
-        PolicyKind::Flooding => Box::new(FloodingDispersalPolicy::new(DISPERSAL_K)),
+        PolicyKind::Coordinated => Box::new(CoordinatedStoragePolicy),
+        PolicyKind::Flooding => Box::new(FloodingDispersalPolicy::default()),
     }
 }
 
@@ -393,19 +389,15 @@ impl BalancePolicy for NoMigrationPolicy {
 
 /// Coordinated storage after PAPERS.md "Collaborative Storage Management
 /// in Sensor Networks": a node sheds data only when its own free fraction
-/// falls below a low-water mark, and then to the neighbour advertising
-/// the most free space — provided that neighbour has a real headroom
-/// margin over us, so data flows strictly down the pressure gradient.
+/// falls below [`COORD_LOW_WATER`], and then to the neighbour advertising
+/// the most free space — provided that neighbour has [`COORD_HEADROOM`]
+/// times our free space, so data flows strictly down the pressure
+/// gradient.
 ///
 /// Fully deterministic: consumes **zero** RNG draws. Ties on free space
 /// break toward the lowest node ID (the view's neighbour slice is sorted).
 #[derive(Debug, Clone, Copy)]
-pub struct CoordinatedStoragePolicy {
-    /// Free-fraction threshold below which the node sheds data.
-    pub low_water: f64,
-    /// The target must have at least `own_free_chunks * headroom` free.
-    pub headroom: f64,
-}
+pub struct CoordinatedStoragePolicy;
 
 impl BalancePolicy for CoordinatedStoragePolicy {
     fn kind(&self) -> PolicyKind {
@@ -417,7 +409,7 @@ impl BalancePolicy for CoordinatedStoragePolicy {
         _ctx: &mut dyn Runtime,
         view: &BalanceView<'_>,
     ) -> Option<MigrationPlan> {
-        if view.own_free_fraction() >= self.low_water {
+        if view.own_free_fraction() >= COORD_LOW_WATER {
             return None; // no local pressure: store locally
         }
         let mut best: Option<&NeighborView> = None;
@@ -430,7 +422,7 @@ impl BalancePolicy for CoordinatedStoragePolicy {
             }
         }
         let best = best?;
-        if f64::from(best.free_chunks) < f64::from(view.free_chunks) * self.headroom {
+        if f64::from(best.free_chunks) < f64::from(view.free_chunks) * COORD_HEADROOM {
             return None; // nobody is meaningfully emptier than us
         }
         let chunks = u16::try_from(
@@ -452,7 +444,7 @@ impl BalancePolicy for CoordinatedStoragePolicy {
     fn accept_inbound(&mut self, view: &BalanceView<'_>, _from: NodeId, _chunks: u16) -> bool {
         // A node that is itself under pressure refuses inflow; the donor
         // will find an emptier neighbour (or hold).
-        view.own_free_fraction() >= self.low_water
+        view.own_free_fraction() >= COORD_LOW_WATER
     }
 
     fn retain_after_ack(&mut self, _view: &BalanceView<'_>) -> bool {
@@ -464,29 +456,17 @@ impl BalancePolicy for CoordinatedStoragePolicy {
 
 /// Redundant dispersal after PAPERS.md "Distributed Flooding-based
 /// Storage Algorithms": whenever data is stored, proactively copy the
-/// head batch to `k` *distinct* neighbours — retaining the local copy
-/// across the first `k-1` sessions — and release it locally only once the
-/// k-th copy is acknowledged. Storage pressure and TTLs are ignored:
-/// resilience is bought with radio energy and neighbour capacity, which
-/// is exactly the trade-off the policy ablation measures.
-#[derive(Debug, Clone)]
+/// head batch to k = [`DISPERSAL_K`] *distinct* neighbours — retaining
+/// the local copy across the first k-1 sessions — and release it locally
+/// only once the k-th copy is acknowledged. Storage pressure and TTLs are
+/// ignored: resilience is bought with radio energy and neighbour
+/// capacity, which is exactly the trade-off the policy ablation measures.
+/// The default value has no batch in progress.
+#[derive(Debug, Clone, Default)]
 pub struct FloodingDispersalPolicy {
-    /// Copies per batch ([`DISPERSAL_K`] on a node).
-    pub k: u8,
     /// Neighbours the current head batch has already been dispersed to;
-    /// cleared once the batch completes its `k` copies.
+    /// cleared once the batch completes its k copies.
     batch_targets: Vec<NodeId>,
-}
-
-impl FloodingDispersalPolicy {
-    /// A dispersal policy with fan-out `k` and no batch in progress.
-    #[must_use]
-    pub fn new(k: u8) -> Self {
-        FloodingDispersalPolicy {
-            k,
-            batch_targets: Vec::new(),
-        }
-    }
 }
 
 impl BalancePolicy for FloodingDispersalPolicy {
@@ -537,14 +517,14 @@ impl BalancePolicy for FloodingDispersalPolicy {
     fn retain_after_ack(&mut self, _view: &BalanceView<'_>) -> bool {
         // Retain through the first k-1 sessions; the k-th release pops
         // the batch from the local store.
-        self.batch_targets.len() + 1 < usize::from(self.k)
+        self.batch_targets.len() + 1 < usize::from(DISPERSAL_K)
     }
 
     fn on_migration_session_closed(&mut self, to: NodeId) {
         if !self.batch_targets.contains(&to) {
             self.batch_targets.push(to);
         }
-        if self.batch_targets.len() >= usize::from(self.k) {
+        if self.batch_targets.len() >= usize::from(DISPERSAL_K) {
             self.batch_targets.clear();
         }
     }
@@ -708,10 +688,7 @@ mod tests {
     #[test]
     fn coordinated_migrates_only_under_pressure_to_the_emptiest_neighbor() {
         let cfg = NodeConfig::default();
-        let mut p = CoordinatedStoragePolicy {
-            low_water: 0.25,
-            headroom: 1.5,
-        };
+        let mut p = CoordinatedStoragePolicy;
         let mut rt = MockRuntime::new(NodeId(1));
         // Neighbour 3 is emptiest; neighbour 4 ties with 2 but higher ID.
         let neighbors = [
@@ -731,7 +708,7 @@ mod tests {
         assert_eq!(plan.chunks, MIGRATE_BATCH);
         assert_eq!(plan.beta, None);
 
-        // Headroom: with 10 free locally and 1.5 headroom, a best
+        // Headroom: with 10 free locally and COORD_HEADROOM 1.5, a best
         // neighbour with 14 free is not meaningfully emptier.
         let cramped = [neighbor(2, 100, 14)];
         let v = view(5.0, 90, 10, 100, &cramped, &cfg);
@@ -747,10 +724,7 @@ mod tests {
     #[test]
     fn coordinated_tie_breaks_toward_the_lowest_node_id() {
         let cfg = NodeConfig::default();
-        let mut p = CoordinatedStoragePolicy {
-            low_water: 0.25,
-            headroom: 1.0,
-        };
+        let mut p = CoordinatedStoragePolicy;
         let mut rt = MockRuntime::new(NodeId(1));
         let neighbors = [neighbor(7, 100, 60), neighbor(9, 100, 60)];
         let v = view(5.0, 90, 10, 100, &neighbors, &cfg);
@@ -761,7 +735,7 @@ mod tests {
     #[test]
     fn flooding_disperses_k_copies_then_releases() {
         let cfg = NodeConfig::default();
-        let mut p = FloodingDispersalPolicy::new(3);
+        let mut p = FloodingDispersalPolicy::default();
         let mut rt = MockRuntime::new(NodeId(1));
         let neighbors = [
             neighbor(2, 100, 50),
@@ -770,19 +744,16 @@ mod tests {
         ];
         let v = view(100.0, 8, 100, 108, &neighbors, &cfg);
 
-        // Sessions 1 and 2 retain the local copy; the 3rd releases it.
-        let first = p.should_migrate(&mut rt, &v).expect("disperses eagerly");
-        assert!(p.retain_after_ack(&v), "first copy retains");
-        p.on_migration_session_closed(first.target);
-        assert!(p.retain_after_ack(&v), "second copy retains");
-        let second = p.should_migrate(&mut rt, &v).expect("second target");
-        assert_ne!(second.target, first.target, "targets are distinct");
-        p.on_migration_session_closed(second.target);
-        assert!(!p.retain_after_ack(&v), "k-th copy releases the batch");
-        let third = p.should_migrate(&mut rt, &v).expect("third target");
-        assert_ne!(third.target, first.target);
-        assert_ne!(third.target, second.target);
-        p.on_migration_session_closed(third.target);
+        // Sessions 1 to k-1 retain the local copy; the k-th releases it.
+        let k = usize::from(DISPERSAL_K);
+        let mut targets = Vec::new();
+        for copy in 1..=k {
+            let plan = p.should_migrate(&mut rt, &v).expect("disperses eagerly");
+            assert!(!targets.contains(&plan.target), "targets are distinct");
+            assert_eq!(p.retain_after_ack(&v), copy < k, "copy {copy} of {k}");
+            p.on_migration_session_closed(plan.target);
+            targets.push(plan.target);
+        }
 
         // Batch complete: the target set resets for the next batch.
         assert!(p.retain_after_ack(&v), "fresh batch retains again");
@@ -790,15 +761,6 @@ mod tests {
             p.accept_inbound(&v, NodeId(9), 4),
             "flooding accepts inflow"
         );
-    }
-
-    #[test]
-    fn flooding_with_k1_degenerates_to_plain_migration() {
-        let cfg = NodeConfig::default();
-        let mut p = FloodingDispersalPolicy::new(1);
-        let neighbors = [neighbor(2, 100, 50)];
-        let v = view(100.0, 8, 100, 108, &neighbors, &cfg);
-        assert!(!p.retain_after_ack(&v), "k=1 never retains");
     }
 
     #[test]

@@ -20,75 +20,39 @@ use enviromic_sim::rng::RngStreams;
 use enviromic_types::{Position, SimDuration, SimTime};
 use rand::Rng;
 
-/// Parameters of the city-block run; defaults give ~10 000 nodes over a
-/// roughly 2-mile-square street grid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CityParams {
-    /// Total number of nodes (lampposts). The block grid is sized to hold
-    /// exactly this many.
-    pub nodes: usize,
-    /// Edge length of one square city block, feet.
-    pub block_ft: f64,
-    /// Nodes placed around each block's perimeter.
-    pub nodes_per_block: usize,
-    /// Total experiment duration, seconds.
-    pub duration_secs: f64,
-    /// Vehicles: mobile sources driving a street end to end.
-    pub mobile_sources: usize,
-    /// Sirens/construction: static sources at random intersections.
-    pub static_sources: usize,
-    /// Emission amplitude of every source.
-    pub amplitude: f64,
-    /// Audible range of every source, feet.
-    pub range_ft: f64,
-}
+/// Edge length of one square city block, feet.
+const BLOCK_FT: f64 = 300.0;
 
-impl Default for CityParams {
-    fn default() -> Self {
-        CityParams {
-            nodes: 10_000,
-            block_ft: 300.0,
-            nodes_per_block: 8,
-            duration_secs: 20.0,
-            mobile_sources: 8,
-            static_sources: 16,
-            amplitude: 140.0,
-            range_ft: 120.0,
-        }
-    }
-}
+/// Nodes (lampposts) placed evenly around each block's perimeter.
+const NODES_PER_BLOCK: usize = 8;
 
-impl CityParams {
-    /// The default city scaled to `nodes` total nodes — the knob the
-    /// 1k/4k/10k scale rows turn.
-    #[must_use]
-    pub fn with_nodes(nodes: usize) -> Self {
-        CityParams {
-            nodes,
-            ..CityParams::default()
-        }
-    }
+/// Vehicles: mobile sources driving a street end to end.
+const MOBILE_SOURCES: usize = 8;
 
-    /// Blocks per side of the (square) block grid.
-    fn blocks_per_side(&self) -> usize {
-        let blocks = self.nodes.div_ceil(self.nodes_per_block);
-        (blocks as f64).sqrt().ceil() as usize
-    }
-}
+/// Sirens and construction: static sources at random intersections.
+const STATIC_SOURCES: usize = 16;
 
-/// Builds the city-block scenario. All randomness (lamppost jitter, source
-/// placement and timing) derives from `seed`; two calls with the same
-/// inputs are identical — the sweep determinism contract.
+/// Emission amplitude of every source.
+const AMPLITUDE: f64 = 140.0;
+
+/// Audible range of every source, feet.
+const RANGE_FT: f64 = 120.0;
+
+/// Builds the city-block scenario: `nodes` lampposts (10 000 span a
+/// roughly 2-mile-square street grid) heard for `duration_secs`. The
+/// block grid is the smallest square that holds `nodes`. All randomness
+/// (lamppost jitter, source placement and timing) derives from `seed`;
+/// two calls with the same inputs are identical, the sweep determinism
+/// contract.
 ///
 /// # Panics
 ///
-/// Panics when `nodes` or `nodes_per_block` is zero.
+/// Panics when `nodes` is zero.
 #[must_use]
-pub fn city_scenario(params: &CityParams, seed: u64) -> Scenario {
-    assert!(params.nodes > 0, "city must have nodes");
-    assert!(params.nodes_per_block > 0, "blocks must hold nodes");
-    let side = params.blocks_per_side();
-    let extent_ft = side as f64 * params.block_ft;
+pub fn city_scenario(nodes: usize, duration_secs: f64, seed: u64) -> Scenario {
+    assert!(nodes > 0, "city must have nodes");
+    let side = (nodes.div_ceil(NODES_PER_BLOCK) as f64).sqrt().ceil() as usize;
+    let extent_ft = side as f64 * BLOCK_FT;
     let mut rng = RngStreams::new(seed).stream("city", 0);
 
     // Lampposts: walk the block grid row-major, placing nodes evenly
@@ -96,18 +60,18 @@ pub fn city_scenario(params: &CityParams, seed: u64) -> Scenario {
     // budget is spent. Node IDs therefore ascend block-major, which keeps
     // spatially close nodes close in index space (friendly to the
     // delivery grid's ascending-index iteration).
-    let mut positions = Vec::with_capacity(params.nodes);
-    let perimeter = 4.0 * params.block_ft;
-    let step = perimeter / params.nodes_per_block as f64;
+    let mut positions = Vec::with_capacity(nodes);
+    let perimeter = 4.0 * BLOCK_FT;
+    let step = perimeter / NODES_PER_BLOCK as f64;
     'blocks: for by in 0..side {
         for bx in 0..side {
-            let (x0, y0) = (bx as f64 * params.block_ft, by as f64 * params.block_ft);
-            for k in 0..params.nodes_per_block {
-                if positions.len() == params.nodes {
+            let (x0, y0) = (bx as f64 * BLOCK_FT, by as f64 * BLOCK_FT);
+            for k in 0..NODES_PER_BLOCK {
+                if positions.len() == nodes {
                     break 'blocks;
                 }
                 let along = k as f64 * step;
-                let (dx, dy) = walk_perimeter(along, params.block_ft);
+                let (dx, dy) = walk_perimeter(along, BLOCK_FT);
                 let jx = rng.gen_range(-4.0..4.0);
                 let jy = rng.gen_range(-4.0..4.0);
                 positions.push(Position::new(x0 + dx + jx, y0 + dy + jy));
@@ -116,11 +80,11 @@ pub fn city_scenario(params: &CityParams, seed: u64) -> Scenario {
     }
     let topology = Topology::from_positions(positions, side, side);
 
-    let mut sources = Vec::with_capacity(params.mobile_sources + params.static_sources);
+    let mut sources = Vec::with_capacity(MOBILE_SOURCES + STATIC_SOURCES);
     // Vehicles: each drives one full street (a horizontal or vertical grid
     // line) end to end at ~30 ft/s, starting staggered through the run.
-    for i in 0..params.mobile_sources {
-        let lane = rng.gen_range(0..=side) as f64 * params.block_ft;
+    for i in 0..MOBILE_SOURCES {
+        let lane = rng.gen_range(0..=side) as f64 * BLOCK_FT;
         let horizontal = rng.gen_range(0..2u8) == 0;
         let (from, to) = if horizontal {
             (Position::new(0.0, lane), Position::new(extent_ft, lane))
@@ -128,32 +92,32 @@ pub fn city_scenario(params: &CityParams, seed: u64) -> Scenario {
             (Position::new(lane, 0.0), Position::new(lane, extent_ft))
         };
         let speed_fps = rng.gen_range(25.0..45.0);
-        let start_s = rng.gen_range(0.0..params.duration_secs * 0.5);
-        let travel_s = (extent_ft / speed_fps).min(params.duration_secs - start_s);
+        let start_s = rng.gen_range(0.0..duration_secs * 0.5);
+        let travel_s = (extent_ft / speed_fps).min(duration_secs - start_s);
         let start = SimTime::ZERO + SimDuration::from_secs_f64(start_s);
         let stop = start + SimDuration::from_secs_f64(travel_s.max(1.0));
         sources.push(SourceSpec {
             id: SourceId(i as u32),
             start,
             stop,
-            amplitude: params.amplitude,
-            range_ft: params.range_ft,
+            amplitude: AMPLITUDE,
+            range_ft: RANGE_FT,
             motion: Motion::Waypoints(vec![(start, from), (stop, to)]),
             waveform: Waveform::Noise,
         });
     }
     // Sirens and construction: static bursts at intersections.
-    for i in 0..params.static_sources {
-        let ix = rng.gen_range(0..=side) as f64 * params.block_ft;
-        let iy = rng.gen_range(0..=side) as f64 * params.block_ft;
-        let start_s = rng.gen_range(0.0..params.duration_secs * 0.7);
+    for i in 0..STATIC_SOURCES {
+        let ix = rng.gen_range(0..=side) as f64 * BLOCK_FT;
+        let iy = rng.gen_range(0..=side) as f64 * BLOCK_FT;
+        let start_s = rng.gen_range(0.0..duration_secs * 0.7);
         let len_s = rng.gen_range(2.0..8.0);
         sources.push(SourceSpec {
-            id: SourceId((params.mobile_sources + i) as u32),
+            id: SourceId((MOBILE_SOURCES + i) as u32),
             start: SimTime::ZERO + SimDuration::from_secs_f64(start_s),
             stop: SimTime::ZERO + SimDuration::from_secs_f64(start_s + len_s),
-            amplitude: params.amplitude,
-            range_ft: params.range_ft,
+            amplitude: AMPLITUDE,
+            range_ft: RANGE_FT,
             motion: Motion::Static(Position::new(ix, iy)),
             waveform: Waveform::Tone {
                 freq_hz: 500.0 + 40.0 * i as f64,
@@ -163,7 +127,7 @@ pub fn city_scenario(params: &CityParams, seed: u64) -> Scenario {
     Scenario {
         topology,
         sources,
-        duration: SimDuration::from_secs_f64(params.duration_secs),
+        duration: SimDuration::from_secs_f64(duration_secs),
     }
 }
 
@@ -188,7 +152,7 @@ mod tests {
 
     #[test]
     fn default_city_is_ten_thousand_nodes_and_valid() {
-        let s = city_scenario(&CityParams::default(), 42);
+        let s = city_scenario(10_000, 20.0, 42);
         assert_eq!(s.topology.len(), 10_000);
         assert_eq!(s.sources.len(), 24);
         assert!(s.validate().is_ok());
@@ -198,20 +162,19 @@ mod tests {
     #[test]
     fn node_budget_is_exact_at_any_scale() {
         for nodes in [1, 7, 1000, 4000] {
-            let s = city_scenario(&CityParams::with_nodes(nodes), 1);
+            let s = city_scenario(nodes, 20.0, 1);
             assert_eq!(s.topology.len(), nodes, "requested {nodes}");
         }
     }
 
     #[test]
     fn scenario_is_deterministic_in_seed() {
-        let p = CityParams::with_nodes(500);
-        let a = city_scenario(&p, 7);
-        let b = city_scenario(&p, 7);
+        let a = city_scenario(500, 20.0, 7);
+        let b = city_scenario(500, 20.0, 7);
         assert_eq!(a.topology.positions(), b.topology.positions());
         assert_eq!(a.sources, b.sources);
         assert_ne!(
-            city_scenario(&p, 8).sources,
+            city_scenario(500, 20.0, 8).sources,
             a.sources,
             "different seeds should move the sources"
         );

@@ -23,36 +23,24 @@ use enviromic_types::{Position, SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// Parameters of the forest workload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ForestParams {
-    /// Observation window, seconds (3 h in the paper).
-    pub duration_secs: f64,
-    /// Mean seconds between vehicle passes on the west road.
-    pub road_mean_interarrival_secs: f64,
-    /// Mean seconds between trail vocalizations.
-    pub trail_mean_interarrival_secs: f64,
-    /// Mean seconds between sparse background events.
-    pub background_mean_interarrival_secs: f64,
-    /// First spike window (people in the forest), seconds.
-    pub spike1: (f64, f64),
-    /// Second spike window (heavy equipment), seconds.
-    pub spike2: (f64, f64),
-}
+/// Mean seconds between vehicle passes on the west road ("passing
+/// vehicles" along the plot's edge, §IV-C).
+const ROAD_MEAN_INTERARRIVAL_SECS: f64 = 240.0;
 
-impl Default for ForestParams {
-    fn default() -> Self {
-        ForestParams {
-            duration_secs: 10_800.0,
-            road_mean_interarrival_secs: 240.0,
-            trail_mean_interarrival_secs: 150.0,
-            background_mean_interarrival_secs: 500.0,
-            // 10:45 + 45 min = 11:30; windows relative to experiment start.
-            spike1: (2_700.0, 3_300.0),
-            spike2: (5_400.0, 7_200.0),
-        }
-    }
-}
+/// Mean seconds between animal and bird vocalizations along the trail
+/// (§IV-C).
+const TRAIL_MEAN_INTERARRIVAL_SECS: f64 = 150.0;
+
+/// Mean seconds between sparse background events anywhere in the plot.
+const BACKGROUND_MEAN_INTERARRIVAL_SECS: f64 = 500.0;
+
+/// Spike 1, seconds from the 10:45 start: 11:30–11:40, "people from
+/// another department doing an experiment in the forest" (§IV-C).
+const SPIKE1: (f64, f64) = (2_700.0, 3_300.0);
+
+/// Spike 2, seconds from the 10:45 start: 12:15–12:45, "motion of heavy
+/// agrarian equipment on a neighboring road" (§IV-C).
+const SPIKE2: (f64, f64) = (5_400.0, 7_200.0);
 
 /// Experiment start mapped to wall-clock "10:45".
 #[must_use]
@@ -74,15 +62,17 @@ fn exp_arrivals(rng: &mut SmallRng, mean: f64, from: f64, to: f64) -> Vec<f64> {
     }
 }
 
-/// Builds the forest scenario for the given seed.
+/// Builds the forest scenario: the first `duration_secs` of the §IV-C
+/// soundscape (10 800 s, the 3-hour window, in the paper) for the given
+/// seed.
 #[must_use]
-pub fn forest_scenario(params: &ForestParams, seed: u64) -> Scenario {
+pub fn forest_scenario(duration_secs: f64, seed: u64) -> Scenario {
     let topology = Topology::forest(seed);
     let streams = RngStreams::new(seed);
     let mut rng = streams.stream("forest-events", 0);
     let mut sources = Vec::new();
     let mut id = 0u32;
-    let end = params.duration_secs;
+    let end = duration_secs;
     let push = |sources: &mut Vec<SourceSpec>,
                 id: &mut u32,
                 start_s: f64,
@@ -109,7 +99,7 @@ pub fn forest_scenario(params: &ForestParams, seed: u64) -> Scenario {
     };
 
     // Vehicles on the west road (x ≈ 4 ft), driving the plot in 8–15 s.
-    for t in exp_arrivals(&mut rng, params.road_mean_interarrival_secs, 0.0, end) {
+    for t in exp_arrivals(&mut rng, ROAD_MEAN_INTERARRIVAL_SECS, 0.0, end) {
         let dur = rng.gen_range(8.0..15.0);
         let start = SimTime::ZERO + SimDuration::from_secs_f64(t);
         let stop = SimTime::ZERO + SimDuration::from_secs_f64(t + dur);
@@ -129,7 +119,7 @@ pub fn forest_scenario(params: &ForestParams, seed: u64) -> Scenario {
     }
 
     // Trail vocalizations: a diagonal band from (20, 90) to (90, 20).
-    for t in exp_arrivals(&mut rng, params.trail_mean_interarrival_secs, 0.0, end) {
+    for t in exp_arrivals(&mut rng, TRAIL_MEAN_INTERARRIVAL_SECS, 0.0, end) {
         let along: f64 = rng.gen_range(0.0..1.0);
         let off = rng.gen_range(-8.0..8.0);
         let pos = Position::new(20.0 + 70.0 * along + off, 90.0 - 70.0 * along + off);
@@ -148,7 +138,7 @@ pub fn forest_scenario(params: &ForestParams, seed: u64) -> Scenario {
     }
 
     // Spike 1: people working mid-plot.
-    for t in exp_arrivals(&mut rng, 25.0, params.spike1.0, params.spike1.1) {
+    for t in exp_arrivals(&mut rng, 25.0, SPIKE1.0, SPIKE1.1) {
         let pos = Position::new(rng.gen_range(40.0..70.0), rng.gen_range(40.0..70.0));
         push(
             &mut sources,
@@ -166,7 +156,7 @@ pub fn forest_scenario(params: &ForestParams, seed: u64) -> Scenario {
 
     // Spike 2: heavy agrarian equipment on the neighboring road — long,
     // loud, wide-range events (the paper observed events up to 73 s).
-    for t in exp_arrivals(&mut rng, 220.0, params.spike2.0, params.spike2.1) {
+    for t in exp_arrivals(&mut rng, 220.0, SPIKE2.0, SPIKE2.1) {
         push(
             &mut sources,
             &mut id,
@@ -183,7 +173,7 @@ pub fn forest_scenario(params: &ForestParams, seed: u64) -> Scenario {
     }
 
     // Sparse background events anywhere.
-    for t in exp_arrivals(&mut rng, params.background_mean_interarrival_secs, 0.0, end) {
+    for t in exp_arrivals(&mut rng, BACKGROUND_MEAN_INTERARRIVAL_SECS, 0.0, end) {
         let pos = Position::new(rng.gen_range(0.0..105.0), rng.gen_range(0.0..105.0));
         push(
             &mut sources,
@@ -203,7 +193,7 @@ pub fn forest_scenario(params: &ForestParams, seed: u64) -> Scenario {
     Scenario {
         topology,
         sources,
-        duration: SimDuration::from_secs_f64(params.duration_secs),
+        duration: SimDuration::from_secs_f64(duration_secs),
     }
 }
 
@@ -220,7 +210,7 @@ mod tests {
 
     #[test]
     fn scenario_is_valid_and_structured() {
-        let s = forest_scenario(&ForestParams::default(), 3);
+        let s = forest_scenario(10_800.0, 3);
         assert!(s.validate().is_ok());
         assert_eq!(s.topology.len(), 36);
         assert!(s.sources.len() > 60, "got {} sources", s.sources.len());
@@ -242,7 +232,7 @@ mod tests {
 
     #[test]
     fn spikes_raise_event_density() {
-        let s = forest_scenario(&ForestParams::default(), 9);
+        let s = forest_scenario(10_800.0, 9);
         let in_window = |a: f64, b: f64| {
             s.sources
                 .iter()
@@ -263,8 +253,8 @@ mod tests {
 
     #[test]
     fn deterministic_in_seed() {
-        let a = forest_scenario(&ForestParams::default(), 4);
-        let b = forest_scenario(&ForestParams::default(), 4);
+        let a = forest_scenario(10_800.0, 4);
+        let b = forest_scenario(10_800.0, 4);
         assert_eq!(a.sources, b.sources);
     }
 }

@@ -15,69 +15,56 @@ use enviromic_sim::rng::RngStreams;
 use enviromic_types::{Position, SimDuration, SimTime};
 use rand::Rng;
 
-/// Parameters of the indoor workload; defaults reproduce §IV-B exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndoorParams {
-    /// Experiment length, seconds.
-    pub duration_secs: f64,
-    /// Mean seconds between consecutive event starts (Poisson process).
-    pub mean_interarrival_secs: f64,
-    /// Event duration bounds, seconds (uniform).
-    pub duration_range_secs: (f64, f64),
-    /// Source emission amplitude bounds: each event's loudness is drawn
-    /// uniformly from this range, reflecting the "huge variance between
-    /// signal strength of different acoustic events" the paper notes.
-    pub amplitude_range: (f64, f64),
-    /// Audible range in feet (2 ft ⇒ exactly the four surrounding grid
-    /// nodes hear a cell-centered source).
-    pub range_ft: f64,
-}
+/// Mean seconds between consecutive event starts of the Poisson process
+/// (§IV-B: "an expectation of 20 seconds between the start of two
+/// consecutive events").
+const MEAN_INTERARRIVAL_SECS: f64 = 20.0;
 
-impl Default for IndoorParams {
-    fn default() -> Self {
-        IndoorParams {
-            duration_secs: 4400.0,
-            mean_interarrival_secs: 20.0,
-            duration_range_secs: (3.0, 7.0),
-            amplitude_range: (108.0, 138.0),
-            range_ft: 2.0,
-        }
-    }
-}
+/// Event length bounds in seconds, drawn uniformly (§IV-B: "between 3
+/// and 7 seconds").
+const EVENT_SECS: (f64, f64) = (3.0, 7.0);
+
+/// Emission amplitude bounds: each event's loudness is drawn uniformly
+/// from this range, reflecting the "huge variance between signal strength
+/// of different acoustic events" §II-A notes. Calibrated so that
+/// detection is mostly but not perfectly reliable (EXPERIMENTS.md).
+const AMPLITUDE_RANGE: (f64, f64) = (108.0, 138.0);
+
+/// Audible range in feet: at 2 ft exactly the four grid nodes around a
+/// cell-centered source hear it (§IV-B: "only four nodes can hear and
+/// record each event").
+const RANGE_FT: f64 = 2.0;
 
 /// The two generator positions: cell centers far apart on the 8×6 grid
-/// (the shaded circles of Fig. 9). Each is equidistant (√2 ft) from
-/// exactly four grid nodes at the default 2 ft range.
-#[must_use]
-pub fn generator_positions() -> [Position; 2] {
-    [Position::new(3.0, 3.0), Position::new(11.0, 7.0)]
-}
+/// (the shaded circles of Fig. 9). Each is √2 ft from exactly four grid
+/// nodes.
+const GENERATORS: [Position; 2] = [Position::new(3.0, 3.0), Position::new(11.0, 7.0)];
 
-/// Builds the indoor scenario for the given seed.
+/// Builds the indoor scenario: `duration_secs` of the §IV-B workload
+/// (4400 s in the paper) for the given seed.
 #[must_use]
-pub fn indoor_scenario(params: &IndoorParams, seed: u64) -> Scenario {
+pub fn indoor_scenario(duration_secs: f64, seed: u64) -> Scenario {
     let topology = Topology::indoor_testbed();
     let mut rng = RngStreams::new(seed).stream("indoor-events", 0);
-    let generators = generator_positions();
     let mut sources = Vec::new();
     let mut t = 0.0f64;
     let mut id = 0u32;
     loop {
         // Exponential inter-arrival via inverse transform.
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        t += -params.mean_interarrival_secs * u.ln();
-        if t >= params.duration_secs {
+        t += -MEAN_INTERARRIVAL_SECS * u.ln();
+        if t >= duration_secs {
             break;
         }
-        let dur = rng.gen_range(params.duration_range_secs.0..=params.duration_range_secs.1);
-        let gen_pos = generators[usize::from(rng.gen::<bool>())];
-        let amplitude = rng.gen_range(params.amplitude_range.0..=params.amplitude_range.1);
+        let dur = rng.gen_range(EVENT_SECS.0..=EVENT_SECS.1);
+        let gen_pos = GENERATORS[usize::from(rng.gen::<bool>())];
+        let amplitude = rng.gen_range(AMPLITUDE_RANGE.0..=AMPLITUDE_RANGE.1);
         sources.push(SourceSpec {
             id: SourceId(id),
             start: SimTime::ZERO + SimDuration::from_secs_f64(t),
-            stop: SimTime::ZERO + SimDuration::from_secs_f64((t + dur).min(params.duration_secs)),
+            stop: SimTime::ZERO + SimDuration::from_secs_f64((t + dur).min(duration_secs)),
             amplitude,
-            range_ft: params.range_ft,
+            range_ft: RANGE_FT,
             motion: Motion::Static(gen_pos),
             waveform: Waveform::Noise,
         });
@@ -86,7 +73,7 @@ pub fn indoor_scenario(params: &IndoorParams, seed: u64) -> Scenario {
     Scenario {
         topology,
         sources,
-        duration: SimDuration::from_secs_f64(params.duration_secs),
+        duration: SimDuration::from_secs_f64(duration_secs),
     }
 }
 
@@ -96,7 +83,7 @@ mod tests {
 
     #[test]
     fn default_workload_matches_paper_statistics() {
-        let s = indoor_scenario(&IndoorParams::default(), 1);
+        let s = indoor_scenario(4400.0, 1);
         // ~220 events over 4400 s; allow generous sampling noise.
         assert!(
             (170..=270).contains(&s.sources.len()),
@@ -119,13 +106,12 @@ mod tests {
 
     #[test]
     fn exactly_four_nodes_hear_each_generator() {
-        let params = IndoorParams::default();
         let topo = Topology::indoor_testbed();
-        for gen_pos in generator_positions() {
+        for gen_pos in GENERATORS {
             let hearers = topo
                 .positions()
                 .iter()
-                .filter(|p| p.distance_to(gen_pos) < params.range_ft)
+                .filter(|p| p.distance_to(gen_pos) < RANGE_FT)
                 .count();
             assert_eq!(hearers, 4, "generator at {gen_pos}");
         }
@@ -133,13 +119,12 @@ mod tests {
 
     #[test]
     fn hearer_levels_straddle_the_detection_threshold() {
-        let params = IndoorParams::default();
         // Hearers sit √2 ft away: level = A·(1 − √2/2) ≈ 0.293·A. The
         // amplitude range is calibrated so detection is *mostly* but not
         // perfectly reliable (the paper's baseline redundancy of ~0.5
         // instead of the geometric 0.75 hinges on this).
-        let lo = params.amplitude_range.0 * (1.0 - std::f64::consts::SQRT_2 / params.range_ft);
-        let hi = params.amplitude_range.1 * (1.0 - std::f64::consts::SQRT_2 / params.range_ft);
+        let lo = AMPLITUDE_RANGE.0 * (1.0 - std::f64::consts::SQRT_2 / RANGE_FT);
+        let hi = AMPLITUDE_RANGE.1 * (1.0 - std::f64::consts::SQRT_2 / RANGE_FT);
         // Default detector: background 8 + margin 25 = 33.
         assert!(lo < 34.0, "quiet events should sometimes be missed: {lo}");
         assert!(hi > 36.0, "loud events should be heard reliably: {hi}");
@@ -147,10 +132,10 @@ mod tests {
 
     #[test]
     fn deterministic_in_seed() {
-        let a = indoor_scenario(&IndoorParams::default(), 7);
-        let b = indoor_scenario(&IndoorParams::default(), 7);
+        let a = indoor_scenario(4400.0, 7);
+        let b = indoor_scenario(4400.0, 7);
         assert_eq!(a.sources, b.sources);
-        let c = indoor_scenario(&IndoorParams::default(), 8);
+        let c = indoor_scenario(4400.0, 8);
         assert_ne!(a.sources, c.sources);
     }
 }

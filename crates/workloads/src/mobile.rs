@@ -10,68 +10,57 @@ use crate::scenario::Scenario;
 use enviromic_sim::acoustics::{Motion, SourceId, SourceSpec, Waveform};
 use enviromic_types::{Position, SimDuration, SimTime};
 
-/// Parameters of the mobile-target run; defaults reproduce §IV-A.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MobileParams {
-    /// When the target enters, seconds into the run.
-    pub start_secs: f64,
-    /// Event length, seconds (9 in the paper).
-    pub event_secs: f64,
-    /// Speed in grid lengths per second (1 in the paper).
-    pub speed_grids_per_sec: f64,
-    /// Grid spacing, feet.
-    pub grid_ft: f64,
-    /// Row (in feet) the target traverses.
-    pub path_y_ft: f64,
-    /// Emission amplitude.
-    pub amplitude: f64,
-    /// Audible range, feet (≈ one grid length in the paper).
-    pub range_ft: f64,
-}
+/// When the target enters, seconds into the run.
+const START_SECS: f64 = 2.0;
 
-impl Default for MobileParams {
-    fn default() -> Self {
-        MobileParams {
-            start_secs: 2.0,
-            event_secs: 9.0,
-            speed_grids_per_sec: 1.0,
-            grid_ft: 2.0,
-            path_y_ft: 4.0,
-            amplitude: 130.0,
-            // Emission reaches zero at 3 ft; with the default detector the
-            // *detection* radius works out to ~2.2 ft — "about one grid
-            // length", as the paper calibrated its volume.
-            range_ft: 3.0,
-        }
-    }
-}
+/// Event length in seconds (§IV-A: "The event lasts for a total of 9
+/// seconds").
+const EVENT_SECS: f64 = 9.0;
 
-/// Builds the mobile-target scenario on the 8×6 indoor grid.
+/// Target speed in grid lengths per second (§IV-A: "a speed of one grid
+/// length per second").
+const SPEED_GRIDS_PER_SEC: f64 = 1.0;
+
+/// Grid spacing in feet (the 2 ft indoor testbed, §IV).
+const GRID_FT: f64 = 2.0;
+
+/// The row, in feet, that the target traverses.
+const PATH_Y_FT: f64 = 4.0;
+
+/// Emission amplitude.
+const AMPLITUDE: f64 = 130.0;
+
+/// Audible range in feet. Emission reaches zero at 3 ft; with the default
+/// detector the *detection* radius works out to ~2.2 ft, "about one grid
+/// length", as §IV-A calibrated its volume.
+const RANGE_FT: f64 = 3.0;
+
+/// Builds the §IV-A mobile-target scenario on the 8×6 indoor grid.
 #[must_use]
-pub fn mobile_scenario(params: &MobileParams) -> Scenario {
+pub fn mobile_scenario() -> Scenario {
     let topology = Topology::indoor_testbed();
-    let start = SimTime::ZERO + SimDuration::from_secs_f64(params.start_secs);
-    let stop = start + SimDuration::from_secs_f64(params.event_secs);
-    let speed_ft = params.speed_grids_per_sec * params.grid_ft;
-    let path_len = speed_ft * params.event_secs;
+    let start = SimTime::ZERO + SimDuration::from_secs_f64(START_SECS);
+    let stop = start + SimDuration::from_secs_f64(EVENT_SECS);
+    let speed_ft = SPEED_GRIDS_PER_SEC * GRID_FT;
+    let path_len = speed_ft * EVENT_SECS;
     // Center the traversal on the grid's x extent (0..14 ft).
     let x0 = 7.0 - path_len / 2.0;
     let source = SourceSpec {
         id: SourceId(0),
         start,
         stop,
-        amplitude: params.amplitude,
-        range_ft: params.range_ft,
+        amplitude: AMPLITUDE,
+        range_ft: RANGE_FT,
         motion: Motion::Waypoints(vec![
-            (start, Position::new(x0, params.path_y_ft)),
-            (stop, Position::new(x0 + path_len, params.path_y_ft)),
+            (start, Position::new(x0, PATH_Y_FT)),
+            (stop, Position::new(x0 + path_len, PATH_Y_FT)),
         ]),
         waveform: Waveform::Tone { freq_hz: 600.0 },
     };
     Scenario {
         topology,
         sources: vec![source],
-        duration: SimDuration::from_secs_f64(params.start_secs + params.event_secs + 4.0),
+        duration: SimDuration::from_secs_f64(START_SECS + EVENT_SECS + 4.0),
     }
 }
 
@@ -112,7 +101,7 @@ mod tests {
 
     #[test]
     fn default_target_crosses_the_grid() {
-        let s = mobile_scenario(&MobileParams::default());
+        let s = mobile_scenario();
         assert_eq!(s.sources.len(), 1);
         let src = &s.sources[0];
         assert!((src.duration().as_secs_f64() - 9.0).abs() < 1e-6);
@@ -125,7 +114,7 @@ mod tests {
 
     #[test]
     fn nodes_on_the_path_row_hear_in_sequence() {
-        let s = mobile_scenario(&MobileParams::default());
+        let s = mobile_scenario();
         let src = &s.sources[0];
         // Mid-event the target sits at the grid center row; node under it
         // hears at full amplitude while distant rows hear nothing.

@@ -1,40 +1,37 @@
 //! Wildlife survey: the avian-ecology deployment the paper plans in
-//! §IV-D, compressed to a 20-minute slice.
+//! §IV-D, on the first hour of the §IV-C forest soundscape.
 //!
 //! ```sh
 //! cargo run --release --example wildlife_survey
 //! ```
 //!
 //! Thirty-six motes in a forest plot record road noise, trail
-//! vocalizations, and background calls; storage balancing spreads the
-//! road-adjacent hotspot's data across the network. Afterwards the
-//! "researchers" summarize per-minute vocal activity and the storage map —
-//! the raw material for dawn-chorus / nocturnal-singing studies.
+//! vocalizations, background calls, and the 11:30–11:40 burst of people
+//! working mid-plot; storage balancing spreads the road-adjacent
+//! hotspot's data across the network. Afterwards the "researchers"
+//! summarize vocal activity over time and the storage map — the raw
+//! material for dawn-chorus / nocturnal-singing studies.
 
 use enviromic::core::{EnviroMicNode, NodeConfig};
 use enviromic::harness::{build_world, forest_world_config};
 use enviromic::metrics::{ContourGrid, Experiment};
 use enviromic::types::{NodeId, SimDuration};
-use enviromic::workloads::{forest_scenario, wall_clock_label, ForestParams};
+use enviromic::workloads::{forest_scenario, wall_clock_label};
+
+/// 10:45–11:45: the hour that holds spike 1 (2,700–3,300 s).
+const SLICE_SECS: f64 = 3_600.0;
+/// Width of one activity bar, seconds.
+const BIN_SECS: f64 = 180.0;
 
 fn main() {
-    let params = ForestParams {
-        duration_secs: 1200.0,
-        // Compress the soundscape so the 20-minute slice stays lively.
-        road_mean_interarrival_secs: 90.0,
-        trail_mean_interarrival_secs: 45.0,
-        background_mean_interarrival_secs: 120.0,
-        spike1: (300.0, 450.0),
-        spike2: (700.0, 900.0),
-    };
-    let scenario = forest_scenario(&params, 2026);
+    let scenario = forest_scenario(SLICE_SECS, 2026);
     println!(
         "deploying {} motes over ~105x105 ft; {} ground-truth events scheduled\n",
         scenario.topology.len(),
         scenario.sources.len()
     );
 
-    // Small flash stores so balancing has work to do within 20 minutes.
+    // Small flash stores so balancing has work to do within the hour.
     let cfg = NodeConfig::default()
         .with_flash_chunks(512)
         .with_beta_max(2.0);
@@ -46,11 +43,11 @@ fn main() {
     let trace = world.trace();
     let exp = Experiment::new(trace, &scenario.sources, scenario.topology.positions());
 
-    println!("vocal activity per minute (seconds of audio recorded):");
-    for m in 0..20 {
-        let from = f64::from(m) * 60.0;
-        let secs = exp.recorded_secs_between(from, from + 60.0);
-        let bar = "#".repeat((secs / 4.0).round() as usize);
+    println!("vocal activity per 3 minutes (seconds of audio recorded):");
+    for bin in 0..(SLICE_SECS / BIN_SECS) as u32 {
+        let from = f64::from(bin) * BIN_SECS;
+        let secs = exp.recorded_secs_between(from, from + BIN_SECS);
+        let bar = "#".repeat((secs / 5.0).round() as usize);
         println!("  {} {:>6.1}s |{}", wall_clock_label(from), secs, bar);
     }
 

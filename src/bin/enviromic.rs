@@ -8,6 +8,7 @@
 //!   --scenario indoor|mobile|forest|voice   workload (default indoor)
 //!   --mode     full|coop|baseline           protocol mode (default full)
 //!   --duration SECS                         override scenario length
+//!                                           (indoor and forest only)
 //!   --seed     N                            RNG seed (default 1)
 //!   --seeds    N                            sweep N consecutive seeds from
 //!                                           --seed (prints per-seed digests)
@@ -39,8 +40,7 @@ use enviromic::sim::{RecordKind, TraceEvent, WorldConfig};
 use enviromic::sweep::{run_sweep, JobInput, ScenarioSpec, SweepPlan};
 use enviromic::types::SimDuration;
 use enviromic::workloads::{
-    forest_scenario, indoor_scenario, mobile_scenario, voice_scenario, ForestParams, IndoorParams,
-    MobileParams, Scenario,
+    forest_scenario, indoor_scenario, mobile_scenario, voice_scenario, Scenario,
 };
 use enviromic::{default_jobs, parse_sim_secs, write_artifact};
 use enviromic_telemetry::{log, log_info};
@@ -140,6 +140,15 @@ fn parse_args() -> Options {
             }
         }
     }
+    // The mobile and voice workloads are the paper's fixed 9 s and 7 s
+    // events: a length for them would be silently ignored.
+    if opts.duration.is_some() && matches!(opts.scenario.as_str(), "mobile" | "voice") {
+        eprintln!(
+            "enviromic: --duration does not apply to --scenario {}",
+            opts.scenario
+        );
+        usage();
+    }
     // A sweep runs seeds `seed..=seed + seeds - 1`: the last one must fit.
     if opts.seed.checked_add(opts.seeds - 1).is_none() {
         eprintln!(
@@ -163,27 +172,16 @@ fn parse_args() -> Options {
 fn build_scenario(opts: &Options, seed: u64) -> (Scenario, WorldConfig) {
     match opts.scenario.as_str() {
         "indoor" => {
-            let params = IndoorParams {
-                duration_secs: opts.duration.unwrap_or(1100.0),
-                ..IndoorParams::default()
-            };
             let mut wcfg = indoor_world_config(seed);
             wcfg.mic_gain_spread = 0.10;
-            (indoor_scenario(&params, seed), wcfg)
+            (indoor_scenario(opts.duration.unwrap_or(1100.0), seed), wcfg)
         }
-        "mobile" => (
-            mobile_scenario(&MobileParams::default()),
-            indoor_world_config(seed),
-        ),
+        "mobile" => (mobile_scenario(), indoor_world_config(seed)),
         "voice" => (voice_scenario(), indoor_world_config(seed)),
         "forest" => {
-            let params = ForestParams {
-                duration_secs: opts.duration.unwrap_or(1800.0),
-                ..ForestParams::default()
-            };
             let mut wcfg = forest_world_config(seed);
             wcfg.mic_gain_spread = 0.10;
-            (forest_scenario(&params, seed), wcfg)
+            (forest_scenario(opts.duration.unwrap_or(1800.0), seed), wcfg)
         }
         other => {
             eprintln!("enviromic: bad --scenario value {other:?}");

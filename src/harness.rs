@@ -166,11 +166,11 @@ mod tests {
     use super::*;
     use enviromic_core::Mode;
     use enviromic_sim::TraceEvent;
-    use enviromic_workloads::{mobile_scenario, MobileParams};
+    use enviromic_workloads::mobile_scenario;
 
     #[test]
     fn mobile_run_produces_task_recordings() {
-        let scenario = mobile_scenario(&MobileParams::default());
+        let scenario = mobile_scenario();
         let cfg = NodeConfig::default().with_mode(Mode::CooperativeOnly);
         let run = run_scenario(scenario, &cfg, indoor_world_config(1), 2.0);
         let recorded = run

@@ -43,10 +43,10 @@
 //! ```
 //! use enviromic::core::{Mode, NodeConfig};
 //! use enviromic::harness::{indoor_world_config, run_scenario};
-//! use enviromic::workloads::{mobile_scenario, MobileParams};
+//! use enviromic::workloads::mobile_scenario;
 //!
 //! // Record a mobile acoustic target crossing the paper's 8x6 testbed.
-//! let scenario = mobile_scenario(&MobileParams::default());
+//! let scenario = mobile_scenario();
 //! let cfg = NodeConfig::default().with_mode(Mode::CooperativeOnly);
 //! let run = run_scenario(scenario, &cfg, indoor_world_config(1), 2.0);
 //! let miss = run.experiment().miss_ratio(13.0);

@@ -233,14 +233,10 @@ mod tests {
     use crate::harness::{indoor_world_config, run_scenario};
     use enviromic_core::{Mode, NodeConfig};
     use enviromic_types::SimDuration;
-    use enviromic_workloads::{indoor_scenario, IndoorParams};
+    use enviromic_workloads::indoor_scenario;
 
     fn quick_run(timeline: bool) -> ExperimentRun {
-        let params = IndoorParams {
-            duration_secs: 20.0,
-            ..IndoorParams::default()
-        };
-        let scenario = indoor_scenario(&params, 7);
+        let scenario = indoor_scenario(20.0, 7);
         let cfg = NodeConfig::default().with_mode(Mode::Full);
         let mut wcfg = indoor_world_config(7);
         if timeline {

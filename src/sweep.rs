@@ -32,13 +32,12 @@ use crate::harness::{
     city_world_config, forest_world_config, indoor_world_config, run_scenario_with_faults,
     ExperimentRun,
 };
-use enviromic_core::{Mode, NodeConfig, PolicyKind};
+use enviromic_core::{Mode, NodeConfig};
 use enviromic_sim::{FaultPlan, WorldConfig};
 use enviromic_telemetry::TelemetryReport;
 use enviromic_types::SimDuration;
 use enviromic_workloads::{
-    city_scenario, forest_scenario, indoor_scenario, mobile_scenario, CityParams, ForestParams,
-    IndoorParams, MobileParams, Scenario,
+    city_scenario, forest_scenario, indoor_scenario, mobile_scenario, Scenario,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -99,44 +98,17 @@ impl ScenarioSpec {
         (self.build)(seed)
     }
 
-    /// Re-parameterizes this point to run the given storage-balancing
-    /// policy on every node, relabelling it `{label}+{policy}` so digest
-    /// tables and metric prefixes keep policy points distinct. The
-    /// default [`PolicyKind::BetaTtl`] keeps the original label (the
-    /// golden-digest runs are those unmodified points).
-    #[must_use]
-    pub fn with_policy(self, policy: PolicyKind) -> ScenarioSpec {
-        if policy == PolicyKind::default() {
-            return self;
-        }
-        let inner = self.build;
-        ScenarioSpec {
-            label: format!("{}+{}", self.label, policy.name()),
-            build: Arc::new(move |seed| {
-                let mut input = inner(seed);
-                input.node_cfg.policy = policy;
-                input
-            }),
-        }
-    }
-
     /// The quick indoor point: the §IV-B testbed at `duration_secs`, full
     /// protocol, default node configuration. At 120 s this is byte-for-byte
     /// the run `tests/determinism.rs` pins to its golden digest.
     #[must_use]
     pub fn quick_indoor(duration_secs: f64) -> ScenarioSpec {
-        ScenarioSpec::new("quick-indoor", move |seed| {
-            let params = IndoorParams {
-                duration_secs,
-                ..IndoorParams::default()
-            };
-            JobInput {
-                scenario: indoor_scenario(&params, seed),
-                node_cfg: NodeConfig::default().with_mode(Mode::Full),
-                world_cfg: indoor_world_config(seed),
-                drain_secs: 5.0,
-                faults: FaultPlan::new(),
-            }
+        ScenarioSpec::new("quick-indoor", move |seed| JobInput {
+            scenario: indoor_scenario(duration_secs, seed),
+            node_cfg: NodeConfig::default().with_mode(Mode::Full),
+            world_cfg: indoor_world_config(seed),
+            drain_secs: 5.0,
+            faults: FaultPlan::new(),
         })
     }
 
@@ -148,7 +120,7 @@ impl ScenarioSpec {
     #[must_use]
     pub fn quick_mobile() -> ScenarioSpec {
         ScenarioSpec::new("quick-mobile", |seed| JobInput {
-            scenario: mobile_scenario(&MobileParams::default()),
+            scenario: mobile_scenario(),
             node_cfg: NodeConfig::default().with_mode(Mode::Full),
             world_cfg: indoor_world_config(seed),
             drain_secs: 5.0,
@@ -160,18 +132,12 @@ impl ScenarioSpec {
     /// full protocol, default node configuration.
     #[must_use]
     pub fn quick_forest(duration_secs: f64) -> ScenarioSpec {
-        ScenarioSpec::new("quick-forest", move |seed| {
-            let params = ForestParams {
-                duration_secs,
-                ..ForestParams::default()
-            };
-            JobInput {
-                scenario: forest_scenario(&params, seed),
-                node_cfg: NodeConfig::default().with_mode(Mode::Full),
-                world_cfg: forest_world_config(seed),
-                drain_secs: 5.0,
-                faults: FaultPlan::new(),
-            }
+        ScenarioSpec::new("quick-forest", move |seed| JobInput {
+            scenario: forest_scenario(duration_secs, seed),
+            node_cfg: NodeConfig::default().with_mode(Mode::Full),
+            world_cfg: forest_world_config(seed),
+            drain_secs: 5.0,
+            faults: FaultPlan::new(),
         })
     }
 
@@ -183,11 +149,7 @@ impl ScenarioSpec {
     #[must_use]
     pub fn chaos_indoor(duration_secs: f64) -> ScenarioSpec {
         ScenarioSpec::new("chaos-indoor", move |seed| {
-            let params = IndoorParams {
-                duration_secs,
-                ..IndoorParams::default()
-            };
-            let scenario = indoor_scenario(&params, seed);
+            let scenario = indoor_scenario(duration_secs, seed);
             let faults = FaultPlan::chaos(
                 seed,
                 scenario.topology.positions().len(),
@@ -229,23 +191,17 @@ impl ScenarioSpec {
         } else {
             format!("city-{nodes}")
         };
-        ScenarioSpec::new(label, move |seed| {
-            let params = CityParams {
-                duration_secs,
-                ..CityParams::with_nodes(nodes)
-            };
-            JobInput {
-                scenario: city_scenario(&params, seed),
-                node_cfg: NodeConfig::default()
-                    .with_mode(Mode::Full)
-                    .with_flash_chunks(64),
-                world_cfg: WorldConfig {
-                    keep_trace_records: false,
-                    ..city_world_config(seed)
-                },
-                drain_secs: 2.0,
-                faults: FaultPlan::new(),
-            }
+        ScenarioSpec::new(label, move |seed| JobInput {
+            scenario: city_scenario(nodes, duration_secs, seed),
+            node_cfg: NodeConfig::default()
+                .with_mode(Mode::Full)
+                .with_flash_chunks(64),
+            world_cfg: WorldConfig {
+                keep_trace_records: false,
+                ..city_world_config(seed)
+            },
+            drain_secs: 2.0,
+            faults: FaultPlan::new(),
         })
     }
 
@@ -254,11 +210,7 @@ impl ScenarioSpec {
     #[must_use]
     pub fn chaos_forest(duration_secs: f64) -> ScenarioSpec {
         ScenarioSpec::new("chaos-forest", move |seed| {
-            let params = ForestParams {
-                duration_secs,
-                ..ForestParams::default()
-            };
-            let scenario = forest_scenario(&params, seed);
+            let scenario = forest_scenario(duration_secs, seed);
             let faults = FaultPlan::chaos(
                 seed,
                 scenario.topology.positions().len(),

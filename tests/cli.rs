@@ -20,10 +20,11 @@ fn rejection_failure(args: &[&str]) -> Option<String> {
 
 #[test]
 fn bad_flag_values_exit_2_with_the_usage_line() {
-    // Every case but the `--duration` one runs a 1 s scenario, so a flag
-    // that slips through fails the test quickly instead of running the
-    // default 1,100 s indoor campaign.
-    let cases: [&[&str]; 10] = [
+    // Every case but the `--duration 0` one runs a 1 s scenario or the
+    // fixed 9 s and 7 s mobile and voice events, so a flag that slips
+    // through fails the test quickly instead of running the default
+    // 1,100 s indoor campaign.
+    let cases: [&[&str]; 12] = [
         &["--duration", "1", "--flash", "0"],
         &["--duration", "1", "--beta-max", "0.5"],
         &["--duration", "1", "--beta-max", "NaN"],
@@ -33,6 +34,8 @@ fn bad_flag_values_exit_2_with_the_usage_line() {
         &["--duration", "1", "--timeline", "0"],
         &["--duration", "0"],
         &["--duration", "1", "--scenario", "nowhere"],
+        &["--scenario", "mobile", "--duration", "100"],
+        &["--scenario", "voice", "--duration", "5", "--seeds", "2"],
         &[
             "--duration",
             "1",

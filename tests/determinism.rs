@@ -18,7 +18,7 @@ use enviromic::harness::{
 use enviromic::sweep::{run_sweep, ScenarioSpec, SweepPlan};
 use enviromic_core::{Mode, NodeConfig, PolicyKind};
 use enviromic_types::SimDuration;
-use enviromic_workloads::{indoor_scenario, mobile_scenario, IndoorParams, MobileParams};
+use enviromic_workloads::{indoor_scenario, mobile_scenario};
 
 /// Golden values captured from the quick indoor run below at seed 42.
 const GOLDEN_EVENTS: usize = 9127;
@@ -35,11 +35,7 @@ const GOLDEN_MOBILE_DIGEST: u64 = 0xe11e_713b_b6c8_8da3;
 
 #[test]
 fn quick_indoor_trace_matches_golden_digest() {
-    let params = IndoorParams {
-        duration_secs: 120.0,
-        ..IndoorParams::default()
-    };
-    let scenario = indoor_scenario(&params, 42);
+    let scenario = indoor_scenario(120.0, 42);
     let cfg = NodeConfig::default().with_mode(Mode::Full);
     let run = run_scenario(scenario, &cfg, indoor_world_config(42), 5.0);
     assert_eq!(
@@ -77,7 +73,7 @@ fn golden_digest_holds_inside_worker_pool() {
 
 #[test]
 fn mobile_trace_matches_golden_digest() {
-    let scenario = mobile_scenario(&MobileParams::default());
+    let scenario = mobile_scenario();
     let cfg = NodeConfig::default().with_mode(Mode::Full);
     let run = run_scenario(scenario, &cfg, indoor_world_config(42), 5.0);
     assert_eq!(
@@ -118,11 +114,7 @@ fn mobile_golden_digest_holds_inside_worker_pool() {
 #[test]
 fn golden_digests_hold_with_timeline_sampling() {
     for interval in [5.0, 0.5] {
-        let params = IndoorParams {
-            duration_secs: 120.0,
-            ..IndoorParams::default()
-        };
-        let scenario = indoor_scenario(&params, 42);
+        let scenario = indoor_scenario(120.0, 42);
         let cfg = NodeConfig::default().with_mode(Mode::Full);
         let mut wcfg = indoor_world_config(42);
         wcfg.timeline_sample_period = Some(SimDuration::from_secs_f64(interval));
@@ -135,7 +127,7 @@ fn golden_digests_hold_with_timeline_sampling() {
         let tl = run.timeline.expect("timeline was sampled");
         assert!(!tl.times.is_empty(), "timeline captured samples");
 
-        let scenario = mobile_scenario(&MobileParams::default());
+        let scenario = mobile_scenario();
         let cfg = NodeConfig::default().with_mode(Mode::Full);
         let mut wcfg = indoor_world_config(42);
         wcfg.timeline_sample_period = Some(SimDuration::from_secs_f64(interval));
@@ -181,6 +173,17 @@ fn timelines_are_bit_identical_across_worker_counts() {
     );
 }
 
+/// `spec` with every node running `policy`, relabelled `{label}+{policy}`
+/// so digest tables keep policy points apart.
+fn with_policy(spec: ScenarioSpec, policy: PolicyKind) -> ScenarioSpec {
+    let label = format!("{}+{}", spec.label, policy.name());
+    ScenarioSpec::new(label, move |seed| {
+        let mut input = spec.build(seed);
+        input.node_cfg.policy = policy;
+        input
+    })
+}
+
 /// Every non-default storage policy honours the same determinism
 /// contract as the golden `beta-ttl` runs: per-seed digests are
 /// bit-identical at 1 and 4 sweep workers, fault-free *and* under the
@@ -197,8 +200,8 @@ fn non_default_policies_are_bit_identical_across_worker_counts() {
         let plan = SweepPlan::new(
             vec![41, 42],
             vec![
-                ScenarioSpec::quick_indoor(60.0).with_policy(kind),
-                ScenarioSpec::chaos_indoor(60.0).with_policy(kind),
+                with_policy(ScenarioSpec::quick_indoor(60.0), kind),
+                with_policy(ScenarioSpec::chaos_indoor(60.0), kind),
             ],
         );
         let serial: Vec<(String, u64, u64, usize)> = run_sweep(&plan, 1)
@@ -235,7 +238,10 @@ fn non_default_policies_are_bit_identical_across_worker_counts() {
 fn non_default_policy_changes_the_golden_trace() {
     let plan = SweepPlan::new(
         vec![42],
-        vec![ScenarioSpec::quick_indoor(120.0).with_policy(PolicyKind::NoMigration)],
+        vec![with_policy(
+            ScenarioSpec::quick_indoor(120.0),
+            PolicyKind::NoMigration,
+        )],
     );
     let out = run_sweep(&plan, 1);
     assert_eq!(out.jobs.len(), 1);
@@ -412,11 +418,7 @@ fn dispatched_event_counts_are_pinned() {
 #[test]
 fn same_seed_same_digest_across_runs() {
     let run = |seed: u64| {
-        let params = IndoorParams {
-            duration_secs: 20.0,
-            ..IndoorParams::default()
-        };
-        let scenario = indoor_scenario(&params, seed);
+        let scenario = indoor_scenario(20.0, seed);
         let cfg = NodeConfig::default().with_mode(Mode::Full);
         run_scenario(scenario, &cfg, indoor_world_config(seed), 1.0)
             .trace

@@ -5,14 +5,10 @@ use enviromic::core::{DataMule, EnviroMicNode, Mode, MuleConfig, NodeConfig, Ret
 use enviromic::harness::{build_world, indoor_world_config, run_scenario};
 use enviromic::sim::{RecordKind, TraceEvent};
 use enviromic::types::{NodeId, Position, SimDuration};
-use enviromic::workloads::{indoor_scenario, mobile_scenario, IndoorParams, MobileParams};
+use enviromic::workloads::{indoor_scenario, mobile_scenario};
 
-fn short_indoor(_seed: u64) -> IndoorParams {
-    IndoorParams {
-        duration_secs: 600.0,
-        ..IndoorParams::default()
-    }
-}
+/// Length of the shortened §IV-B indoor runs, seconds.
+const SHORT_SECS: f64 = 600.0;
 
 fn suite_world(seed: u64) -> enviromic::sim::WorldConfig {
     let mut cfg = indoor_world_config(seed);
@@ -22,9 +18,8 @@ fn suite_world(seed: u64) -> enviromic::sim::WorldConfig {
 
 #[test]
 fn cooperative_beats_baseline_on_redundancy() {
-    let params = short_indoor(1);
     let run_mode = |mode: Mode| {
-        let scenario = indoor_scenario(&params, 1);
+        let scenario = indoor_scenario(SHORT_SECS, 1);
         let cfg = NodeConfig::default().with_mode(mode).with_flash_chunks(650);
         run_scenario(scenario, &cfg, suite_world(1), 10.0)
     };
@@ -51,9 +46,8 @@ fn cooperative_beats_baseline_on_redundancy() {
 #[test]
 fn load_balancing_defers_storage_exhaustion() {
     // Tiny stores so even 600 s fills the hot nodes without balancing.
-    let params = short_indoor(2);
     let run_with = |mode: Mode| {
-        let scenario = indoor_scenario(&params, 2);
+        let scenario = indoor_scenario(SHORT_SECS, 2);
         let cfg = NodeConfig::default().with_mode(mode).with_flash_chunks(200);
         let run = run_scenario(scenario, &cfg, suite_world(2), 10.0);
         run.experiment().miss_ratio(600.0)
@@ -69,8 +63,7 @@ fn load_balancing_defers_storage_exhaustion() {
 
 #[test]
 fn migration_diffuses_hotspot_data_outward() {
-    let params = short_indoor(3);
-    let scenario = indoor_scenario(&params, 3);
+    let scenario = indoor_scenario(SHORT_SECS, 3);
     let positions = scenario.topology.positions().to_vec();
     let cfg = NodeConfig::default()
         .with_mode(Mode::Full)
@@ -101,7 +94,7 @@ fn migration_diffuses_hotspot_data_outward() {
 
 #[test]
 fn one_hop_retrieval_collects_the_whole_network() {
-    let scenario = mobile_scenario(&MobileParams::default());
+    let scenario = mobile_scenario();
     let cfg = NodeConfig::default().with_mode(Mode::CooperativeOnly);
     let mut world = build_world(&scenario, &cfg, indoor_world_config(4));
     let mule = world.add_node(
@@ -141,7 +134,7 @@ fn timesync_keeps_chunk_timestamps_mutually_consistent() {
     // true time is expected); what matters for stitching distributed
     // files is cross-node consistency: chunks recorded back-to-back by
     // different motes must carry back-to-back timestamps.
-    let scenario = mobile_scenario(&MobileParams::default());
+    let scenario = mobile_scenario();
     let event_span = scenario.sources[0].duration().as_secs_f64();
     let cfg = NodeConfig::default().with_mode(Mode::CooperativeOnly);
     // Seed recalibrated for the in-tree rand stand-in's PRNG stream.
@@ -191,7 +184,7 @@ fn timesync_keeps_chunk_timestamps_mutually_consistent() {
 #[test]
 fn deterministic_across_identical_runs() {
     let run = |seed| {
-        let scenario = indoor_scenario(&short_indoor(6), seed);
+        let scenario = indoor_scenario(SHORT_SECS, seed);
         let cfg = NodeConfig::default().with_flash_chunks(300);
         let r = run_scenario(scenario, &cfg, suite_world(seed), 5.0);
         format!("{:?}", r.trace.events().len())

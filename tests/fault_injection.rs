@@ -14,7 +14,7 @@ use enviromic::sim::acoustics::{Motion, SourceId, SourceSpec, Waveform};
 use enviromic::sim::{FaultEvent, FaultKind, FaultPlan, FaultScope, TraceEvent, World};
 use enviromic::sweep::{run_sweep, JobInput, ScenarioSpec, SweepPlan};
 use enviromic::types::{NodeId, Position, SimDuration, SimTime};
-use enviromic::workloads::{indoor_scenario, mobile_scenario, IndoorParams, MobileParams};
+use enviromic::workloads::{indoor_scenario, mobile_scenario};
 use proptest::prelude::*;
 
 fn tone(id: u32, pos: Position, start_s: f64, stop_s: f64, range: f64) -> SourceSpec {
@@ -170,7 +170,7 @@ fn legacy_energy_depletion_kills_nodes() {
 fn collected_dead_mote_yields_its_data() {
     // A mote records, "dies", and is physically collected: offline
     // recovery from flash + EEPROM returns every chunk it held.
-    let scenario = mobile_scenario(&MobileParams::default());
+    let scenario = mobile_scenario();
     let cfg = NodeConfig::default().with_mode(Mode::CooperativeOnly);
     let mut world = build_world(&scenario, &cfg, indoor_world_config(32));
     world.run_for_secs(16.0);
@@ -195,11 +195,7 @@ fn collected_dead_mote_yields_its_data() {
 fn extreme_packet_loss_degrades_gracefully() {
     // At 40% loss the protocol must still record a useful fraction and
     // must not deadlock or panic.
-    let params = IndoorParams {
-        duration_secs: 300.0,
-        ..IndoorParams::default()
-    };
-    let scenario = indoor_scenario(&params, 33);
+    let scenario = indoor_scenario(300.0, 33);
     let mut wcfg = indoor_world_config(33);
     wcfg.radio.loss_prob = 0.40;
     wcfg.mic_gain_spread = 0.10;
@@ -282,18 +278,12 @@ proptest! {
             }
         }
         let spec_plan = plan.clone();
-        let spec = ScenarioSpec::new("prop-chaos", move |seed| {
-            let params = IndoorParams {
-                duration_secs: 12.0,
-                ..IndoorParams::default()
-            };
-            JobInput {
-                scenario: indoor_scenario(&params, seed),
-                node_cfg: NodeConfig::default().with_mode(Mode::Full),
-                world_cfg: indoor_world_config(seed),
-                drain_secs: 2.0,
-                faults: spec_plan.clone(),
-            }
+        let spec = ScenarioSpec::new("prop-chaos", move |seed| JobInput {
+            scenario: indoor_scenario(12.0, seed),
+            node_cfg: NodeConfig::default().with_mode(Mode::Full),
+            world_cfg: indoor_world_config(seed),
+            drain_secs: 2.0,
+            faults: spec_plan.clone(),
         });
         let sweep = SweepPlan::new(vec![7, 8], vec![spec]);
         let serial = run_sweep(&sweep, 1);

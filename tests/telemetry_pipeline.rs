@@ -5,11 +5,11 @@
 use enviromic::core::{Mode, NodeConfig};
 use enviromic::harness::{indoor_world_config, run_scenario};
 use enviromic::telemetry::TelemetryReport;
-use enviromic::workloads::{mobile_scenario, MobileParams};
+use enviromic::workloads::mobile_scenario;
 
 #[test]
 fn cooperative_run_populates_protocol_counters() {
-    let scenario = mobile_scenario(&MobileParams::default());
+    let scenario = mobile_scenario();
     let cfg = NodeConfig::default().with_mode(Mode::CooperativeOnly);
     let run = run_scenario(scenario, &cfg, indoor_world_config(1), 2.0);
     let t = &run.telemetry;
