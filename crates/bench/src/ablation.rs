@@ -13,10 +13,9 @@
 //!   false-positive (unattributable) recordings.
 //!
 //! The module also hosts the **storage-policy matrix**
-//! ([`run_policy_matrix`]): every
-//! [`BalancePolicy`](enviromic::core::BalancePolicy) implementation run
-//! head-to-head through the indoor, forest, and chaos scenario families,
-//! emitting the comparative [`PolicyMatrix`] report committed as
+//! ([`run_policy_matrix`]): every [`PolicyKind`] run head-to-head through
+//! the indoor, forest, and chaos scenario families, emitting the
+//! comparative [`PolicyMatrix`] report committed as
 //! `BENCH_policies.json` (storage utilization, chunk loss under faults,
 //! migration radio energy, and the `balance.policy.*` telemetry).
 
@@ -149,7 +148,7 @@ pub fn render(rows: &[AblationRow]) -> String {
     out
 }
 
-// ----- storage-policy matrix (BalancePolicy head-to-head) ---------------------
+// ----- storage-policy matrix (PolicyKind head-to-head) ------------------------
 
 /// Flash capacity used by the policy matrix: small enough that the
 /// workloads pressure storage within a few hundred seconds, so the
@@ -409,8 +408,8 @@ fn policy_spec(family: &'static str, kind: PolicyKind, duration: f64) -> Scenari
 /// under an actual fault schedule.
 pub const POLICY_SCENARIOS: [&str; 3] = ["indoor", "forest", "chaos-indoor"];
 
-/// Runs every [`BalancePolicy`](enviromic::core::BalancePolicy) through
-/// the scenario families at every seed, on `jobs` workers. The result is
+/// Runs every [`PolicyKind`] through the scenario families at every seed,
+/// on `jobs` workers. The result is
 /// deterministic: the same seeds produce a byte-identical report at any
 /// worker count.
 #[must_use]

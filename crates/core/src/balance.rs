@@ -3,43 +3,21 @@
 //! Each node tracks its data acquisition rate with an EWMA and runs the
 //! reliable MigrateOffer/MigrateAccept/BulkData choreography that moves
 //! chunk batches between neighbours. The *decisions* — when to shed data,
-//! to whom, and whether to accept or retain — are delegated to the node's
-//! pluggable [`BalancePolicy`](crate::BalancePolicy); under the default
-//! [`BetaTtlPolicy`](crate::BetaTtlPolicy) this is exactly the paper's
-//! TTL/β heuristic, where hot-spot data diffuses outward as in Fig. 18.
-//! Received data can be re-migrated later regardless of policy.
+//! to whom, and whether to accept or retain — come from the node's
+//! [`PolicyKind`](crate::PolicyKind) through a [`BalanceView`]; under the
+//! default `BetaTtl` this is exactly the paper's TTL/β heuristic, where
+//! hot-spot data diffuses outward as in Fig. 18. Received data can be
+//! re-migrated later regardless of policy.
 
 use crate::config::{BULK_RETRIES, BULK_TIMEOUT, RATE_ALPHA, RATE_PERIOD, STATE_PERIOD};
 use crate::node::{
     BulkPurpose, EnviroMicNode, InboundBulk, OutboundBulk, PendingOffer, T_BULK, T_RATE, T_STATE,
 };
-use crate::policy::{BalanceView, NeighborView};
+use crate::policy::{note_session_closed, BalanceView};
 use enviromic_flash::Chunk;
 use enviromic_net::{BulkReceiver, BulkSender, Message, SenderStep};
 use enviromic_runtime::{Runtime, TraceEvent};
 use enviromic_types::NodeId;
-
-/// Snapshots the balancing-relevant node state into a [`BalanceView`].
-///
-/// A macro rather than a method so the view's borrows are *field* borrows
-/// (`$node.cfg`, a local neighbour `Vec`): the caller can still take
-/// `&mut $node.policy` while the view is alive — disjoint paths the
-/// borrow checker accepts, where a `&self` helper method would not.
-macro_rules! balance_view {
-    ($node:expr, $neighbors:expr) => {
-        BalanceView {
-            me: $node.me,
-            ttl_storage_secs: $node.ttl_storage_f64(),
-            rate: $node.rate,
-            stored_chunks: $node.store.len(),
-            free_chunks: $node.store.free(),
-            capacity_chunks: $node.store.capacity(),
-            net_avg_free: $node.net_avg_free,
-            neighbors: $neighbors,
-            cfg: &$node.cfg,
-        }
-    };
-}
 
 impl EnviroMicNode {
     // ----- periodic rate estimation (§II-B) -----------------------------------
@@ -109,23 +87,25 @@ impl EnviroMicNode {
         self.arm(ctx, T_STATE, STATE_PERIOD);
     }
 
-    /// A policy-ready snapshot of the neighbour table, in node-ID order.
-    fn neighbor_views(&self) -> Vec<NeighborView> {
-        self.neighbors
-            .entries()
-            .map(|(node, info)| NeighborView {
-                node,
-                ttl_secs: info.ttl_secs,
-                free_chunks: info.free_chunks,
-                avg_free_pct: info.avg_free_pct,
-            })
-            .collect()
+    /// What the storage policy sees of this node at a decision point.
+    fn balance_view(&self) -> BalanceView<'_> {
+        BalanceView {
+            ttl_storage_secs: self.ttl_storage_f64(),
+            rate: self.rate,
+            stored_chunks: self.store.len(),
+            free_chunks: self.store.free(),
+            capacity_chunks: self.store.capacity(),
+            net_avg_free: self.net_avg_free,
+            neighbors: &self.neighbors,
+            batch_targets: &self.batch_targets,
+            cfg: &self.cfg,
+        }
     }
 
-    /// The periodic migration decision, delegated to the node's
-    /// [`BalancePolicy`](crate::BalancePolicy). The mechanical guards are
-    /// policy-independent: a node mid-session, with an outstanding offer,
-    /// or with nothing stored never initiates a migration.
+    /// The periodic migration decision, made by the node's storage policy.
+    /// The mechanical guards are policy-independent: a node mid-session,
+    /// with an outstanding offer, or with nothing stored never initiates a
+    /// migration.
     fn balance_check(&mut self, ctx: &mut dyn Runtime) {
         if !self.cfg.mode.balancing()
             || self.bulk_out.is_some()
@@ -134,9 +114,7 @@ impl EnviroMicNode {
         {
             return;
         }
-        let neighbors = self.neighbor_views();
-        let view = balance_view!(self, &neighbors);
-        let Some(plan) = self.policy.should_migrate(ctx, &view) else {
+        let Some(plan) = self.balance_view().should_migrate(ctx) else {
             self.policy_metrics.holds.inc();
             return;
         };
@@ -180,9 +158,7 @@ impl EnviroMicNode {
             self.metrics.migrate_rejected.inc();
             return; // busy or full: ignore and let the offer expire
         }
-        let neighbors = self.neighbor_views();
-        let view = balance_view!(self, &neighbors);
-        if !self.policy.accept_inbound(&view, from, chunks) {
+        if !self.balance_view().accept_inbound() {
             self.metrics.migrate_rejected.inc();
             self.policy_metrics.inbound_rejected.inc();
             return;
@@ -239,7 +215,9 @@ impl EnviroMicNode {
         // Chunks are *copied* into the transfer; each is popped from the
         // store only when its acknowledgement arrives, so a failed
         // transfer loses nothing.
-        let chunks: Vec<Chunk> = (0..count).filter_map(|i| self.store.get(i)).collect();
+        let chunks: Vec<Chunk> = (0..count)
+            .filter_map(|i| self.store.get(i).ok().flatten())
+            .collect();
         if chunks.is_empty() {
             return;
         }
@@ -287,7 +265,6 @@ impl EnviroMicNode {
                 let inbound = self.bulk_in.as_mut().expect("checked above");
                 inbound.accepted += 1;
                 inbound.bytes += chunk_bytes;
-                self.stats.chunks_migrated_in += 1;
                 self.metrics.chunks_migrated_in.inc();
             } else {
                 // Out of space mid-transfer: withhold the ACK so the donor
@@ -334,14 +311,11 @@ impl EnviroMicNode {
             // the policy keeps it as a deliberate replica (the paper's
             // "controlled redundancy" future work; the dispersal policy's
             // k-way copies).
-            let neighbors = self.neighbor_views();
-            let view = balance_view!(self, &neighbors);
-            if self.policy.retain_after_ack(&view) {
+            if self.balance_view().retain_after_ack() {
                 self.policy_metrics.chunks_retained.inc();
             } else {
                 let _ = self.store.pop_front(ctx);
             }
-            self.stats.chunks_migrated_out += 1;
             self.metrics.chunks_migrated_out.inc();
         }
         let Some(outbound) = &mut self.bulk_out else {
@@ -392,8 +366,8 @@ impl EnviroMicNode {
     }
 
     /// Post-session hook: retrieval sessions report completion to the
-    /// querier; migration sessions notify the balancing policy (which the
-    /// dispersal policy uses to track per-batch copy targets).
+    /// querier; migration sessions update the per-batch copy targets of
+    /// the dispersal policy.
     fn after_bulk_out_finished(
         &mut self,
         ctx: &mut dyn Runtime,
@@ -402,7 +376,7 @@ impl EnviroMicNode {
     ) {
         match purpose {
             BulkPurpose::Migration => {
-                self.policy.on_migration_session_closed(peer);
+                note_session_closed(self.cfg.policy, &mut self.batch_targets, peer);
                 self.policy_metrics.sessions_closed.inc();
             }
             BulkPurpose::Retrieval { root, query_id } => {

@@ -32,10 +32,11 @@ impl Mode {
     }
 }
 
-/// Which [`BalancePolicy`](crate::BalancePolicy) implementation a node
-/// runs. The default is the paper's §II-B β/TTL heuristic; the others are
+/// Which storage-balancing policy a node runs. The default is the paper's
+/// §II-B β/TTL heuristic; the others are the no-migration baseline and
 /// the competing storage-management strategies from the literature that
-/// the policy ablation (`crates/bench`) compares head-to-head.
+/// the policy ablation (`crates/bench`) compares head-to-head. The set is
+/// closed: the node matches on it at each balancing decision.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// The paper's migration heuristic: migrate to a neighbour whose

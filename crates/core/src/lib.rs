@@ -17,10 +17,11 @@
 //!   chunked flash storage, TTL-driven storage balancing, FTSP-style time
 //!   sync, and query answering. The [`Mode`] in [`NodeConfig`] selects
 //!   between the full system and the paper's two baselines.
-//! * [`BalancePolicy`] — the pluggable storage-balancing decision layer:
-//!   the paper's §II-B β/TTL heuristic ([`BetaTtlPolicy`], the default)
-//!   plus competing policies from the literature, selected per node via
-//!   [`NodeConfig::policy`] for head-to-head ablation.
+//! * [`PolicyKind`] — the storage-balancing policy a node runs, set in
+//!   [`NodeConfig::policy`]: the paper's §II-B β/TTL heuristic (the
+//!   default), the no-migration baseline, and two competing policies
+//!   from the literature, for head-to-head ablation. The set is closed;
+//!   the node dispatches each balancing decision on it.
 //! * [`DataMule`] — the collecting user, in one-hop or spanning-tree
 //!   retrieval mode.
 //! * [`recover_collected_mote`] — the physical-collection fallback,
@@ -64,14 +65,9 @@ pub use config::{
     SYNC_MIN_PERIOD,
 };
 pub use detector::{Detection, SoundDetector};
-pub use node::{EnviroMicNode, NodeStats};
-pub use policy::{
-    build_policy, BalancePolicy, BalanceView, BetaTtlPolicy, CoordinatedStoragePolicy,
-    FloodingDispersalPolicy, MigrationPlan, NeighborView, NoMigrationPolicy, COORD_HEADROOM,
-    COORD_LOW_WATER, DISPERSAL_K,
-};
+pub use node::EnviroMicNode;
+pub use policy::{COORD_HEADROOM, COORD_LOW_WATER, DISPERSAL_K};
 pub use retrieve::{
     recover_collected_mote, DataMule, MuleConfig, RerequestBatch, RerequestPlan, RetrievalMode,
     RetrievedFile,
 };
-pub use storage::TracedStore;

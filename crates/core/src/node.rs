@@ -15,7 +15,7 @@ use crate::config::{
     RATE_PERIOD, SENSING_PERIOD, STATE_PERIOD, SYNC_MAX_PERIOD, SYNC_MIN_PERIOD,
 };
 use crate::detector::{Detection, SoundDetector};
-use crate::policy::{build_policy, BalancePolicy, PolicyMetrics};
+use crate::policy::PolicyMetrics;
 use crate::storage::TracedStore;
 use enviromic_flash::{Chunk, ChunkMeta, ChunkStore};
 use enviromic_net::{
@@ -206,25 +206,6 @@ impl CoreMetrics {
     }
 }
 
-/// Counters exposed for tests and experiment harnesses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStats {
-    /// Recording tasks this node performed (confirmed assignments).
-    pub tasks_recorded: u64,
-    /// Times this node became leader (fresh elections).
-    pub elections_won: u64,
-    /// Times this node took over leadership via handoff.
-    pub handoffs_won: u64,
-    /// Chunks currently migrated away (acknowledged).
-    pub chunks_migrated_out: u64,
-    /// Chunks accepted from donors.
-    pub chunks_migrated_in: u64,
-    /// Chunks dropped because the store was full.
-    pub chunks_dropped: u64,
-    /// Prelude recordings erased after losing the keeper choice.
-    pub preludes_erased: u64,
-}
-
 /// One EnviroMic mote's protocol stack.
 ///
 /// Construct with [`EnviroMicNode::new`] and hand to any [`Runtime`]
@@ -277,9 +258,9 @@ pub struct EnviroMicNode {
     pub(crate) prelude_event_pending: bool,
 
     // balancing
-    /// The storage-balancing decision layer, built from
-    /// `cfg.policy` (and rebuilt on reboot: policy state is RAM state).
-    pub(crate) policy: Box<dyn BalancePolicy>,
+    /// `PolicyKind::Flooding`: the neighbours the head batch has already
+    /// been copied to. RAM state, so a reboot clears it.
+    pub(crate) batch_targets: Vec<NodeId>,
     pub(crate) policy_metrics: PolicyMetrics,
     pub(crate) rate: f64,
     /// Diffusive estimate of the network-wide average free fraction
@@ -296,7 +277,6 @@ pub struct EnviroMicNode {
     // plumbing
     /// The handle armed per timer token, or [`UNARMED`].
     pub(crate) timers: [TimerHandle; TIMER_TOKENS],
-    pub(crate) stats: NodeStats,
     pub(crate) metrics: CoreMetrics,
 }
 
@@ -318,8 +298,7 @@ impl EnviroMicNode {
             DETECT_OFF_FRACTION,
             BACKGROUND_ALPHA,
         );
-        let store = TracedStore::new(cfg.flash_chunks, cfg.checkpoint_interval);
-        let policy = build_policy(cfg.policy);
+        let store = TracedStore::new(ChunkStore::new(cfg.flash_chunks, cfg.checkpoint_interval));
         EnviroMicNode {
             cfg,
             me: NodeId(0),
@@ -344,7 +323,7 @@ impl EnviroMicNode {
             task: None,
             prelude_chunks: 0,
             prelude_event_pending: false,
-            policy,
+            batch_targets: Vec::new(),
             policy_metrics: PolicyMetrics::detached(),
             rate: INITIAL_RATE,
             net_avg_free: 1.0,
@@ -354,7 +333,6 @@ impl EnviroMicNode {
             session_seq: 0,
             pending_reply: None,
             timers: [UNARMED; TIMER_TOKENS],
-            stats: NodeStats::default(),
             metrics: CoreMetrics::detached(),
         }
     }
@@ -365,16 +343,10 @@ impl EnviroMicNode {
         &self.cfg
     }
 
-    /// Protocol counters.
-    #[must_use]
-    pub fn stats(&self) -> NodeStats {
-        self.stats
-    }
-
     /// The local chunk store (post-run inspection).
     #[must_use]
-    pub fn store(&self) -> &enviromic_flash::ChunkStore {
-        self.store.inner()
+    pub fn store(&self) -> &ChunkStore {
+        &self.store
     }
 
     /// Chunks currently stored.
@@ -399,7 +371,16 @@ impl EnviroMicNode {
         if self.rate <= 0.0 {
             return f64::INFINITY;
         }
-        self.store.free_bytes() as f64 / self.rate
+        let free_bytes = u64::from(self.store.free()) * u64::from(audio::CHUNK_PAYLOAD_BYTES);
+        free_bytes as f64 / self.rate
+    }
+
+    /// Occupancy report for the world's poller.
+    fn occupancy(&self) -> StorageOccupancy {
+        StorageOccupancy {
+            used: u64::from(self.store.len()),
+            capacity: u64::from(self.store.capacity()),
+        }
     }
 
     // ----- timer plumbing ---------------------------------------------------
@@ -661,7 +642,6 @@ impl EnviroMicNode {
             Err(_) => {
                 let task = self.task.as_mut().expect("task checked above");
                 task.dropped_from.get_or_insert(block.t0);
-                self.stats.chunks_dropped += 1;
                 self.metrics.chunks_dropped.inc();
             }
         }
@@ -714,7 +694,6 @@ impl EnviroMicNode {
                 }
             }
             RecordKind::Task => {
-                self.stats.tasks_recorded += 1;
                 self.metrics.tasks_recorded.inc();
                 // If we are the leader and just recorded our own
                 // assignment, the assignment timer takes over.
@@ -738,7 +717,7 @@ impl Application for EnviroMicNode {
         self.me = ctx.node_id();
         self.sync = SyncState::new(self.me);
         self.metrics = CoreMetrics::attach(ctx.telemetry());
-        self.policy_metrics = PolicyMetrics::attach(ctx.telemetry(), self.policy.kind());
+        self.policy_metrics = PolicyMetrics::attach(ctx.telemetry(), self.cfg.policy);
         // Stagger periodic services so co-located nodes do not self-
         // synchronize.
         let state_stagger = {
@@ -812,7 +791,7 @@ impl Application for EnviroMicNode {
     }
 
     fn poll_occupancy(&self) -> Option<StorageOccupancy> {
-        Some(self.store.occupancy())
+        Some(self.occupancy())
     }
 
     fn poll_probe(&self) -> Option<NodeProbe> {
@@ -824,7 +803,7 @@ impl Application for EnviroMicNode {
             NodeRole::Idle
         };
         Some(NodeProbe {
-            occupancy: self.store.occupancy(),
+            occupancy: self.occupancy(),
             chunks: self.store.len(),
             role,
         })
@@ -840,8 +819,7 @@ impl Application for EnviroMicNode {
         let fresh = EnviroMicNode::new(cfg);
         let old = core::mem::replace(self, fresh);
         let (flash, eeprom) = old.store.into_inner().into_parts();
-        self.store =
-            TracedStore::from_recovered(ChunkStore::recover(flash, eeprom, checkpoint_interval));
+        self.store = TracedStore::new(ChunkStore::recover(flash, eeprom, checkpoint_interval));
         ctx.telemetry().counter("core.node.reboots").inc();
         // Stale timers armed before the crash are filtered by is_current:
         // the rebuilt timer slots hold no pre-crash handles.
@@ -855,7 +833,7 @@ impl Application for EnviroMicNode {
 
     fn on_finish(&mut self, ctx: &mut dyn Runtime) {
         // End-of-run flash wear scrape (§III-B.3 wear-leveling evidence).
-        enviromic_flash::record_wear(ctx.telemetry(), self.store.inner().flash());
+        enviromic_flash::record_wear(ctx.telemetry(), self.store.flash());
         ctx.telemetry()
             .counter("flash.writes.remapped")
             .add(self.store.remapped_writes());
@@ -880,7 +858,6 @@ mod tests {
         assert_eq!(node.ttl_storage_secs(), u32::MAX);
         assert!(node.ttl_storage_f64().is_infinite());
         assert_eq!(node.stored_chunks(), 0);
-        assert_eq!(node.stats(), NodeStats::default());
     }
 
     #[test]
@@ -900,7 +877,7 @@ mod tests {
     }
 
     /// Every node of a city world pays this inline size: 100k nodes at
-    /// 1,024 B is 102 MB. Keep new state that most nodes never use
+    /// 976 B is 98 MB. Keep new state that most nodes never use
     /// behind an `Option<Box<_>>`, as `leader`, `task`, `tree`,
     /// `pending_offer`, the bulk sessions and `pending_reply` are, rather
     /// than raising the limit. Each node carries its own [`NodeConfig`],
@@ -908,7 +885,7 @@ mod tests {
     #[test]
     fn node_fits_its_inline_budget() {
         let size = std::mem::size_of::<EnviroMicNode>();
-        assert!(size <= 1_024, "EnviroMicNode is {size} B inline");
+        assert!(size <= 976, "EnviroMicNode is {size} B inline");
         let cfg = std::mem::size_of::<NodeConfig>();
         assert!(cfg <= 64, "NodeConfig is {cfg} B");
     }

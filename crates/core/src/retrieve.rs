@@ -273,12 +273,6 @@ pub struct MuleConfig {
     pub mode: RetrievalMode,
     /// When to start the retrieval after simulation start.
     pub start_after: SimDuration,
-    /// Query window start (ignored when `all`).
-    pub t0: SimTime,
-    /// Query window end (ignored when `all`).
-    pub t1: SimTime,
-    /// Retrieve everything (the common case per §II-C).
-    pub all: bool,
     /// Query rounds (re-asks refetch data lost on the unreliable tree
     /// path).
     pub rounds: u32,
@@ -291,9 +285,6 @@ impl Default for MuleConfig {
         MuleConfig {
             mode: RetrievalMode::OneHop,
             start_after: SimDuration::from_secs_f64(1.0),
-            t0: SimTime::ZERO,
-            t1: SimTime::MAX,
-            all: true,
             rounds: 3,
             round_timeout: SimDuration::from_secs_f64(30.0),
         }
@@ -427,12 +418,14 @@ impl DataMule {
     fn send_query(&mut self, ctx: &mut dyn Runtime) {
         self.query_id += 1;
         self.new_this_round = 0;
+        // The mule always asks for everything (the common case per
+        // §II-C); windowed queries are gap re-requests (`RerequestPlan`).
         let q = Message::Query {
             root: self.me,
             query_id: self.query_id,
-            t0: self.cfg.t0,
-            t1: self.cfg.t1,
-            all: self.cfg.all,
+            t0: SimTime::ZERO,
+            t1: SimTime::MAX,
+            all: true,
         };
         self.broadcast(ctx, q);
         ctx.set_timer(self.cfg.round_timeout, MULE_T_ROUND_END);

@@ -4,82 +4,44 @@
 //! Every mutation of local storage flows through here so that the
 //! simulation trace reconstructs the network-wide stored-audio multiset
 //! exactly (the redundancy and contour figures depend on it) and every
-//! flash write is charged to the battery.
+//! flash write is charged to the battery. Reads need neither, so the
+//! wrapper dereferences to the [`ChunkStore`] for them; it implements no
+//! `DerefMut`, so no mutation can bypass the trace.
 
 use enviromic_flash::{Chunk, ChunkStore, StoreError};
-use enviromic_runtime::{Runtime, StorageOccupancy, TraceEvent};
-use enviromic_types::audio;
+use enviromic_runtime::{Runtime, TraceEvent};
 
-/// A [`ChunkStore`] that traces and meters every operation.
+/// A [`ChunkStore`] whose mutations are traced and metered.
 #[derive(Debug)]
-pub struct TracedStore {
+pub(crate) struct TracedStore {
     store: ChunkStore,
     /// Payload bytes recorded locally since the last rate update (input to
     /// the EWMA acquisition rate, §II-B).
     bytes_since_rate_update: u64,
 }
 
+impl core::ops::Deref for TracedStore {
+    type Target = ChunkStore;
+
+    fn deref(&self) -> &ChunkStore {
+        &self.store
+    }
+}
+
 impl TracedStore {
-    /// Creates a store of `chunks` slots with the given EEPROM checkpoint
-    /// interval.
-    #[must_use]
-    pub fn new(chunks: u32, checkpoint_interval: u32) -> Self {
+    /// Wraps `store`: a fresh one, or one rebuilt by crash recovery
+    /// ([`ChunkStore::recover`]) so a rebooted node resumes with its flash
+    /// contents intact (§VI: data outlives the node's RAM state).
+    pub fn new(store: ChunkStore) -> Self {
         TracedStore {
-            store: ChunkStore::new(chunks, checkpoint_interval),
+            store,
             bytes_since_rate_update: 0,
         }
     }
 
-    /// Live chunks.
-    #[must_use]
-    pub fn len(&self) -> u32 {
-        self.store.len()
-    }
-
-    /// True when nothing is stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.store.is_empty()
-    }
-
-    /// Capacity in chunks.
-    #[must_use]
-    pub fn capacity(&self) -> u32 {
-        self.store.capacity()
-    }
-
-    /// Free slots.
-    #[must_use]
-    pub fn free(&self) -> u32 {
-        self.store.free()
-    }
-
-    /// True when full.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.store.is_full()
-    }
-
-    /// Free payload bytes.
-    #[must_use]
-    pub fn free_bytes(&self) -> u64 {
-        u64::from(self.store.free()) * u64::from(audio::CHUNK_PAYLOAD_BYTES)
-    }
-
-    /// Occupancy report for the world's poller.
-    #[must_use]
-    pub fn occupancy(&self) -> StorageOccupancy {
-        StorageOccupancy {
-            used: u64::from(self.store.len()),
-            capacity: u64::from(self.store.capacity()),
-        }
-    }
-
-    /// Payload bytes recorded locally since the last
-    /// [`TracedStore::take_rate_bytes`] call.
-    #[must_use]
-    pub fn bytes_since_rate_update(&self) -> u64 {
-        self.bytes_since_rate_update
+    /// The underlying store, for recovery after a reboot.
+    pub fn into_inner(self) -> ChunkStore {
+        self.store
     }
 
     /// Returns and resets the locally recorded byte counter.
@@ -125,50 +87,15 @@ impl TracedStore {
     /// Removes the oldest chunk, tracing the removal.
     pub fn pop_front(&mut self, ctx: &mut dyn Runtime) -> Option<Chunk> {
         let chunk = self.store.pop_front().ok().flatten()?;
-        ctx.trace(TraceEvent::ChunkRemoved {
-            node: ctx.node_id(),
-            origin: chunk.meta.origin,
-            audio_t0: chunk.meta.t_start,
-            audio_t1: chunk.t_end(),
-            t: ctx.now(),
-        });
+        trace_removal(ctx, &chunk);
         Some(chunk)
     }
 
     /// Removes the newest chunk (prelude erasure), tracing the removal.
     pub fn pop_back(&mut self, ctx: &mut dyn Runtime) -> Option<Chunk> {
         let chunk = self.store.pop_back().ok().flatten()?;
-        ctx.trace(TraceEvent::ChunkRemoved {
-            node: ctx.node_id(),
-            origin: chunk.meta.origin,
-            audio_t0: chunk.meta.t_start,
-            audio_t1: chunk.t_end(),
-            t: ctx.now(),
-        });
+        trace_removal(ctx, &chunk);
         Some(chunk)
-    }
-
-    /// Reads the chunk at logical position `i` (0 = oldest) without
-    /// removing it.
-    #[must_use]
-    pub fn get(&self, i: u32) -> Option<Chunk> {
-        self.store.get(i).ok().flatten()
-    }
-
-    /// Iterates over stored chunks, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = Chunk> + '_ {
-        self.store.iter()
-    }
-
-    /// Wraps a [`ChunkStore`] rebuilt by crash recovery
-    /// ([`ChunkStore::recover`]) so a rebooted node resumes with its flash
-    /// contents intact (§VI: data outlives the node's RAM state).
-    #[must_use]
-    pub fn from_recovered(store: ChunkStore) -> Self {
-        TracedStore {
-            store,
-            bytes_since_rate_update: 0,
-        }
     }
 
     /// Marks a flash block bad: further writes to it fail and are remapped
@@ -176,22 +103,15 @@ impl TracedStore {
     pub fn mark_bad_block(&mut self, index: u32) {
         self.store.mark_bad_block(index);
     }
+}
 
-    /// Writes that hit a bad block and were retried on another slot.
-    #[must_use]
-    pub fn remapped_writes(&self) -> u64 {
-        self.store.remapped_writes()
-    }
-
-    /// The underlying store (for recovery tests and teardown).
-    #[must_use]
-    pub fn into_inner(self) -> ChunkStore {
-        self.store
-    }
-
-    /// Shared access to the underlying store.
-    #[must_use]
-    pub fn inner(&self) -> &ChunkStore {
-        &self.store
-    }
+/// Traces that this node no longer holds `chunk`.
+fn trace_removal(ctx: &mut dyn Runtime, chunk: &Chunk) {
+    ctx.trace(TraceEvent::ChunkRemoved {
+        node: ctx.node_id(),
+        origin: chunk.meta.origin,
+        audio_t0: chunk.meta.t_start,
+        audio_t1: chunk.t_end(),
+        t: ctx.now(),
+    });
 }

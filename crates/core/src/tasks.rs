@@ -231,7 +231,6 @@ impl EnviroMicNode {
         }
         let event = EventId::new(self.me, self.event_seq);
         self.event_seq += 1;
-        self.stats.elections_won += 1;
         self.metrics.elections_won.inc();
         self.become_leader(ctx, event, 0, SimDuration::ZERO, false);
     }
@@ -285,7 +284,6 @@ impl EnviroMicNode {
         let delay = pending
             .next_assign_at
             .saturating_since(self.global_now(ctx));
-        self.stats.handoffs_won += 1;
         self.metrics.handoffs_won.inc();
         self.become_leader(ctx, pending.event, pending.task_seq, delay, true);
     }
@@ -671,7 +669,6 @@ impl EnviroMicNode {
             });
         }
         if let Some((t0, t1, bytes)) = span {
-            self.stats.preludes_erased += 1;
             ctx.trace(TraceEvent::Erased {
                 node: self.me,
                 t0,

@@ -193,22 +193,16 @@ pub enum Message {
     },
 }
 
-const TAG_SENSING: u8 = 1;
-const TAG_LEADER_ANNOUNCE: u8 = 2;
-const TAG_RESIGN: u8 = 3;
-const TAG_TASK_REQUEST: u8 = 4;
-const TAG_TASK_CONFIRM: u8 = 5;
-const TAG_TASK_REJECT: u8 = 6;
-const TAG_STATE_UPDATE: u8 = 7;
-const TAG_MIGRATE_OFFER: u8 = 8;
-const TAG_MIGRATE_ACCEPT: u8 = 9;
-const TAG_BULK_DATA: u8 = 10;
-const TAG_BULK_ACK: u8 = 11;
-const TAG_TIME_SYNC: u8 = 12;
-const TAG_TREE_BUILD: u8 = 13;
-const TAG_QUERY: u8 = 14;
-const TAG_QUERY_DATA: u8 = 15;
-const TAG_QUERY_DONE: u8 = 16;
+/// The wire tag of `kind`: its 1-based position in [`MsgKind::ALL`],
+/// which lists the kinds in declaration order.
+fn wire_tag(kind: MsgKind) -> u8 {
+    kind as u8 + 1
+}
+
+/// The kind a wire tag names, if any (see [`wire_tag`]).
+fn tag_kind(tag: u8) -> Option<MsgKind> {
+    MsgKind::ALL.get(usize::from(tag).checked_sub(1)?).copied()
+}
 
 /// Escape sentinel for the node-ID wire format: a 16-bit ID equal to the
 /// sentinel means "the real 32-bit ID follows".
@@ -349,6 +343,7 @@ impl Message {
     }
 
     fn encode_into(&self, w: &mut Writer) {
+        w.u8(wire_tag(self.kind()));
         match self {
             Message::Sensing {
                 event,
@@ -356,14 +351,12 @@ impl Message {
                 has_prelude,
                 ttl_secs,
             } => {
-                w.u8(TAG_SENSING);
                 write_opt_event(w, *event);
                 w.u8(*level);
                 w.u8(u8::from(*has_prelude));
                 w.u32(*ttl_secs);
             }
             Message::LeaderAnnounce { event } => {
-                w.u8(TAG_LEADER_ANNOUNCE);
                 write_event(w, *event);
             }
             Message::Resign {
@@ -371,7 +364,6 @@ impl Message {
                 next_assign_at,
                 task_seq,
             } => {
-                w.u8(TAG_RESIGN);
                 write_event(w, *event);
                 w.time(*next_assign_at);
                 w.u32(*task_seq);
@@ -384,7 +376,6 @@ impl Message {
                 leader_time,
                 keep_prelude,
             } => {
-                w.u8(TAG_TASK_REQUEST);
                 write_event(w, *event);
                 write_node(w, *recorder);
                 w.u32(*task_seq);
@@ -403,7 +394,6 @@ impl Message {
                 recorder,
                 task_seq,
             } => {
-                w.u8(TAG_TASK_CONFIRM);
                 write_event(w, *event);
                 write_node(w, *recorder);
                 w.u32(*task_seq);
@@ -413,7 +403,6 @@ impl Message {
                 recorder,
                 task_seq,
             } => {
-                w.u8(TAG_TASK_REJECT);
                 write_event(w, *event);
                 write_node(w, *recorder);
                 w.u32(*task_seq);
@@ -423,7 +412,6 @@ impl Message {
                 free_chunks,
                 avg_free_pct,
             } => {
-                w.u8(TAG_STATE_UPDATE);
                 w.u32(*ttl_secs);
                 w.u32(*free_chunks);
                 w.u8(*avg_free_pct);
@@ -433,7 +421,6 @@ impl Message {
                 chunks,
                 session,
             } => {
-                w.u8(TAG_MIGRATE_OFFER);
                 write_node(w, *to);
                 w.u16(*chunks);
                 w.u32(*session);
@@ -443,7 +430,6 @@ impl Message {
                 session,
                 granted,
             } => {
-                w.u8(TAG_MIGRATE_ACCEPT);
                 write_node(w, *to);
                 w.u32(*session);
                 w.u16(*granted);
@@ -455,7 +441,6 @@ impl Message {
                 last,
                 chunk,
             } => {
-                w.u8(TAG_BULK_DATA);
                 write_node(w, *to);
                 w.u32(*session);
                 w.u16(*seq);
@@ -463,7 +448,6 @@ impl Message {
                 write_chunk(w, chunk);
             }
             Message::BulkAck { to, session, seq } => {
-                w.u8(TAG_BULK_ACK);
                 write_node(w, *to);
                 w.u32(*session);
                 w.u16(*seq);
@@ -473,7 +457,6 @@ impl Message {
                 seq,
                 ref_time,
             } => {
-                w.u8(TAG_TIME_SYNC);
                 write_node(w, *root);
                 w.u32(*seq);
                 w.time(*ref_time);
@@ -483,7 +466,6 @@ impl Message {
                 build_id,
                 hops,
             } => {
-                w.u8(TAG_TREE_BUILD);
                 write_node(w, *root);
                 w.u32(*build_id);
                 w.u8(*hops);
@@ -495,7 +477,6 @@ impl Message {
                 t1,
                 all,
             } => {
-                w.u8(TAG_QUERY);
                 write_node(w, *root);
                 w.u32(*query_id);
                 w.time(*t0);
@@ -508,7 +489,6 @@ impl Message {
                 query_id,
                 chunk,
             } => {
-                w.u8(TAG_QUERY_DATA);
                 write_node(w, *to);
                 write_node(w, *root);
                 w.u32(*query_id);
@@ -521,7 +501,6 @@ impl Message {
                 source,
                 sent,
             } => {
-                w.u8(TAG_QUERY_DONE);
                 write_node(w, *to);
                 write_node(w, *root);
                 w.u32(*query_id);
@@ -532,23 +511,27 @@ impl Message {
     }
 
     fn decode_from(r: &mut Reader<'_>) -> Result<Message, WireError> {
-        let tag = r.u8()?;
-        Ok(match tag {
-            TAG_SENSING => Message::Sensing {
+        let at = r.position();
+        let kind = tag_kind(r.u8()?).ok_or(WireError {
+            at,
+            expected: "known message tag",
+        })?;
+        Ok(match kind {
+            MsgKind::Sensing => Message::Sensing {
                 event: read_opt_event(r)?,
                 level: r.u8()?,
                 has_prelude: r.u8()? != 0,
                 ttl_secs: r.u32()?,
             },
-            TAG_LEADER_ANNOUNCE => Message::LeaderAnnounce {
+            MsgKind::LeaderAnnounce => Message::LeaderAnnounce {
                 event: read_event(r)?,
             },
-            TAG_RESIGN => Message::Resign {
+            MsgKind::Resign => Message::Resign {
                 event: read_event(r)?,
                 next_assign_at: r.time()?,
                 task_seq: r.u32()?,
             },
-            TAG_TASK_REQUEST => Message::TaskRequest {
+            MsgKind::TaskRequest => Message::TaskRequest {
                 event: read_event(r)?,
                 recorder: read_node(r)?,
                 task_seq: r.u32()?,
@@ -559,79 +542,73 @@ impl Message {
                     _ => Some(read_node(r)?),
                 },
             },
-            TAG_TASK_CONFIRM => Message::TaskConfirm {
+            MsgKind::TaskConfirm => Message::TaskConfirm {
                 event: read_event(r)?,
                 recorder: read_node(r)?,
                 task_seq: r.u32()?,
             },
-            TAG_TASK_REJECT => Message::TaskReject {
+            MsgKind::TaskReject => Message::TaskReject {
                 event: read_event(r)?,
                 recorder: read_node(r)?,
                 task_seq: r.u32()?,
             },
-            TAG_STATE_UPDATE => Message::StateUpdate {
+            MsgKind::StateUpdate => Message::StateUpdate {
                 ttl_secs: r.u32()?,
                 free_chunks: r.u32()?,
                 avg_free_pct: r.u8()?,
             },
-            TAG_MIGRATE_OFFER => Message::MigrateOffer {
+            MsgKind::MigrateOffer => Message::MigrateOffer {
                 to: read_node(r)?,
                 chunks: r.u16()?,
                 session: r.u32()?,
             },
-            TAG_MIGRATE_ACCEPT => Message::MigrateAccept {
+            MsgKind::MigrateAccept => Message::MigrateAccept {
                 to: read_node(r)?,
                 session: r.u32()?,
                 granted: r.u16()?,
             },
-            TAG_BULK_DATA => Message::BulkData {
+            MsgKind::BulkData => Message::BulkData {
                 to: read_node(r)?,
                 session: r.u32()?,
                 seq: r.u16()?,
                 last: r.u8()? != 0,
                 chunk: read_chunk(r)?,
             },
-            TAG_BULK_ACK => Message::BulkAck {
+            MsgKind::BulkAck => Message::BulkAck {
                 to: read_node(r)?,
                 session: r.u32()?,
                 seq: r.u16()?,
             },
-            TAG_TIME_SYNC => Message::TimeSync {
+            MsgKind::TimeSync => Message::TimeSync {
                 root: read_node(r)?,
                 seq: r.u32()?,
                 ref_time: r.time()?,
             },
-            TAG_TREE_BUILD => Message::TreeBuild {
+            MsgKind::TreeBuild => Message::TreeBuild {
                 root: read_node(r)?,
                 build_id: r.u32()?,
                 hops: r.u8()?,
             },
-            TAG_QUERY => Message::Query {
+            MsgKind::Query => Message::Query {
                 root: read_node(r)?,
                 query_id: r.u32()?,
                 t0: r.time()?,
                 t1: r.time()?,
                 all: r.u8()? != 0,
             },
-            TAG_QUERY_DATA => Message::QueryData {
+            MsgKind::QueryData => Message::QueryData {
                 to: read_node(r)?,
                 root: read_node(r)?,
                 query_id: r.u32()?,
                 chunk: read_chunk(r)?,
             },
-            TAG_QUERY_DONE => Message::QueryDone {
+            MsgKind::QueryDone => Message::QueryDone {
                 to: read_node(r)?,
                 root: read_node(r)?,
                 query_id: r.u32()?,
                 source: read_node(r)?,
                 sent: r.u32()?,
             },
-            _ => {
-                return Err(WireError {
-                    at: r.position().saturating_sub(1),
-                    expected: "known message tag",
-                })
-            }
         })
     }
 
@@ -925,9 +902,22 @@ mod tests {
     }
 
     #[test]
+    fn wire_tags_run_from_1_in_kind_order() {
+        let mut tags: Vec<u8> = all_messages().iter().map(|m| m.encode()[1]).collect();
+        tags.dedup();
+        assert_eq!(tags, (1..=16).collect::<Vec<u8>>());
+        for kind in MsgKind::ALL {
+            assert_eq!(tag_kind(wire_tag(kind)), Some(kind));
+        }
+    }
+
+    #[test]
     fn unknown_tag_is_rejected() {
-        let err = decode_envelope(&[1, 200]).unwrap_err();
-        assert_eq!(err.expected, "known message tag");
+        for tag in [0, 17, 200] {
+            let err = decode_envelope(&[1, tag]).unwrap_err();
+            assert_eq!(err.expected, "known message tag");
+            assert_eq!(err.at, 1, "tag {tag}");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Simulation configuration.
 
+use enviromic_runtime::EnergyModel;
 use enviromic_types::SimDuration;
 
 /// Radio medium parameters.
@@ -58,14 +59,6 @@ impl RadioConfig {
     }
 }
 
-/// Energy model parameters (MicaZ-class numbers).
-///
-/// The canonical definition lives in `enviromic-runtime` (as
-/// [`EnergyModel`](enviromic_runtime::EnergyModel)) because the protocol
-/// reads it through the `Runtime` trait; the simulator re-exports it under
-/// its historical configuration name.
-pub use enviromic_runtime::EnergyModel as EnergyConfig;
-
 /// Per-node clock imperfection parameters.
 ///
 /// Real motes free-run on a 32 kHz crystal with offset and drift; the
@@ -100,8 +93,10 @@ pub struct WorldConfig {
     /// modeling real microphone sensitivity variation (the paper observes
     /// that "individual nodes may not detect the event reliably").
     pub mic_gain_spread: f64,
-    /// Energy model parameters.
-    pub energy: EnergyConfig,
+    /// Energy model parameters (MicaZ-class numbers). The protocol reads
+    /// them through the `Runtime` trait, so the type lives in
+    /// `enviromic-runtime`.
+    pub energy: EnergyModel,
     /// Clock imperfection parameters.
     pub clock: ClockConfig,
     /// If set, the world polls every node's storage occupancy at this
@@ -129,7 +124,7 @@ impl Default for WorldConfig {
             seed: 1,
             radio: RadioConfig::default(),
             mic_gain_spread: 0.0,
-            energy: EnergyConfig::default(),
+            energy: EnergyModel::default(),
             clock: ClockConfig::default(),
             occupancy_snapshot_period: None,
             timeline_sample_period: None,

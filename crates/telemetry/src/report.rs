@@ -37,16 +37,6 @@ impl TelemetryReport {
             .map(|(_, v)| v)
     }
 
-    /// Sum of all counters whose name starts with `prefix`.
-    #[must_use]
-    pub fn counter_sum(&self, prefix: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| v)
-            .sum()
-    }
-
     /// Folds `other` into `self`: counters and histograms accumulate.
     pub fn merge(&mut self, other: &TelemetryReport) {
         for (name, v) in &other.counters {

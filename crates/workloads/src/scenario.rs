@@ -19,13 +19,14 @@ pub struct Scenario {
 
 impl Scenario {
     /// Sum of all source active durations (the denominator of
-    /// whole-experiment miss ratios).
+    /// whole-experiment miss ratios); `0.0` without sources.
     #[must_use]
     pub fn total_event_secs(&self) -> f64 {
+        // `Iterator::sum` starts an `f64` sum from -0.0, which a report of
+        // an eventless run would print as "-0.0".
         self.sources
             .iter()
-            .map(|s| s.duration().as_secs_f64())
-            .sum()
+            .fold(0.0, |sum, s| sum + s.duration().as_secs_f64())
     }
 
     /// The instant the experiment ends.

@@ -57,7 +57,6 @@ fn main() {
             start_after: SimDuration::from_secs_f64(60.0),
             rounds: 3,
             round_timeout: SimDuration::from_secs_f64(40.0),
-            ..MuleConfig::default()
         })),
     );
 

@@ -65,10 +65,16 @@ fn main() {
     println!();
     for &id in &nodes {
         let node = world.app_as::<EnviroMicNode>(id).expect("protocol node");
+        let tasks = world
+            .trace()
+            .iter()
+            .filter(|e| {
+                matches!(e, TraceEvent::Recorded { node, kind: RecordKind::Task, .. } if *node == id)
+            })
+            .count();
         println!(
-            "{id}: {} chunks in flash ({} tasks performed)",
-            node.stored_chunks(),
-            node.stats().tasks_recorded
+            "{id}: {} chunks in flash ({tasks} tasks performed)",
+            node.stored_chunks()
         );
     }
     let total: u32 = nodes

@@ -70,14 +70,6 @@ fn main() {
         grid.render("stored chunks per plot cell (west road at the left edge)")
     );
 
-    let migrations: u64 = (0..topo.len())
-        .map(|i| {
-            world
-                .app_as::<EnviroMicNode>(NodeId::from_index(i))
-                .expect("protocol node")
-                .stats()
-                .chunks_migrated_out
-        })
-        .sum();
+    let migrations = world.telemetry().counter("core.migrate.chunks_out").get();
     println!("chunks migrated for balance: {migrations}");
 }

@@ -32,9 +32,13 @@
 //!                                           (and the timeline, if sampled)
 //!   -q / --quiet                            suppress status lines
 //! ```
+//!
+//! The `--timeline-out` dump is written before the report is printed, so
+//! a reader that closes stdout early (`enviromic | head -1`) still gets
+//! the file; the runner then stops writing and exits 0.
 
 use enviromic::core::{Mode, NodeConfig, PolicyKind};
-use enviromic::harness::{forest_world_config, indoor_world_config, run_scenario};
+use enviromic::harness::{forest_world_config, indoor_world_config, run_scenario, ExperimentRun};
 use enviromic::observe::{DumpFile, RunDump};
 use enviromic::sim::{RecordKind, TraceEvent, WorldConfig};
 use enviromic::sweep::{run_sweep, JobInput, ScenarioSpec, SweepPlan};
@@ -42,8 +46,9 @@ use enviromic::types::SimDuration;
 use enviromic::workloads::{
     forest_scenario, indoor_scenario, mobile_scenario, voice_scenario, Scenario,
 };
-use enviromic::{default_jobs, parse_sim_secs, write_artifact};
+use enviromic::{default_jobs, parse_sim_secs, write_artifact, write_stdout};
 use enviromic_telemetry::{log, log_info};
+use std::io::{self, Write};
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -242,14 +247,18 @@ fn run_seed_sweep(opts: &Options) {
         plan = plan.with_timeline(secs);
     }
     let outcome = run_sweep(&plan, opts.jobs);
-    print!("{}", outcome.render());
-    if opts.stats {
-        println!();
-        print!("{}", outcome.aggregate.render_dashboard());
-    }
+    // The dump first: a reader that closes stdout early ends the process.
     if let Some(path) = &opts.timeline_out {
         write_dump(path, &serde::to_json(&DumpFile::sweep_timelines(&outcome)));
     }
+    write_stdout(|out| {
+        write!(out, "{}", outcome.render())?;
+        if opts.stats {
+            writeln!(out)?;
+            write!(out, "{}", outcome.aggregate.render_dashboard())?;
+        }
+        Ok(())
+    });
 }
 
 fn main() {
@@ -274,11 +283,39 @@ fn main() {
         cfg.mode,
     );
     let run = run_scenario(scenario, &cfg, world_cfg, 20.0);
-    let exp = run.experiment();
 
-    // Harvest report.
+    // The dump first: a reader that closes stdout early ends the process.
+    if let Some(path) = &opts.timeline_out {
+        let dump = DumpFile {
+            runs: vec![RunDump::from_run(&opts.scenario, opts.seed, &run, true)],
+        };
+        write_dump(path, &serde::to_json(&dump));
+    }
+    write_stdout(|out| write_report(out, &opts, &run, horizon));
+}
+
+/// The harvest report of `run`, plus the miss-ratio series and the
+/// dashboards when `opts` asks for them.
+fn write_report(
+    out: &mut dyn Write,
+    opts: &Options,
+    run: &ExperimentRun,
+    horizon: f64,
+) -> io::Result<()> {
+    let exp = run.experiment();
     let kinds = exp.recorded_secs_by_kind();
-    let recorded: f64 = kinds.values().sum();
+    let by_kind = [
+        ("cooperative tasks", kinds.get(&RecordKind::Task)),
+        ("preludes", kinds.get(&RecordKind::Prelude)),
+        ("baseline intervals", kinds.get(&RecordKind::Baseline)),
+    ];
+    // Added in the printed order, not the map's per-process one, and from
+    // +0.0: `Iterator::sum` starts an `f64` sum from -0.0, which an
+    // eventless run would print as "-0.0 s".
+    let recorded = by_kind
+        .iter()
+        .filter_map(|(_, secs)| *secs)
+        .fold(0.0, |sum, secs| sum + secs);
     let total_event = run.scenario.total_event_secs();
     let miss = exp.miss_ratio(horizon);
     let redundancy = exp
@@ -303,43 +340,33 @@ fn main() {
         })
         .sum();
 
-    println!("harvest report");
-    println!("  event audio available : {total_event:>9.1} s");
-    println!("  audio recorded        : {recorded:>9.1} s");
-    for (kind, secs) in [
-        ("cooperative tasks", kinds.get(&RecordKind::Task)),
-        ("preludes", kinds.get(&RecordKind::Prelude)),
-        ("baseline intervals", kinds.get(&RecordKind::Baseline)),
-    ] {
+    writeln!(out, "harvest report")?;
+    writeln!(out, "  event audio available : {total_event:>9.1} s")?;
+    writeln!(out, "  audio recorded        : {recorded:>9.1} s")?;
+    for (kind, secs) in by_kind {
         if let Some(secs) = secs {
-            println!("    {kind:<19} : {secs:>9.1} s");
+            writeln!(out, "    {kind:<19} : {secs:>9.1} s")?;
         }
     }
-    println!("  miss ratio            : {miss:>9.3}");
-    println!("  stored redundancy     : {redundancy:>9.3}");
-    println!("  radio packets         : {packets:>9}");
-    println!("  chunks migrated       : {migrations:>9}");
+    writeln!(out, "  miss ratio            : {miss:>9.3}")?;
+    writeln!(out, "  stored redundancy     : {redundancy:>9.3}")?;
+    writeln!(out, "  radio packets         : {packets:>9}")?;
+    writeln!(out, "  chunks migrated       : {migrations:>9}")?;
 
     if opts.series {
-        println!("\nmiss-ratio series:");
+        writeln!(out, "\nmiss-ratio series:")?;
         for (t, m) in exp.miss_ratio_series(horizon, horizon / 10.0) {
-            println!("  {t:>8.0}s  {m:.3}");
+            writeln!(out, "  {t:>8.0}s  {m:.3}")?;
         }
     }
 
     if opts.stats {
-        println!();
-        print!("{}", run.telemetry.render_dashboard());
+        writeln!(out)?;
+        write!(out, "{}", run.telemetry.render_dashboard())?;
         if let Some(tl) = &run.timeline {
-            println!();
-            print!("{}", tl.render_dashboard(72));
+            writeln!(out)?;
+            write!(out, "{}", tl.render_dashboard(72))?;
         }
     }
-
-    if let Some(path) = &opts.timeline_out {
-        let dump = DumpFile {
-            runs: vec![RunDump::from_run(&opts.scenario, opts.seed, &run, true)],
-        };
-        write_dump(path, &serde::to_json(&dump));
-    }
+    Ok(())
 }

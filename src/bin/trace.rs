@@ -38,8 +38,9 @@
 use enviromic::observe::{kind_counts, render_ledger, DumpFile, RunDump, TraceFilter};
 use enviromic::runtime::TraceEvent;
 use enviromic::telemetry::TimelineReport;
+use enviromic::write_stdout;
 use enviromic_telemetry::{log, log_warn};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 
 struct Options {
     path: String,
@@ -123,7 +124,7 @@ fn selected(run: &RunDump, index: usize, selector: &str) -> bool {
 }
 
 fn write_summary(
-    out: &mut impl Write,
+    out: &mut dyn Write,
     run: &RunDump,
     events: &[&TraceEvent],
     filtered: bool,
@@ -164,7 +165,7 @@ fn write_summary(
 }
 
 fn write_timeline(
-    out: &mut impl Write,
+    out: &mut dyn Write,
     run: &RunDump,
     series_prefix: Option<&str>,
 ) -> io::Result<()> {
@@ -190,7 +191,7 @@ fn write_timeline(
 }
 
 /// Writes every selected run the way the options ask.
-fn write_runs(out: &mut impl Write, opts: &Options, runs: &[&RunDump]) -> io::Result<()> {
+fn write_runs(out: &mut dyn Write, opts: &Options, runs: &[&RunDump]) -> io::Result<()> {
     let filtered = opts.filter != TraceFilter::default();
     for (i, run) in runs.iter().enumerate() {
         if i > 0 {
@@ -243,14 +244,5 @@ fn main() {
         std::process::exit(1);
     }
 
-    let mut out = BufWriter::new(io::stdout().lock());
-    match write_runs(&mut out, &opts, &runs).and_then(|()| out.flush()) {
-        Ok(()) => {}
-        // The reader has what it wanted (`trace d.json | head`).
-        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {}
-        Err(e) => {
-            log_warn!("could not write to stdout: {e}");
-            std::process::exit(1);
-        }
-    }
+    write_stdout(|out| write_runs(out, &opts, &runs));
 }

@@ -36,7 +36,8 @@
 //!
 //! Every binary writes its files through [`write_artifact`], takes its
 //! `--jobs` default from [`default_jobs`] and reads sim-time spans with
-//! [`parse_sim_secs`].
+//! [`parse_sim_secs`]; `enviromic` and `trace` print through
+//! [`write_stdout`].
 //!
 //! # Quickstart
 //!
@@ -72,7 +73,9 @@ pub use enviromic_timesync as timesync;
 pub use enviromic_types as types;
 pub use enviromic_workloads as workloads;
 
+use enviromic_telemetry::log_warn;
 use enviromic_types::SimDuration;
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 /// Writes a run artifact (report JSON, run dump) to `path`, creating its
@@ -87,6 +90,22 @@ pub fn write_artifact(path: impl AsRef<Path>, contents: &str) -> std::io::Result
         std::fs::create_dir_all(parent)?;
     }
     std::fs::write(path, contents)
+}
+
+/// Writes a binary's report to stdout through `write`, buffered, and
+/// ends the process if a write fails: with exit 0 when the reader closed
+/// the pipe (`enviromic ... | head` has what it wanted), with exit 1 and
+/// a warning on any other error.
+pub fn write_stdout(write: impl FnOnce(&mut dyn Write) -> io::Result<()>) {
+    let mut out = BufWriter::new(io::stdout().lock());
+    match write(&mut out).and_then(|()| out.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            log_warn!("could not write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Default sweep worker count: one per available core.

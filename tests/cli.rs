@@ -1,6 +1,7 @@
 //! The `enviromic` runner and the `trace` explorer reject bad flag values
 //! up front: each one exits 2 with the usage line on stderr instead of
 //! panicking mid-run, running with a NaN setting or matching nothing.
+//! Both also end cleanly when their reader leaves early.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -115,4 +116,42 @@ fn trace_exits_0_when_its_reader_closes_the_pipe() {
     assert!(first.starts_with("run indoor/7: "), "{first}");
     let status = child.wait().expect("the trace binary ends");
     assert_eq!(status.code(), Some(0));
+}
+
+/// The 5 s forest run holds no acoustic event: its report prints in a
+/// few milliseconds and must read `0.0 s`, not `-0.0 s`, of audio.
+const EVENTLESS: [&str; 5] = ["--scenario", "forest", "--duration", "5", "-q"];
+
+#[test]
+fn an_eventless_report_reads_zero_seconds_without_a_sign() {
+    let out = Command::new(env!("CARGO_BIN_EXE_enviromic"))
+        .args(EVENTLESS)
+        .output()
+        .expect("the enviromic binary starts");
+    assert!(out.status.success(), "enviromic exited {:?}", out.status);
+    let report = String::from_utf8_lossy(&out.stdout);
+    for label in ["event audio available", "audio recorded"] {
+        let line = report
+            .lines()
+            .find(|l| l.trim_start().starts_with(label))
+            .unwrap_or_else(|| panic!("no {label:?} line in:\n{report}"));
+        assert!(line.ends_with(" 0.0 s"), "{line:?}");
+    }
+}
+
+/// `enviromic ... | head -n 1` where `head` has already left: the report
+/// meets a pipe without a reader, and the runner exits 0 instead of
+/// panicking with 101. The reading end closes before the runner starts,
+/// so every write fails.
+#[test]
+fn enviromic_exits_0_when_its_reader_closes_the_pipe() {
+    let (reader, writer) = std::io::pipe().expect("a pipe opens");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_enviromic"))
+        .args(EVENTLESS)
+        .stdout(writer)
+        .output()
+        .expect("the enviromic binary starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
 }

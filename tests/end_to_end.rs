@@ -104,7 +104,6 @@ fn one_hop_retrieval_collects_the_whole_network() {
             start_after: SimDuration::from_secs_f64(16.0),
             rounds: 3,
             round_timeout: SimDuration::from_secs_f64(30.0),
-            ..MuleConfig::default()
         })),
     );
     world.run_for_secs(120.0);

@@ -51,7 +51,6 @@ fn tree_retrieval_relays_chunks_across_hops() {
             start_after: SimDuration::from_secs_f64(10.0),
             rounds: 4,
             round_timeout: SimDuration::from_secs_f64(40.0),
-            ..MuleConfig::default()
         })),
     );
     world.run_for_secs(200.0);
@@ -85,7 +84,6 @@ fn tree_retrieval_rounds_recover_lost_chunks() {
             start_after: SimDuration::from_secs_f64(10.0),
             rounds: 6,
             round_timeout: SimDuration::from_secs_f64(40.0),
-            ..MuleConfig::default()
         })),
     );
     world.run_for_secs(320.0);
@@ -117,7 +115,6 @@ fn one_hop_mode_still_works_when_tree_unbuilt() {
             start_after: SimDuration::from_secs_f64(10.0),
             rounds: 3,
             round_timeout: SimDuration::from_secs_f64(30.0),
-            ..MuleConfig::default()
         })),
     );
     world.run_for_secs(120.0);
