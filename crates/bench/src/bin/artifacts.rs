@@ -82,7 +82,7 @@ fn sweep(jobs: usize) -> Result<Files, String> {
         ("BENCH_sweep.json", serde::to_json(&outcome.summary())),
         (
             "sweep_timeline.json",
-            serde::to_json(&DumpFile::sweep_timelines(&outcome)),
+            serde::to_json(&DumpFile::from_sweep(&outcome, false)),
         ),
     ])
 }

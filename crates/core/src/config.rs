@@ -328,7 +328,7 @@ mod tests {
     fn defaults_match_the_paper() {
         let c = NodeConfig::default();
         assert!((c.trc.as_secs_f64() - 1.0).abs() < 1e-9);
-        assert_eq!(c.dta.as_millis(), 70);
+        assert_eq!(c.dta, SimDuration::from_millis(70));
         assert_eq!(c.flash_chunks, 2048);
         assert!(c.validate().is_ok());
     }

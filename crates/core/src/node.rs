@@ -255,7 +255,6 @@ pub struct EnviroMicNode {
     pub(crate) task: Option<Box<TaskRun>>,
     /// Chunks of an unclaimed prelude at the store tail (newest side).
     pub(crate) prelude_chunks: u32,
-    pub(crate) prelude_event_pending: bool,
 
     // balancing
     /// `PolicyKind::Flooding`: the neighbours the head batch has already
@@ -322,7 +321,6 @@ impl EnviroMicNode {
             last_seen_task_seq: 0,
             task: None,
             prelude_chunks: 0,
-            prelude_event_pending: false,
             batch_targets: Vec::new(),
             policy_metrics: PolicyMetrics::detached(),
             rate: INITIAL_RATE,
@@ -481,7 +479,6 @@ impl EnviroMicNode {
                     return;
                 }
                 if let Some(prelude) = self.cfg.prelude {
-                    self.prelude_event_pending = true;
                     self.start_task(ctx, None, RecordKind::Prelude, prelude);
                 } else {
                     self.begin_candidacy(ctx);
@@ -522,7 +519,6 @@ impl EnviroMicNode {
         // An unclaimed prelude for an event that ended before election
         // completes stays stored (short-event case: the prelude IS the
         // recording, §II-A.1).
-        self.prelude_event_pending = false;
     }
 
     /// Enters the candidate phase: start SENSING beacons and the election
@@ -679,7 +675,6 @@ impl EnviroMicNode {
         }
         match task.kind {
             RecordKind::Prelude => {
-                self.prelude_event_pending = false;
                 // Election was deferred for the prelude (the radio was
                 // off); run it now if the event persists.
                 if self.detector.is_active() {

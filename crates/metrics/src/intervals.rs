@@ -28,21 +28,6 @@ impl IntervalSet {
         IntervalSet::default()
     }
 
-    /// Builds a set from arbitrary (possibly overlapping) intervals.
-    #[must_use]
-    pub fn from_intervals<I: IntoIterator<Item = (u64, u64)>>(iter: I) -> Self {
-        let mut v: Vec<(u64, u64)> = iter.into_iter().filter(|(a, b)| b > a).collect();
-        v.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(v.len());
-        for (a, b) in v {
-            match merged.last_mut() {
-                Some((_, last_b)) if a <= *last_b => *last_b = (*last_b).max(b),
-                _ => merged.push((a, b)),
-            }
-        }
-        IntervalSet { merged }
-    }
-
     /// Adds one interval (no-op when empty or inverted).
     pub fn add(&mut self, start: u64, end: u64) {
         if end <= start {
@@ -77,22 +62,6 @@ impl IntervalSet {
     #[must_use]
     pub fn total_len(&self) -> u64 {
         self.merged.iter().map(|(a, b)| b - a).sum()
-    }
-
-    /// Covered length within the clip window `[from, to)`.
-    #[must_use]
-    pub fn len_within(&self, from: u64, to: u64) -> u64 {
-        if to <= from {
-            return 0;
-        }
-        self.merged
-            .iter()
-            .map(|&(a, b)| {
-                let a = a.max(from);
-                let b = b.min(to);
-                b.saturating_sub(a)
-            })
-            .sum()
     }
 
     /// True when nothing is covered.
@@ -139,25 +108,5 @@ mod tests {
         s.add(5, 5);
         s.add(9, 3);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn len_within_clips() {
-        let s = IntervalSet::from_intervals([(0, 10), (20, 30)]);
-        assert_eq!(s.len_within(5, 25), 10); // 5..10 and 20..25
-        assert_eq!(s.len_within(100, 200), 0);
-        assert_eq!(s.len_within(25, 5), 0);
-    }
-
-    #[test]
-    fn from_intervals_matches_incremental_adds() {
-        let data = [(3u64, 9u64), (1, 4), (15, 18), (8, 16), (20, 21)];
-        let bulk = IntervalSet::from_intervals(data);
-        let mut inc = IntervalSet::new();
-        for (a, b) in data {
-            inc.add(a, b);
-        }
-        assert_eq!(bulk, inc);
-        assert_eq!(bulk.intervals(), &[(1, 18), (20, 21)]);
     }
 }

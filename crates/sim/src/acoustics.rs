@@ -233,13 +233,6 @@ impl AcousticField {
         &self.sources
     }
 
-    /// The last instant at which any source is active, or `None` for an
-    /// empty field. Useful for sizing simulation runs.
-    #[must_use]
-    pub fn last_activity(&self) -> Option<SimTime> {
-        self.sources.iter().map(|s| s.stop).max()
-    }
-
     /// Synthesizes a block of 8-bit audio samples heard at `listener`,
     /// mixing only the sources at the ascending indices `candidates` into
     /// [`AcousticField::sources`].
@@ -594,19 +587,5 @@ mod tests {
             &mut out,
         );
         assert!(out.contains(&0) && out.contains(&255));
-    }
-
-    #[test]
-    fn last_activity_is_latest_stop() {
-        let mut f = AcousticField::new();
-        assert_eq!(f.last_activity(), None);
-        f.add_source(tone_source(1, Position::new(0.0, 0.0), 0.0, 10.0))
-            .unwrap();
-        f.add_source(tone_source(2, Position::new(0.0, 0.0), 2.0, 30.0))
-            .unwrap();
-        assert_eq!(
-            f.last_activity(),
-            Some(SimTime::ZERO + SimDuration::from_secs_f64(30.0))
-        );
     }
 }

@@ -16,10 +16,10 @@
 //! 1. **Faults are data.** A plan holds no RNG; [`FaultPlan::chaos`]
 //!    derives its schedule from a private generator seeded by the job seed
 //!    *before* the run, never touching the world's named streams.
-//! 2. **Faults ride the event queue.** Injection schedules every action at
-//!    plan-build order with the queue's monotone sequence numbers, so
-//!    same-instant ties break identically no matter how many sweep workers
-//!    share the machine.
+//! 2. **Faults ride the event queue.** Injection schedules every fault (and
+//!    a window's end) in plan order with the queue's monotone sequence
+//!    numbers, so same-instant ties break identically no matter how many
+//!    sweep workers share the machine.
 //! 3. **Inactive faults are free.** Blackouts and degrades only *raise*
 //!    the effective loss probability fed to the existing per-receiver loss
 //!    draw; with no fault active the effective loss equals the configured
@@ -27,6 +27,7 @@
 //!    is why the golden digests in `tests/determinism.rs` survive this
 //!    feature unchanged.
 
+use enviromic_runtime::FaultKind;
 use enviromic_types::{NodeId, Position, SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -112,6 +113,51 @@ pub enum FaultEvent {
         /// The failing device block.
         block: u32,
     },
+}
+
+impl FaultEvent {
+    /// When the fault fires, and for a window fault when it ends.
+    #[must_use]
+    pub(crate) fn window(&self) -> (SimTime, Option<SimTime>) {
+        match *self {
+            FaultEvent::NodeCrash { at, .. }
+            | FaultEvent::NodeReboot { at, .. }
+            | FaultEvent::FlashBadBlock { at, .. } => (at, None),
+            FaultEvent::RadioBlackout { from, until, .. }
+            | FaultEvent::LinkDegrade { from, until, .. } => (from, Some(until)),
+        }
+    }
+
+    /// The trace kind of the fault's start, or with `end` of its window's
+    /// end.
+    #[must_use]
+    pub(crate) fn kind(&self, end: bool) -> FaultKind {
+        match (self, end) {
+            (FaultEvent::NodeCrash { .. }, _) => FaultKind::Crash,
+            (FaultEvent::NodeReboot { .. }, _) => FaultKind::Reboot,
+            (FaultEvent::RadioBlackout { .. }, false) => FaultKind::BlackoutStart,
+            (FaultEvent::RadioBlackout { .. }, true) => FaultKind::BlackoutEnd,
+            (FaultEvent::LinkDegrade { .. }, false) => FaultKind::DegradeStart,
+            (FaultEvent::LinkDegrade { .. }, true) => FaultKind::DegradeEnd,
+            (FaultEvent::FlashBadBlock { .. }, _) => FaultKind::FlashBadBlock,
+        }
+    }
+
+    /// The one node the fault names, for the trace marker: region and
+    /// all-node blackouts and link degrades name none.
+    #[must_use]
+    pub(crate) fn node(&self) -> Option<NodeId> {
+        match *self {
+            FaultEvent::NodeCrash { node, .. }
+            | FaultEvent::NodeReboot { node, .. }
+            | FaultEvent::FlashBadBlock { node, .. }
+            | FaultEvent::RadioBlackout {
+                scope: FaultScope::Node(node),
+                ..
+            } => Some(node),
+            FaultEvent::RadioBlackout { .. } | FaultEvent::LinkDegrade { .. } => None,
+        }
+    }
 }
 
 /// A seed-deterministic schedule of fault events.

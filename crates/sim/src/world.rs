@@ -8,7 +8,7 @@ use crate::queue::EventQueue;
 use crate::rng::RngStreams;
 use crate::spatial::{AudibleIndex, NodeGrid};
 use enviromic_runtime::{
-    Application, AudioBlock, EnergyModel, FaultKind, Runtime, Timer, TimerHandle, Trace, TraceEvent,
+    Application, AudioBlock, EnergyModel, Runtime, Timer, TimerHandle, Trace, TraceEvent,
 };
 use enviromic_telemetry::{Counter, Registry, TelemetryReport, Timeline, TimelineReport};
 use enviromic_types::{
@@ -56,7 +56,7 @@ enum Ev {
     },
     OccupancyPoll,
     /// Periodic timeline sample. Scheduled before the world runs and
-    /// self-rescheduling, so — like fault actions — it holds fixed queue
+    /// self-rescheduling, so — like faults — it holds fixed queue
     /// sequence numbers and only shifts later events' sequence numbers
     /// uniformly, never their relative order. The handler is read-only
     /// with respect to nodes, RNG streams, and the trace.
@@ -67,23 +67,12 @@ enum Ev {
         index: u32,
         started: bool,
     },
-    /// Boxed: a region scope makes the action 40 B, which would push every
-    /// queue entry past 48 B for an event that fires a few times a run.
-    Fault(Box<FaultAction>),
-}
-
-/// A scheduled fault, resolved from a [`FaultPlan`] at injection time.
-/// Window faults split into start/end actions; scopes resolve against the
-/// (immutable) node positions when the action fires.
-#[derive(Debug)]
-enum FaultAction {
-    Crash { node: NodeId },
-    Reboot { node: NodeId },
-    BlackoutStart { scope: FaultScope },
-    BlackoutEnd { scope: FaultScope },
-    DegradeStart { loss_prob: f64 },
-    DegradeEnd { loss_prob: f64 },
-    BadBlock { node: NodeId, block: u32 },
+    /// Entry `index` of [`Inner::faults`] fires: its start (or only
+    /// instant), or with `end` the end of its window.
+    Fault {
+        index: u32,
+        end: bool,
+    },
 }
 
 /// Per-node physical state, laid out struct-of-arrays.
@@ -229,6 +218,10 @@ struct Inner {
     /// effective loss is the max of these and the configured base loss.
     /// Empty in fault-free runs, so the baseline loss draw is untouched.
     active_degrades: Vec<f64>,
+    /// Every injected fault, in plan order; [`Ev::Fault`] names one by
+    /// index. Scopes resolve against the (immutable) node positions when
+    /// the fault fires.
+    faults: Vec<FaultEvent>,
 }
 
 /// The simulated world.
@@ -312,6 +305,7 @@ impl World {
                 mix_scratch: MixScratch::new(),
                 pending_retires: Vec::new(),
                 active_degrades: Vec::new(),
+                faults: Vec::new(),
             },
             apps: Vec::new(),
             started: false,
@@ -407,10 +401,13 @@ impl World {
         self.inner.field.add_source(spec)
     }
 
-    /// Schedules every fault in `plan` on the event queue.
+    /// Schedules every fault in `plan` on the event queue: each is
+    /// appended to the world's fault list, after those of earlier calls,
+    /// and scheduled as an entry naming it by index at its start, plus one
+    /// at a window's end.
     ///
     /// Call after the last [`World::add_node`] and before the first
-    /// [`World::run_until`]: fault actions then hold fixed queue sequence
+    /// [`World::run_until`]: faults then hold fixed queue sequence
     /// numbers, which is what keeps per-seed traces bit-identical no
     /// matter how many sweep workers run alongside. Injecting an empty
     /// plan schedules nothing and leaves the run byte-for-byte identical
@@ -430,28 +427,15 @@ impl World {
             "faults must be injected before the world runs"
         );
         plan.validate(self.inner.nodes.len())?;
-        let queue = &mut self.inner.queue;
-        let mut fault = |at, action| queue.schedule(at, Ev::Fault(Box::new(action)));
-        for e in plan.events() {
-            match *e {
-                FaultEvent::NodeCrash { at, node } => fault(at, FaultAction::Crash { node }),
-                FaultEvent::NodeReboot { at, node } => fault(at, FaultAction::Reboot { node }),
-                FaultEvent::RadioBlackout { from, until, scope } => {
-                    fault(from, FaultAction::BlackoutStart { scope });
-                    fault(until, FaultAction::BlackoutEnd { scope });
-                }
-                FaultEvent::LinkDegrade {
-                    from,
-                    until,
-                    loss_prob,
-                } => {
-                    fault(from, FaultAction::DegradeStart { loss_prob });
-                    fault(until, FaultAction::DegradeEnd { loss_prob });
-                }
-                FaultEvent::FlashBadBlock { at, node, block } => {
-                    fault(at, FaultAction::BadBlock { node, block });
-                }
+        for fault in plan.events() {
+            let index = self.inner.faults.len() as u32;
+            let (start, until) = fault.window();
+            let queue = &mut self.inner.queue;
+            queue.schedule(start, Ev::Fault { index, end: false });
+            if let Some(until) = until {
+                queue.schedule(until, Ev::Fault { index, end: true });
             }
+            self.inner.faults.push(fault.clone());
         }
         Ok(())
     }
@@ -731,7 +715,7 @@ impl World {
                     self.inner.pending_retires.push((index, safe_at));
                 }
             }
-            Ev::Fault(action) => self.apply_fault(*action),
+            Ev::Fault { index, end } => self.apply_fault(index, end),
         }
     }
 
@@ -780,42 +764,28 @@ impl World {
         self.timeline.as_ref().map(Timeline::report)
     }
 
-    /// Applies one scheduled fault. The `FaultInjected` marker is emitted
+    /// Applies the start, or with `end` the window's end, of injected
+    /// fault `index`. The `FaultInjected` marker is emitted
     /// unconditionally (the fault *fired*); the state change itself may be
     /// a no-op (e.g. rebooting a node that never crashed).
-    fn apply_fault(&mut self, action: FaultAction) {
+    fn apply_fault(&mut self, index: u32, end: bool) {
         let t = self.inner.now;
         self.inner.metrics.faults_injected.inc();
-        let mark = |inner: &mut Inner, kind: FaultKind, node: Option<NodeId>| {
-            inner
-                .trace
-                .push(TraceEvent::FaultInjected { kind, node, t });
-        };
-        match action {
-            FaultAction::Crash { node } => {
-                mark(&mut self.inner, FaultKind::Crash, Some(node));
-                self.inner.crash(node);
-            }
-            FaultAction::Reboot { node } => {
-                mark(&mut self.inner, FaultKind::Reboot, Some(node));
+        let fault = &self.inner.faults[index as usize];
+        self.inner.trace.push(TraceEvent::FaultInjected {
+            kind: fault.kind(end),
+            node: fault.node(),
+            t,
+        });
+        match *fault {
+            FaultEvent::NodeCrash { node, .. } => self.inner.crash(node),
+            FaultEvent::NodeReboot { node, .. } => {
                 if self.inner.reboot(node) {
                     self.with_app(node, |app, ctx| app.on_reboot(ctx));
                 }
             }
-            FaultAction::BlackoutStart { scope } => {
-                mark(&mut self.inner, FaultKind::BlackoutStart, scope_node(scope));
-                self.inner.set_blackout(scope, true);
-            }
-            FaultAction::BlackoutEnd { scope } => {
-                mark(&mut self.inner, FaultKind::BlackoutEnd, scope_node(scope));
-                self.inner.set_blackout(scope, false);
-            }
-            FaultAction::DegradeStart { loss_prob } => {
-                mark(&mut self.inner, FaultKind::DegradeStart, None);
-                self.inner.active_degrades.push(loss_prob);
-            }
-            FaultAction::DegradeEnd { loss_prob } => {
-                mark(&mut self.inner, FaultKind::DegradeEnd, None);
+            FaultEvent::RadioBlackout { scope, .. } => self.inner.set_blackout(scope, !end),
+            FaultEvent::LinkDegrade { loss_prob, .. } if end => {
                 if let Some(i) = self
                     .inner
                     .active_degrades
@@ -825,20 +795,11 @@ impl World {
                     self.inner.active_degrades.swap_remove(i);
                 }
             }
-            FaultAction::BadBlock { node, block } => {
-                mark(&mut self.inner, FaultKind::FlashBadBlock, Some(node));
+            FaultEvent::LinkDegrade { loss_prob, .. } => self.inner.active_degrades.push(loss_prob),
+            FaultEvent::FlashBadBlock { node, block, .. } => {
                 self.with_app(node, |app, ctx| app.on_flash_bad_block(ctx, block));
             }
         }
-    }
-}
-
-/// The node a scope names, for the trace marker (region and all-node
-/// scopes mark no single node).
-fn scope_node(scope: FaultScope) -> Option<NodeId> {
-    match scope {
-        FaultScope::Node(n) => Some(n),
-        FaultScope::All | FaultScope::Region { .. } => None,
     }
 }
 
@@ -936,7 +897,6 @@ impl Inner {
 
     /// Integrates battery drain for `node` up to the current instant.
     fn integrate_energy(&mut self, node: NodeId) {
-        let e = &self.cfg.energy;
         let idx = node.index();
         let elapsed = self
             .now
@@ -945,15 +905,7 @@ impl Inner {
         if !self.nodes.alive[idx] || elapsed.is_zero() {
             return;
         }
-        let secs = elapsed.as_secs_f64();
-        let mut mw = e.idle_mw;
-        if self.nodes.radio_on[idx] {
-            mw += e.radio_listen_mw;
-        }
-        if self.nodes.session[idx].is_some() {
-            mw += e.sampling_mw;
-        }
-        self.nodes.energy_mj[idx] -= mw * secs;
+        self.nodes.energy_mj[idx] -= self.draw_mw(idx) * elapsed.as_secs_f64();
         if self.nodes.energy_mj[idx] <= 0.0 {
             self.kill(node);
         }
@@ -972,6 +924,12 @@ impl Inner {
             .now
             .saturating_since(self.nodes.last_energy_update[idx])
             .as_secs_f64();
+        (self.nodes.energy_mj[idx] - self.draw_mw(idx) * secs).max(0.0)
+    }
+
+    /// Power draw of node `idx` in its current radio and sampling state,
+    /// in mW.
+    fn draw_mw(&self, idx: usize) -> f64 {
         let e = &self.cfg.energy;
         let mut mw = e.idle_mw;
         if self.nodes.radio_on[idx] {
@@ -980,7 +938,7 @@ impl Inner {
         if self.nodes.session[idx].is_some() {
             mw += e.sampling_mw;
         }
-        (self.nodes.energy_mj[idx] - mw * secs).max(0.0)
+        mw
     }
 
     /// Charges a one-off energy cost to `node`.
@@ -1281,6 +1239,7 @@ impl Runtime for Context<'_> {
 mod tests {
     use super::*;
     use crate::acoustics::{Motion, SourceId, Waveform};
+    use enviromic_runtime::FaultKind;
     use std::any::Any;
 
     /// Records every callback it sees.
@@ -1971,6 +1930,58 @@ mod tests {
             .trace()
             .iter()
             .all(|e| !matches!(e, TraceEvent::FaultInjected { .. })));
+    }
+
+    #[test]
+    fn faults_of_two_injections_all_fire_in_plan_order() {
+        let mut w = World::new(quiet_cfg(28));
+        let a = w.add_node(Position::new(0.0, 0.0), Box::new(FaultProbe::default()));
+        let b = w.add_node(Position::new(1.0, 0.0), Box::new(FaultProbe::default()));
+        let first = FaultPlan::new()
+            .with(FaultEvent::RadioBlackout {
+                from: secs(0.5),
+                until: secs(1.5),
+                scope: FaultScope::Node(a),
+            })
+            .with(FaultEvent::NodeCrash {
+                at: secs(1.0),
+                node: b,
+            });
+        // The reboot shares the crash's instant: the second plan's
+        // entries are scheduled after the first's, so it fires second.
+        let second = FaultPlan::new()
+            .with(FaultEvent::NodeReboot {
+                at: secs(1.0),
+                node: b,
+            })
+            .with(FaultEvent::FlashBadBlock {
+                at: secs(0.2),
+                node: a,
+                block: 3,
+            });
+        w.inject_faults(&first).unwrap();
+        w.inject_faults(&second).unwrap();
+        w.run_for_secs(2.0);
+        let marks: Vec<(FaultKind, Option<NodeId>, SimTime)> = w
+            .trace()
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::FaultInjected { kind, node, t } => Some((kind, node, t)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            marks,
+            vec![
+                (FaultKind::FlashBadBlock, Some(a), secs(0.2)),
+                (FaultKind::BlackoutStart, Some(a), secs(0.5)),
+                (FaultKind::Crash, Some(b), secs(1.0)),
+                (FaultKind::Reboot, Some(b), secs(1.0)),
+                (FaultKind::BlackoutEnd, Some(a), secs(1.5)),
+            ]
+        );
+        assert_eq!(w.app_as::<FaultProbe>(b).unwrap().reboots, 1);
+        assert_eq!(w.app_as::<FaultProbe>(a).unwrap().bad_blocks, vec![3]);
     }
 
     #[test]

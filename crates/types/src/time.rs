@@ -123,12 +123,6 @@ impl SimDuration {
         self.0 as f64 / JIFFIES_PER_SEC as f64
     }
 
-    /// Returns the span as whole milliseconds (rounded down).
-    #[must_use]
-    pub const fn as_millis(self) -> u64 {
-        self.0 * 1000 / JIFFIES_PER_SEC
-    }
-
     /// Saturating subtraction of spans.
     #[must_use]
     pub const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {

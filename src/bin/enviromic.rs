@@ -11,7 +11,8 @@
 //!                                           (indoor and forest only)
 //!   --seed     N                            RNG seed (default 1)
 //!   --seeds    N                            sweep N consecutive seeds from
-//!                                           --seed (prints per-seed digests)
+//!                                           --seed (prints per-seed digests
+//!                                           instead of the harvest report)
 //!   --jobs     N                            sweep worker threads
 //!                                           (default: available cores)
 //!   --flash    CHUNKS                       per-node flash capacity
@@ -24,23 +25,27 @@
 //!   --timeline SECS                         sample a sim-time metric
 //!                                           timeline every SECS (digest
 //!                                           stays bit-identical)
-//!   --timeline-out PATH                     write a run dump (events +
-//!                                           timeline) for the `trace`
-//!                                           explorer
+//!   --timeline-out PATH                     write a run dump for the
+//!                                           `trace` explorer: events and
+//!                                           timeline of one seed, digest
+//!                                           and timeline of each of N
 //!   --series                                also print the miss-ratio series
+//!                                           (one seed only)
 //!   --stats                                 print the telemetry dashboard
 //!                                           (and the timeline, if sampled)
 //!   -q / --quiet                            suppress status lines
 //! ```
 //!
-//! The `--timeline-out` dump is written before the report is printed, so
+//! Every invocation is one sweep over `--seeds` consecutive seeds of one
+//! [`ScenarioSpec`]; a single seed is a sweep of one job. The
+//! `--timeline-out` dump is written before the report is printed, so
 //! a reader that closes stdout early (`enviromic | head -1`) still gets
 //! the file; the runner then stops writing and exits 0.
 
 use enviromic::core::{Mode, NodeConfig, PolicyKind};
-use enviromic::harness::{forest_world_config, indoor_world_config, run_scenario, ExperimentRun};
-use enviromic::observe::{DumpFile, RunDump};
-use enviromic::sim::{RecordKind, TraceEvent, WorldConfig};
+use enviromic::harness::{forest_world_config, indoor_world_config, ExperimentRun};
+use enviromic::observe::DumpFile;
+use enviromic::sim::{FaultPlan, RecordKind, TraceEvent, WorldConfig};
 use enviromic::sweep::{run_sweep, JobInput, ScenarioSpec, SweepPlan};
 use enviromic::types::SimDuration;
 use enviromic::workloads::{
@@ -111,7 +116,11 @@ fn parse_args() -> Options {
     while let Some(arg) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
         match arg.as_str() {
-            "--scenario" => opts.scenario = value(),
+            "--scenario" => {
+                opts.scenario = parsed(&arg, value(), |v| {
+                    matches!(v, "indoor" | "mobile" | "forest" | "voice").then(|| v.to_owned())
+                });
+            }
             "--mode" => {
                 opts.mode = parsed(&arg, value(), |v| match v {
                     "full" => Some(Mode::Full),
@@ -154,6 +163,15 @@ fn parse_args() -> Options {
         );
         usage();
     }
+    // Several seeds print the digest table, not a harvest report: the
+    // series would be silently dropped.
+    if opts.series && opts.seeds > 1 {
+        eprintln!(
+            "enviromic: --series applies to one seed, not --seeds {}",
+            opts.seeds
+        );
+        usage();
+    }
     // A sweep runs seeds `seed..=seed + seeds - 1`: the last one must fit.
     if opts.seed.checked_add(opts.seeds - 1).is_none() {
         eprintln!(
@@ -188,10 +206,7 @@ fn build_scenario(opts: &Options, seed: u64) -> (Scenario, WorldConfig) {
             wcfg.mic_gain_spread = 0.10;
             (forest_scenario(opts.duration.unwrap_or(1800.0), seed), wcfg)
         }
-        other => {
-            eprintln!("enviromic: bad --scenario value {other:?}");
-            usage()
-        }
+        other => unreachable!("parse_args rejects --scenario {other:?}"),
     }
 }
 
@@ -221,9 +236,8 @@ fn write_dump(path: &str, contents: &str) {
     }
 }
 
-/// `--seeds N`: the same scenario replayed across N consecutive seeds on a
-/// worker pool; prints the per-seed digest table instead of a harvest report.
-fn run_seed_sweep(opts: &Options) {
+fn main() {
+    let opts = parse_args();
     let shared = opts.clone();
     let spec = ScenarioSpec::new(opts.scenario.clone(), move |seed| {
         let (scenario, world_cfg) = build_scenario(&shared, seed);
@@ -232,26 +246,35 @@ fn run_seed_sweep(opts: &Options) {
             node_cfg: node_config(&shared),
             world_cfg,
             drain_secs: 20.0,
-            faults: enviromic_sim::FaultPlan::new(),
+            faults: FaultPlan::new(),
         }
     });
-    let seeds: Vec<u64> = (opts.seed..=opts.seed + (opts.seeds - 1)).collect();
     log_info!(
-        "[enviromic] sweeping {} seeds of {} on {} workers...",
+        "[enviromic] running {} seed(s) of {} from seed {}, mode {:?}...",
         opts.seeds,
         opts.scenario,
-        opts.jobs,
+        opts.seed,
+        opts.mode,
     );
+    let seeds = (opts.seed..=opts.seed + (opts.seeds - 1)).collect();
     let mut plan = SweepPlan::new(seeds, vec![spec]);
     if let Some(secs) = opts.timeline {
         plan = plan.with_timeline(secs);
     }
     let outcome = run_sweep(&plan, opts.jobs);
+    // One seed dumps its events and prints its harvest report; several
+    // dump each seed's digest and timeline and print the digest table.
+    let single = opts.seeds == 1;
+
     // The dump first: a reader that closes stdout early ends the process.
     if let Some(path) = &opts.timeline_out {
-        write_dump(path, &serde::to_json(&DumpFile::sweep_timelines(&outcome)));
+        let dump = DumpFile::from_sweep(&outcome, single);
+        write_dump(path, &serde::to_json(&dump));
     }
     write_stdout(|out| {
+        if single {
+            return write_report(out, &opts, &outcome.jobs[0].run);
+        }
         write!(out, "{}", outcome.render())?;
         if opts.stats {
             writeln!(out)?;
@@ -261,47 +284,10 @@ fn run_seed_sweep(opts: &Options) {
     });
 }
 
-fn main() {
-    let opts = parse_args();
-    if opts.seeds > 1 {
-        run_seed_sweep(&opts);
-        return;
-    }
-    let (scenario, mut world_cfg) = build_scenario(&opts, opts.seed);
-    if let Some(secs) = opts.timeline {
-        world_cfg.timeline_sample_period = Some(SimDuration::from_secs_f64(secs));
-    }
-    let horizon = scenario.duration.as_secs_f64();
-    let cfg = node_config(&opts);
-
-    log_info!(
-        "[enviromic] {} scenario: {} nodes, {} events, {:.0}s, mode {:?}",
-        opts.scenario,
-        scenario.topology.len(),
-        scenario.sources.len(),
-        horizon,
-        cfg.mode,
-    );
-    let run = run_scenario(scenario, &cfg, world_cfg, 20.0);
-
-    // The dump first: a reader that closes stdout early ends the process.
-    if let Some(path) = &opts.timeline_out {
-        let dump = DumpFile {
-            runs: vec![RunDump::from_run(&opts.scenario, opts.seed, &run, true)],
-        };
-        write_dump(path, &serde::to_json(&dump));
-    }
-    write_stdout(|out| write_report(out, &opts, &run, horizon));
-}
-
 /// The harvest report of `run`, plus the miss-ratio series and the
 /// dashboards when `opts` asks for them.
-fn write_report(
-    out: &mut dyn Write,
-    opts: &Options,
-    run: &ExperimentRun,
-    horizon: f64,
-) -> io::Result<()> {
+fn write_report(out: &mut dyn Write, opts: &Options, run: &ExperimentRun) -> io::Result<()> {
+    let horizon = run.scenario.duration.as_secs_f64();
     let exp = run.experiment();
     let kinds = exp.recorded_secs_by_kind();
     let by_kind = [

@@ -72,15 +72,16 @@ pub struct DumpFile {
 }
 
 impl DumpFile {
-    /// The timeline-only dump of a sweep: digest and timeline per job, in
-    /// plan order. The per-job event ledgers would dwarf the file.
+    /// The dump of a sweep: digest and timeline per job, in plan order,
+    /// and with `with_events` each job's event ledger, which for more than
+    /// a job or two would dwarf the file.
     #[must_use]
-    pub fn sweep_timelines(outcome: &SweepOutcome) -> DumpFile {
+    pub fn from_sweep(outcome: &SweepOutcome, with_events: bool) -> DumpFile {
         DumpFile {
             runs: outcome
                 .jobs
                 .iter()
-                .map(|j| RunDump::from_run(&j.label, j.seed, &j.run, false))
+                .map(|j| RunDump::from_run(&j.label, j.seed, &j.run, with_events))
                 .collect(),
         }
     }

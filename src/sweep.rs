@@ -25,7 +25,7 @@
 //! );
 //! let serial = run_sweep(&plan, 1);
 //! let pooled = run_sweep(&plan, 4);
-//! assert_eq!(serial.digests(), pooled.digests());
+//! assert_eq!(serial.summary().jobs, pooled.summary().jobs);
 //! ```
 
 use crate::harness::{
@@ -98,17 +98,43 @@ impl ScenarioSpec {
         (self.build)(seed)
     }
 
+    /// A testbed point: `world` builds the seed's scenario and world
+    /// configuration, run with the full protocol, the default node
+    /// configuration and a 5 s drain. With `chaos`, the run is under the
+    /// seed's [`FaultPlan::chaos`] schedule over the scenario's nodes and
+    /// length.
+    fn testbed(
+        label: &str,
+        chaos: bool,
+        world: impl Fn(u64) -> (Scenario, WorldConfig) + Send + Sync + 'static,
+    ) -> ScenarioSpec {
+        ScenarioSpec::new(label, move |seed| {
+            let (scenario, world_cfg) = world(seed);
+            let faults = if chaos {
+                FaultPlan::chaos(seed, scenario.topology.len(), scenario.duration)
+            } else {
+                FaultPlan::new()
+            };
+            JobInput {
+                scenario,
+                node_cfg: NodeConfig::default().with_mode(Mode::Full),
+                world_cfg,
+                drain_secs: 5.0,
+                faults,
+            }
+        })
+    }
+
     /// The quick indoor point: the §IV-B testbed at `duration_secs`, full
     /// protocol, default node configuration. At 120 s this is byte-for-byte
     /// the run `tests/determinism.rs` pins to its golden digest.
     #[must_use]
     pub fn quick_indoor(duration_secs: f64) -> ScenarioSpec {
-        ScenarioSpec::new("quick-indoor", move |seed| JobInput {
-            scenario: indoor_scenario(duration_secs, seed),
-            node_cfg: NodeConfig::default().with_mode(Mode::Full),
-            world_cfg: indoor_world_config(seed),
-            drain_secs: 5.0,
-            faults: FaultPlan::new(),
+        ScenarioSpec::testbed("quick-indoor", false, move |seed| {
+            (
+                indoor_scenario(duration_secs, seed),
+                indoor_world_config(seed),
+            )
         })
     }
 
@@ -119,12 +145,8 @@ impl ScenarioSpec {
     /// 42 across worker counts.
     #[must_use]
     pub fn quick_mobile() -> ScenarioSpec {
-        ScenarioSpec::new("quick-mobile", |seed| JobInput {
-            scenario: mobile_scenario(),
-            node_cfg: NodeConfig::default().with_mode(Mode::Full),
-            world_cfg: indoor_world_config(seed),
-            drain_secs: 5.0,
-            faults: FaultPlan::new(),
+        ScenarioSpec::testbed("quick-mobile", false, |seed| {
+            (mobile_scenario(), indoor_world_config(seed))
         })
     }
 
@@ -132,12 +154,11 @@ impl ScenarioSpec {
     /// full protocol, default node configuration.
     #[must_use]
     pub fn quick_forest(duration_secs: f64) -> ScenarioSpec {
-        ScenarioSpec::new("quick-forest", move |seed| JobInput {
-            scenario: forest_scenario(duration_secs, seed),
-            node_cfg: NodeConfig::default().with_mode(Mode::Full),
-            world_cfg: forest_world_config(seed),
-            drain_secs: 5.0,
-            faults: FaultPlan::new(),
+        ScenarioSpec::testbed("quick-forest", false, move |seed| {
+            (
+                forest_scenario(duration_secs, seed),
+                forest_world_config(seed),
+            )
         })
     }
 
@@ -148,20 +169,23 @@ impl ScenarioSpec {
     /// other point: the plan is a pure function of the seed.
     #[must_use]
     pub fn chaos_indoor(duration_secs: f64) -> ScenarioSpec {
-        ScenarioSpec::new("chaos-indoor", move |seed| {
-            let scenario = indoor_scenario(duration_secs, seed);
-            let faults = FaultPlan::chaos(
-                seed,
-                scenario.topology.positions().len(),
-                SimDuration::from_secs_f64(duration_secs),
-            );
-            JobInput {
-                scenario,
-                node_cfg: NodeConfig::default().with_mode(Mode::Full),
-                world_cfg: indoor_world_config(seed),
-                drain_secs: 5.0,
-                faults,
-            }
+        ScenarioSpec::testbed("chaos-indoor", true, move |seed| {
+            (
+                indoor_scenario(duration_secs, seed),
+                indoor_world_config(seed),
+            )
+        })
+    }
+
+    /// The chaos forest point: the quick-forest workload under a
+    /// seed-derived [`FaultPlan::chaos`] schedule.
+    #[must_use]
+    pub fn chaos_forest(duration_secs: f64) -> ScenarioSpec {
+        ScenarioSpec::testbed("chaos-forest", true, move |seed| {
+            (
+                forest_scenario(duration_secs, seed),
+                forest_world_config(seed),
+            )
         })
     }
 
@@ -202,27 +226,6 @@ impl ScenarioSpec {
             },
             drain_secs: 2.0,
             faults: FaultPlan::new(),
-        })
-    }
-
-    /// The chaos forest point: the quick-forest workload under a
-    /// seed-derived [`FaultPlan::chaos`] schedule.
-    #[must_use]
-    pub fn chaos_forest(duration_secs: f64) -> ScenarioSpec {
-        ScenarioSpec::new("chaos-forest", move |seed| {
-            let scenario = forest_scenario(duration_secs, seed);
-            let faults = FaultPlan::chaos(
-                seed,
-                scenario.topology.positions().len(),
-                SimDuration::from_secs_f64(duration_secs),
-            );
-            JobInput {
-                scenario,
-                node_cfg: NodeConfig::default().with_mode(Mode::Full),
-                world_cfg: forest_world_config(seed),
-                drain_secs: 5.0,
-                faults,
-            }
         })
     }
 }
@@ -296,22 +299,6 @@ pub struct SweepOutcome {
 }
 
 impl SweepOutcome {
-    /// `(label, seed, digest)` per job in plan order — the determinism
-    /// fingerprint the tests compare across worker counts.
-    #[must_use]
-    pub fn digests(&self) -> Vec<(String, u64, u64)> {
-        self.jobs
-            .iter()
-            .map(|j| (j.label.clone(), j.seed, j.digest))
-            .collect()
-    }
-
-    /// Sum of per-job wall-clock seconds (the serial cost of the plan).
-    #[must_use]
-    pub fn serial_secs(&self) -> f64 {
-        self.jobs.iter().map(|j| j.wall_secs).sum()
-    }
-
     /// The wall-clock-free summary (per-job table + aggregate) written to
     /// `BENCH_sweep.json`: byte-identical at any worker count.
     #[must_use]
@@ -345,7 +332,8 @@ impl SweepOutcome {
                 j.label, j.seed, j.digest, j.events, j.wall_secs
             ));
         }
-        let serial = self.serial_secs();
+        // The serial cost of the plan: every job's wall-clock seconds.
+        let serial: f64 = self.jobs.iter().map(|j| j.wall_secs).sum();
         out.push_str(&format!(
             "\n  {} jobs on {} workers: {:.3}s wall ({:.3}s serial, {:.2}x speedup)\n",
             self.jobs.len(),
@@ -507,7 +495,7 @@ mod tests {
         let plan = quick_plan(vec![1, 2], 20.0);
         let serial = run_sweep(&plan, 1);
         let pooled = run_sweep(&plan, 4);
-        assert_eq!(serial.digests(), pooled.digests());
+        assert_eq!(serial.summary().jobs, pooled.summary().jobs);
         // Counters merge in plan order, so the aggregates agree too, and
         // the summary the `artifacts` bin commits is byte-identical.
         assert_eq!(serial.aggregate.counters, pooled.aggregate.counters);
@@ -566,7 +554,7 @@ mod tests {
         );
         let serial = run_sweep(&plan, 1);
         let pooled = run_sweep(&plan, 4);
-        assert_eq!(serial.digests(), pooled.digests());
+        assert_eq!(serial.summary().jobs, pooled.summary().jobs);
         assert_eq!(serial.aggregate.counters, pooled.aggregate.counters);
         // The chaos plans actually did something in every job.
         for job in &serial.jobs {

@@ -1,7 +1,8 @@
 //! The `enviromic` runner and the `trace` explorer reject bad flag values
 //! up front: each one exits 2 with the usage line on stderr instead of
 //! panicking mid-run, running with a NaN setting or matching nothing.
-//! Both also end cleanly when their reader leaves early.
+//! Both also end cleanly when their reader leaves early, and a dump of
+//! several seeds reads back one run per seed.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -25,7 +26,7 @@ fn bad_flag_values_exit_2_with_the_usage_line() {
     // fixed 9 s and 7 s mobile and voice events, so a flag that slips
     // through fails the test quickly instead of running the default
     // 1,100 s indoor campaign.
-    let cases: [&[&str]; 12] = [
+    let cases: [&[&str]; 13] = [
         &["--duration", "1", "--flash", "0"],
         &["--duration", "1", "--beta-max", "0.5"],
         &["--duration", "1", "--beta-max", "NaN"],
@@ -37,6 +38,7 @@ fn bad_flag_values_exit_2_with_the_usage_line() {
         &["--duration", "1", "--scenario", "nowhere"],
         &["--scenario", "mobile", "--duration", "100"],
         &["--scenario", "voice", "--duration", "5", "--seeds", "2"],
+        &["--duration", "1", "--seeds", "2", "--series"],
         &[
             "--duration",
             "1",
@@ -69,6 +71,69 @@ fn seed_7_dump(test: &str) -> PathBuf {
 
 fn trace() -> Command {
     Command::new(env!("CARGO_BIN_EXE_trace"))
+}
+
+/// What `trace DUMP ARGS` prints; it must exit 0.
+fn trace_stdout(dump: &Path, args: &[&str]) -> String {
+    let out = trace()
+        .arg(dump)
+        .args(args)
+        .output()
+        .expect("the trace binary starts");
+    assert!(
+        out.status.success(),
+        "trace {args:?} exited {:?}",
+        out.status
+    );
+    String::from_utf8(out.stdout).expect("trace prints UTF-8")
+}
+
+/// The digest on the `run LABEL/SEED: digest 0x...` line of a summary.
+fn digest_of<'a>(summary: &'a str, run: &str) -> &'a str {
+    let head = format!("run {run}: digest ");
+    summary
+        .lines()
+        .find_map(|line| line.strip_prefix(head.as_str()))
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no {run} line in:\n{summary}"))
+}
+
+/// Two seeds dump a digest-and-timeline run each, and the first is the
+/// run a single `--seed 7` invocation makes: one seed or several, every
+/// job reaches the simulator through the same sweep.
+#[test]
+fn a_two_seed_dump_holds_both_runs_and_the_single_seed_digest() {
+    let dump = Path::new(env!("CARGO_TARGET_TMPDIR")).join("two_seed_dump.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_enviromic"))
+        .args(["--duration", "5", "--seed", "7", "--seeds", "2"])
+        .args(["--timeline", "5", "-q", "--timeline-out"])
+        .arg(&dump)
+        .output()
+        .expect("the enviromic binary starts");
+    assert!(out.status.success(), "enviromic exited {:?}", out.status);
+
+    let both = trace_stdout(&dump, &[]);
+    let heads: Vec<&str> = both.lines().filter(|l| l.starts_with("run ")).collect();
+    assert_eq!(heads.len(), 2, "{both}");
+    for (head, run) in heads.iter().zip(["indoor/7", "indoor/8"]) {
+        assert!(
+            head.starts_with(&format!("run {run}: digest ")) && head.ends_with("  0 events"),
+            "{head:?}"
+        );
+    }
+
+    let single = trace_stdout(&seed_7_dump("a_two_seed_dump_holds_both_runs"), &[]);
+    assert_eq!(digest_of(&both, "indoor/7"), digest_of(&single, "indoor/7"));
+
+    // Runs print one after another, a blank line apart.
+    let (_, second) = both.split_once("\n\n").expect("two runs");
+    for selector in ["indoor/8", "1"] {
+        assert_eq!(
+            trace_stdout(&dump, &["--run", selector]),
+            second,
+            "--run {selector}"
+        );
+    }
 }
 
 #[test]

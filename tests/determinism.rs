@@ -336,8 +336,8 @@ fn city_10k_digest_is_identical_across_worker_counts() {
     let serial = run_sweep(&plan, 1);
     let pooled = run_sweep(&plan, 2);
     assert_eq!(
-        serial.digests(),
-        pooled.digests(),
+        serial.summary().jobs,
+        pooled.summary().jobs,
         "10k-node city diverged between 1 and 2 sweep workers",
     );
     let job = &serial.jobs[0];
@@ -360,8 +360,8 @@ fn city_40k_digest_is_identical_across_worker_counts() {
     let serial = run_sweep(&plan, 1);
     let pooled = run_sweep(&plan, 2);
     assert_eq!(
-        serial.digests(),
-        pooled.digests(),
+        serial.summary().jobs,
+        pooled.summary().jobs,
         "40k-node city diverged between 1 and 2 sweep workers",
     );
     let job = &serial.jobs[0];
