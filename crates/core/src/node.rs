@@ -19,7 +19,7 @@ use crate::policy::PolicyMetrics;
 use crate::storage::TracedStore;
 use enviromic_flash::{Chunk, ChunkMeta, ChunkStore};
 use enviromic_net::{
-    decode_envelope, BulkReceiver, BulkSender, Message, NeighborTable, PiggybackQueue, TreeState,
+    with_envelope, BulkReceiver, BulkSender, Message, NeighborTable, PiggybackQueue, TreeState,
 };
 use enviromic_runtime::{
     Application, AudioBlock, DropReason, NodeProbe, NodeRole, RecordKind, Runtime,
@@ -432,10 +432,8 @@ impl EnviroMicNode {
             return;
         }
         if msg.is_delay_sensitive() {
-            let kind = msg.kind().label();
-            let envelope = self.piggyback.compose(msg);
-            let bytes = enviromic_net::encode_envelope(&envelope);
-            ctx.broadcast(kind, bytes);
+            let bytes = self.piggyback.compose(&msg);
+            ctx.broadcast(msg.kind().label(), bytes);
         } else {
             self.piggyback.enqueue(ctx.now(), msg);
             if let Some(due) = self.piggyback.next_due() {
@@ -448,11 +446,8 @@ impl EnviroMicNode {
     }
 
     fn flush_piggyback(&mut self, ctx: &mut dyn Runtime) {
-        let due = self.piggyback.flush_due(ctx.now());
-        if !due.is_empty() {
-            let kind = due[0].kind().label();
-            let bytes = enviromic_net::encode_envelope(&due);
-            ctx.broadcast(kind, bytes);
+        if let Some((kind, bytes)) = self.piggyback.flush_due(ctx.now()) {
+            ctx.broadcast(kind.label(), bytes);
         }
         if let Some(next) = self.piggyback.next_due() {
             let delay = next.saturating_since(ctx.now());
@@ -756,13 +751,13 @@ impl Application for EnviroMicNode {
     }
 
     fn on_packet(&mut self, ctx: &mut dyn Runtime, from: NodeId, bytes: &[u8]) {
-        let Ok(messages) = decode_envelope(bytes) else {
-            return;
-        };
-        self.neighbors.heard(from, ctx.now());
-        for msg in messages {
-            self.handle_message(ctx, from, msg);
-        }
+        // A malformed envelope is dropped whole, unheard.
+        let _ = with_envelope(bytes, |messages| {
+            self.neighbors.heard(from, ctx.now());
+            for msg in messages {
+                self.handle_message(ctx, from, msg);
+            }
+        });
     }
 
     fn on_acoustic_level(&mut self, ctx: &mut dyn Runtime, level: f64) {
@@ -883,6 +878,40 @@ mod tests {
         assert!(size <= 976, "EnviroMicNode is {size} B inline");
         let cfg = std::mem::size_of::<NodeConfig>();
         assert!(cfg <= 64, "NodeConfig is {cfg} B");
+    }
+
+    #[test]
+    fn a_malformed_envelope_is_dropped_whole() {
+        let mut node = EnviroMicNode::new(NodeConfig::default());
+        let mut rt = enviromic_runtime::MockRuntime::new(NodeId(1));
+        rt.start(&mut node);
+        let beacon = Message::TimeSync {
+            root: NodeId(0),
+            seq: 1,
+            ref_time: SimTime::from_jiffies(4_096),
+        };
+        let state = Message::StateUpdate {
+            ttl_secs: 60,
+            free_chunks: 8,
+            avg_free_pct: 50,
+        };
+        let whole = enviromic_net::encode_envelope([&beacon, &state]);
+        rt.deliver_now(&mut node, NodeId(2), &whole[..whole.len() - 1]);
+        assert!(
+            node.neighbors.get(NodeId(2)).is_none(),
+            "sender marked heard"
+        );
+        assert!(
+            node.piggyback.is_empty(),
+            "the valid first message was handled"
+        );
+        rt.deliver_now(&mut node, NodeId(2), &whole);
+        assert!(node.neighbors.get(NodeId(2)).is_some());
+        assert_eq!(
+            node.piggyback.len(),
+            1,
+            "the beacon's re-flood waits for a ride"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::node::{
 };
 use enviromic_flash::{Chunk, ChunkStore};
 use enviromic_net::{
-    decode_envelope, encode_envelope, BulkReceiver, BulkSender, Message, TreeAction,
+    encode_envelope, with_envelope, BulkReceiver, BulkSender, Message, TreeAction,
 };
 use enviromic_runtime::{Application, Runtime, Timer};
 use enviromic_telemetry::Counter;
@@ -477,38 +477,38 @@ impl Application for DataMule {
     }
 
     fn on_packet(&mut self, ctx: &mut dyn Runtime, from: NodeId, bytes: &[u8]) {
-        let Ok(messages) = decode_envelope(bytes) else {
-            return;
-        };
-        for msg in messages {
-            match msg {
-                Message::BulkData {
-                    to,
-                    session,
-                    seq,
-                    last,
-                    chunk,
-                } if to == self.me => {
-                    let recv = self
-                        .receivers
-                        .entry((from, session))
-                        .or_insert_with(|| BulkReceiver::new(from, session));
-                    let (ack, accepted) = recv.on_data(session, seq, last, chunk);
-                    if let Some(chunk) = accepted {
+        // A malformed envelope is dropped whole.
+        let _ = with_envelope(bytes, |messages| {
+            for msg in messages {
+                match msg {
+                    Message::BulkData {
+                        to,
+                        session,
+                        seq,
+                        last,
+                        chunk,
+                    } if to == self.me => {
+                        let recv = self
+                            .receivers
+                            .entry((from, session))
+                            .or_insert_with(|| BulkReceiver::new(from, session));
+                        let (ack, accepted) = recv.on_data(session, seq, last, chunk);
+                        if let Some(chunk) = accepted {
+                            self.accept(chunk);
+                        }
+                        if let Some(ack) = ack {
+                            self.broadcast(ctx, ack);
+                        }
+                    }
+                    Message::QueryData {
+                        to, root, chunk, ..
+                    } if to == self.me && root == self.me => {
                         self.accept(chunk);
                     }
-                    if let Some(ack) = ack {
-                        self.broadcast(ctx, ack);
-                    }
+                    _ => {}
                 }
-                Message::QueryData {
-                    to, root, chunk, ..
-                } if to == self.me && root == self.me => {
-                    self.accept(chunk);
-                }
-                _ => {}
             }
-        }
+        });
     }
 
     fn as_any(&self) -> &dyn core::any::Any {

@@ -90,12 +90,49 @@ impl core::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-fn checksum(header: &[u8], payload: &[u8]) -> u16 {
-    let mut sum: u32 = 0;
-    for &b in header.iter().chain(payload) {
-        sum = sum.wrapping_add(u32::from(b)).wrapping_mul(31) % 65_521;
+/// Header bytes the checksum covers: every byte before the checksum.
+const SUMMED_HEADER: usize = 22;
+/// Most bytes the checksum covers: the header and a full payload.
+const SUMMED_MAX: usize = SUMMED_HEADER + audio::CHUNK_PAYLOAD_BYTES as usize;
+/// The checksum's modulus, the largest prime below 2^16.
+const MODULUS: u32 = 65_521;
+
+/// `WEIGHTS[i]` is 31^(`SUMMED_MAX` − i) mod [`MODULUS`]: an input of
+/// `n` bytes weighs its byte `k` with entry `SUMMED_MAX − n + k`, so it
+/// uses the last `n` entries.
+const WEIGHTS: [u32; SUMMED_MAX] = {
+    let mut weights = [0; SUMMED_MAX];
+    let mut power = 1;
+    let mut i = SUMMED_MAX;
+    while i > 0 {
+        i -= 1;
+        power = power * 31 % MODULUS;
+        weights[i] = power;
     }
-    sum as u16
+    weights
+};
+
+// Every weighted byte is below 255 · MODULUS, so the sum of a full
+// block's products fits a `u32` and needs one reduction at the end.
+const _: () = assert!(SUMMED_MAX as u64 * 255 * (MODULUS as u64 - 1) < 1 << 32);
+
+/// The 16-bit checksum of `header` ‖ `payload`.
+///
+/// It is defined byte by byte as `sum = (sum + b) · 31 mod 65 521`,
+/// whose intermediate values never exceed 2^32, so over the bytes
+/// b_0 … b_{n−1} it equals Σ b_k · 31^(n−k) mod 65 521: a dot product
+/// with [`WEIGHTS`] and one reduction, not a division per byte.
+fn checksum(header: &[u8], payload: &[u8]) -> u16 {
+    let weights = &WEIGHTS[SUMMED_MAX - header.len() - payload.len()..];
+    let (header_weights, payload_weights) = weights.split_at(header.len());
+    let dot = |bytes: &[u8], weights: &[u32]| -> u32 {
+        bytes
+            .iter()
+            .zip(weights)
+            .map(|(&b, &w)| u32::from(b) * w)
+            .sum()
+    };
+    ((dot(header, header_weights) + dot(payload, payload_weights)) % MODULUS) as u16
 }
 
 impl Chunk {
@@ -166,7 +203,7 @@ impl Chunk {
         // Origin bits 16-23; zero — the historical reserved byte — for
         // 16-bit origins.
         block[21] = (origin >> 16) as u8;
-        let sum = checksum(&block[..22], &self.payload);
+        let sum = checksum(&block[..SUMMED_HEADER], &self.payload);
         block[22..24].copy_from_slice(&sum.to_le_bytes());
         block[24..24 + self.payload.len()].copy_from_slice(&self.payload);
         block
@@ -185,9 +222,9 @@ impl Chunk {
         if payload_len > audio::CHUNK_PAYLOAD_BYTES as usize {
             return Err(DecodeError::BadLength);
         }
-        let payload = block[24..24 + payload_len].to_vec();
+        let payload = &block[24..24 + payload_len];
         let stored_sum = u16::from_le_bytes([block[22], block[23]]);
-        if checksum(&block[..22], &payload) != stored_sum {
+        if checksum(&block[..SUMMED_HEADER], payload) != stored_sum {
             return Err(DecodeError::BadChecksum);
         }
         let store_seq = u32::from_le_bytes([block[2], block[3], block[4], block[5]]);
@@ -214,7 +251,7 @@ impl Chunk {
                     event,
                     t_start,
                 },
-                payload,
+                payload: payload.to_vec(),
             },
             store_seq,
         ))
@@ -224,6 +261,56 @@ impl Chunk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
+
+    /// The checksum as first defined: one reduction per byte.
+    fn reference_checksum(header: &[u8], payload: &[u8]) -> u16 {
+        let mut sum: u32 = 0;
+        for &b in header.iter().chain(payload) {
+            sum = sum.wrapping_add(u32::from(b)).wrapping_mul(31) % 65_521;
+        }
+        sum as u16
+    }
+
+    const FULL_PAYLOAD: usize = audio::CHUNK_PAYLOAD_BYTES as usize;
+
+    proptest! {
+        #[test]
+        fn checksum_matches_the_per_byte_reference_at_every_length(
+            header in collection::vec(any::<u8>(), SUMMED_HEADER),
+            payload in collection::vec(any::<u8>(), FULL_PAYLOAD),
+        ) {
+            for len in 0..=FULL_PAYLOAD {
+                let payload = &payload[..len];
+                prop_assert_eq!(
+                    checksum(&header, payload),
+                    reference_checksum(&header, payload),
+                    "payload of {} bytes", len
+                );
+            }
+        }
+    }
+
+    /// Fixed answers, so the reference and the checksum cannot drift
+    /// together.
+    #[test]
+    fn checksum_known_answers() {
+        let counting: Vec<u8> = (0..=255).collect();
+        let cases: [(&[u8], &[u8], u16); 3] = [
+            (&[1; SUMMED_HEADER], &[], 45_155),
+            (
+                &counting[..SUMMED_HEADER],
+                &counting[..FULL_PAYLOAD],
+                53_772,
+            ),
+            (&[0xFF; SUMMED_HEADER], &[0xFF; FULL_PAYLOAD], 25_283),
+        ];
+        for (header, payload, sum) in cases {
+            assert_eq!(reference_checksum(header, payload), sum);
+            assert_eq!(checksum(header, payload), sum);
+        }
+    }
 
     fn sample_chunk(event: Option<EventId>) -> Chunk {
         Chunk::new(

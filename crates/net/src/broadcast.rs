@@ -8,10 +8,12 @@
 //! enqueues delay-tolerant messages; whenever a delay-sensitive message
 //! must go out, [`PiggybackQueue::compose`] drains as many queued messages
 //! as fit the packet budget into the same envelope. Messages that wait too
-//! long are flushed standalone by [`PiggybackQueue::flush_due`].
+//! long are flushed standalone by [`PiggybackQueue::flush_due`]. Both
+//! return the encoded envelope, so a departing packet builds no message
+//! list of its own.
 
-use crate::packet::Message;
-use enviromic_types::{SimDuration, SimTime};
+use crate::packet::{encode_envelope, Message};
+use enviromic_types::{Bytes, MsgKind, SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// Queue of delay-tolerant messages awaiting a piggybacking opportunity.
@@ -54,38 +56,47 @@ impl PiggybackQueue {
         self.pending.push_back((now, message));
     }
 
-    /// Builds the envelope for a departing delay-sensitive `primary`,
+    /// Encodes the envelope for a departing delay-sensitive `primary`,
     /// draining as many queued messages as fit the packet budget.
     #[must_use]
-    pub fn compose(&mut self, primary: Message) -> Vec<Message> {
+    pub fn compose(&mut self, primary: &Message) -> Bytes {
         let mut used = primary.encoded_len();
-        let mut out = vec![primary];
-        while let Some((_, msg)) = self.pending.front() {
+        let mut riders = 0;
+        for (_, msg) in &self.pending {
             let extra = msg.encoded_len();
-            if used + extra > self.packet_budget || out.len() >= 255 {
+            if used + extra > self.packet_budget || riders + 1 >= 255 {
                 break;
             }
             used += extra;
-            let (_, msg) = self.pending.pop_front().expect("front just observed");
-            out.push(msg);
+            riders += 1;
         }
-        out
+        self.drain_encoded(Some(primary), riders)
     }
 
-    /// Removes and returns all messages that have waited longer than the
-    /// maximum, to be sent standalone.
+    /// Removes every message that has waited longer than the maximum and
+    /// encodes them as one standalone envelope, labelled with the kind of
+    /// its first message; `None` when no message is due.
     #[must_use]
-    pub fn flush_due(&mut self, now: SimTime) -> Vec<Message> {
-        let mut due = Vec::new();
-        while let Some((enqueued, _)) = self.pending.front() {
-            if now.saturating_since(*enqueued) >= self.max_wait {
-                let (_, msg) = self.pending.pop_front().expect("front just observed");
-                due.push(msg);
-            } else {
-                break;
-            }
+    pub fn flush_due(&mut self, now: SimTime) -> Option<(MsgKind, Bytes)> {
+        let due = self
+            .pending
+            .iter()
+            .take_while(|(enqueued, _)| now.saturating_since(*enqueued) >= self.max_wait)
+            .count();
+        if due == 0 {
+            return None;
         }
-        due
+        let kind = self.pending[0].1.kind();
+        Some((kind, self.drain_encoded(None, due)))
+    }
+
+    /// Encodes `first` (if any) and the `n` oldest queued messages as one
+    /// envelope, then removes those `n` from the queue.
+    fn drain_encoded(&mut self, first: Option<&Message>, n: usize) -> Bytes {
+        let queued = self.pending.range(..n).map(|(_, msg)| msg);
+        let bytes = encode_envelope(first.into_iter().chain(queued));
+        self.pending.drain(..n);
+        bytes
     }
 
     /// The earliest instant at which a queued message becomes due, if any.
@@ -98,7 +109,8 @@ impl PiggybackQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use enviromic_types::{MsgKind, NodeId};
+    use crate::packet::decode_envelope;
+    use enviromic_types::NodeId;
 
     fn state_update(n: u32) -> Message {
         Message::StateUpdate {
@@ -123,7 +135,7 @@ mod tests {
         let mut q = PiggybackQueue::new(SimDuration::from_millis(5000), 100);
         q.enqueue(t(0), state_update(1));
         q.enqueue(t(0), state_update(2));
-        let envelope = q.compose(sensitive());
+        let envelope = decode_envelope(&q.compose(&sensitive())).unwrap();
         assert_eq!(envelope.len(), 3);
         assert_eq!(envelope[0].kind(), MsgKind::LeaderAnnounce);
         assert!(q.is_empty());
@@ -138,7 +150,7 @@ mod tests {
         for i in 0..5 {
             q.enqueue(t(0), state_update(i));
         }
-        let envelope = q.compose(sensitive());
+        let envelope = decode_envelope(&q.compose(&sensitive())).unwrap();
         assert_eq!(envelope.len(), 2);
         assert_eq!(q.len(), 4);
     }
@@ -148,12 +160,15 @@ mod tests {
         let mut q = PiggybackQueue::new(SimDuration::from_millis(100), 100);
         q.enqueue(t(0), state_update(1));
         q.enqueue(t(50), state_update(2));
-        let due = q.flush_due(t(100));
-        assert_eq!(due.len(), 1);
+        assert_eq!(q.flush_due(t(99)), None, "nothing has waited 100 ms");
+        let (kind, due) = q.flush_due(t(100)).unwrap();
+        assert_eq!(kind, MsgKind::StateUpdate);
+        assert_eq!(decode_envelope(&due).unwrap(), [state_update(1)]);
         assert_eq!(q.len(), 1);
-        let due = q.flush_due(t(200));
-        assert_eq!(due.len(), 1);
+        let (_, due) = q.flush_due(t(200)).unwrap();
+        assert_eq!(decode_envelope(&due).unwrap(), [state_update(2)]);
         assert!(q.is_empty());
+        assert_eq!(q.flush_due(t(300)), None);
     }
 
     #[test]

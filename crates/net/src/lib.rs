@@ -3,9 +3,9 @@
 //! Everything above the raw radio and below the protocol logic:
 //!
 //! * [`Message`] and the compact wire codec ([`encode_envelope`] /
-//!   [`decode_envelope`]) — every protocol message §II and §III mention,
+//!   [`with_envelope`]) — every protocol message §II and §III mention,
 //!   envelope-packed so the piggybacking broadcast module can share radio
-//!   packets;
+//!   packets, encoded and decoded through per-thread scratch buffers;
 //! * [`NeighborTable`] — overheard soft state (member lists, TTLs);
 //! * [`PiggybackQueue`] — the neighborhood broadcast module's piggybacking
 //!   core (§III-A);
@@ -42,6 +42,6 @@ pub mod wire;
 pub use broadcast::PiggybackQueue;
 pub use bulk::{BulkReceiver, BulkSender, SenderStep};
 pub use neighbors::{NeighborInfo, NeighborTable};
-pub use packet::{decode_envelope, encode_envelope, Message};
+pub use packet::{decode_envelope, encode_envelope, with_envelope, Message};
 pub use tree::{TreeAction, TreeState};
 pub use wire::WireError;

@@ -13,6 +13,7 @@
 use crate::wire::{Reader, WireError, Writer};
 use enviromic_flash::{Chunk, ChunkMeta, MAX_LEADER_ID, MAX_ORIGIN_ID};
 use enviromic_types::{Bytes, EventId, MsgKind, NodeId, SimDuration, SimTime};
+use std::cell::Cell;
 
 /// A protocol message.
 #[derive(Debug, Clone, PartialEq)]
@@ -619,48 +620,93 @@ impl Message {
     }
 
     /// The encoded size of this message alone (excluding the 1-byte
-    /// envelope header).
+    /// envelope header). It encodes into the thread's scratch buffer, so
+    /// it allocates nothing once the thread has encoded a message as
+    /// long.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        let mut w = Writer::new();
-        self.encode_into(&mut w);
-        w.len()
+        Writer::with_scratch(|w| {
+            self.encode_into(w);
+            w.len()
+        })
     }
 }
 
 /// Encodes an envelope of messages sharing one radio packet.
 ///
-/// Returns a cheaply clonable [`Bytes`] so one encoded packet can be
-/// shared across every radio delivery without copying the payload.
+/// The envelope is written into the thread's scratch buffer and copied
+/// once into the returned [`Bytes`], its only allocation; the `Bytes` is
+/// cheaply clonable, so one encoded packet is shared across every radio
+/// delivery without copying the payload.
 ///
 /// # Panics
 ///
 /// Panics when more than 255 messages are supplied (far beyond any radio
 /// MTU).
 #[must_use]
-pub fn encode_envelope(messages: &[Message]) -> Bytes {
-    let count = u8::try_from(messages.len()).expect("envelope of over 255 messages");
-    let mut w = Writer::new();
-    w.u8(count);
-    for m in messages {
-        m.encode_into(&mut w);
-    }
-    w.into_bytes().into()
+pub fn encode_envelope<'m>(messages: impl IntoIterator<Item = &'m Message>) -> Bytes {
+    Writer::with_scratch(|w| {
+        w.u8(0);
+        let mut count = 0usize;
+        for m in messages {
+            m.encode_into(w);
+            count += 1;
+        }
+        w.set_u8(
+            0,
+            u8::try_from(count).expect("envelope of over 255 messages"),
+        );
+        Bytes::from(w.as_bytes())
+    })
 }
 
-/// Decodes an envelope produced by [`encode_envelope`].
+/// Decodes an envelope produced by [`encode_envelope`] into a new vector.
 ///
 /// # Errors
 ///
 /// [`WireError`] on truncation or unknown tags.
 pub fn decode_envelope(bytes: &[u8]) -> Result<Vec<Message>, WireError> {
+    let mut messages = Vec::new();
+    decode_into(bytes, &mut messages)?;
+    Ok(messages)
+}
+
+thread_local! {
+    /// The message buffer every [`with_envelope`] on this thread decodes
+    /// into; it keeps the capacity of the longest envelope so far.
+    static DECODED: Cell<Vec<Message>> = const { Cell::new(Vec::new()) };
+}
+
+/// Decodes an envelope into the thread's reused message buffer and hands
+/// its messages, in order and by value, to `handle`.
+///
+/// The envelope is decoded whole before `handle` runs, so a malformed one
+/// is rejected whole: `handle` is not called. A nested call decodes into
+/// a fresh buffer, which is correct but allocates.
+///
+/// # Errors
+///
+/// [`WireError`] on truncation or unknown tags.
+pub fn with_envelope<R>(
+    bytes: &[u8],
+    handle: impl FnOnce(std::vec::Drain<'_, Message>) -> R,
+) -> Result<R, WireError> {
+    let mut messages = DECODED.take();
+    let result = decode_into(bytes, &mut messages).map(|()| handle(messages.drain(..)));
+    messages.clear();
+    DECODED.set(messages);
+    result
+}
+
+/// Appends the messages of the envelope `bytes` to `out`.
+fn decode_into(bytes: &[u8], out: &mut Vec<Message>) -> Result<(), WireError> {
     let mut r = Reader::new(bytes);
     let count = r.u8()?;
-    let mut out = Vec::with_capacity(count as usize);
+    out.reserve_exact(usize::from(count));
     for _ in 0..count {
         out.push(Message::decode_from(&mut r)?);
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -840,6 +886,28 @@ mod tests {
         let msgs = all_messages();
         let bytes = encode_envelope(&msgs);
         assert_eq!(decode_envelope(&bytes).unwrap(), msgs);
+    }
+
+    #[test]
+    fn with_envelope_hands_over_whole_envelopes_only() {
+        let msgs = all_messages();
+        let bytes = encode_envelope(&msgs);
+        let handed = with_envelope(&bytes, |m| m.collect::<Vec<_>>()).unwrap();
+        assert_eq!(handed, msgs);
+        let cut = &bytes[..bytes.len() - 1];
+        let mut called = false;
+        assert!(with_envelope(cut, |_| called = true).is_err());
+        assert!(!called, "a malformed envelope reaches no handler");
+        let one = msgs[0].encode();
+        let counts = with_envelope(&bytes, |outer| {
+            let inner = with_envelope(&one, |m| m.count()).unwrap();
+            (outer.count(), inner)
+        });
+        assert_eq!(
+            counts,
+            Ok((msgs.len(), 1)),
+            "a nested decode has its own buffer"
+        );
     }
 
     #[test]

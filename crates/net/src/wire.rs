@@ -6,6 +6,7 @@
 //! (enough for 272 years), durations as 32-bit jiffy counts (36 hours).
 
 use enviromic_types::{SimDuration, SimTime};
+use std::cell::Cell;
 
 /// Error produced when decoding runs past the end of a packet or meets an
 /// invalid tag.
@@ -29,23 +30,38 @@ impl core::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// An append-only packet writer.
-#[derive(Debug, Default)]
+/// An append-only packet writer over its thread's reused scratch buffer.
+#[derive(Debug)]
 pub struct Writer {
     buf: Vec<u8>,
 }
 
+thread_local! {
+    /// The buffer every [`Writer::with_scratch`] on this thread writes
+    /// into. It keeps the capacity of the largest packet encoded so far,
+    /// so encoding allocates nothing once the thread has warmed up.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
 impl Writer {
-    /// Creates an empty writer.
-    #[must_use]
-    pub fn new() -> Self {
-        Writer::default()
+    /// Runs `f` with an empty writer over this thread's scratch buffer.
+    ///
+    /// A nested call finds the buffer taken and writes into a fresh one
+    /// instead, which is correct but allocates.
+    pub fn with_scratch<R>(f: impl FnOnce(&mut Writer) -> R) -> R {
+        let mut w = Writer {
+            buf: SCRATCH.take(),
+        };
+        w.buf.clear();
+        let result = f(&mut w);
+        SCRATCH.set(w.buf);
+        result
     }
 
-    /// Finishes and returns the encoded bytes.
+    /// The bytes written so far.
     #[must_use]
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Bytes written so far.
@@ -63,6 +79,16 @@ impl Writer {
     /// Appends a single byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
+    }
+
+    /// Overwrites the already written byte at `at`, for a count that is
+    /// known only once what it counts has been written.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `at` is not below [`Writer::len`].
+    pub fn set_u8(&mut self, at: usize, v: u8) {
+        self.buf[at] = v;
     }
 
     /// Appends a little-endian `u16`.
@@ -214,14 +240,22 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
 
+    /// The bytes `write` appends to an empty writer.
+    fn written(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        Writer::with_scratch(|w| {
+            write(w);
+            w.as_bytes().to_vec()
+        })
+    }
+
     #[test]
     fn scalar_round_trips() {
-        let mut w = Writer::new();
-        w.u8(0xAB);
-        w.u16(0x1234);
-        w.u32(0xDEAD_BEEF);
-        w.u48((1 << 48) - 2);
-        let bytes = w.into_bytes();
+        let bytes = written(|w| {
+            w.u8(0xAB);
+            w.u16(0x1234);
+            w.u32(0xDEAD_BEEF);
+            w.u48((1 << 48) - 2);
+        });
         assert_eq!(bytes.len(), 1 + 2 + 4 + 6);
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 0xAB);
@@ -233,12 +267,12 @@ mod tests {
 
     #[test]
     fn time_and_duration_round_trip() {
-        let mut w = Writer::new();
         let t = SimTime::from_jiffies(987_654_321);
         let d = SimDuration::from_millis(1500);
-        w.time(t);
-        w.duration(d);
-        let bytes = w.into_bytes();
+        let bytes = written(|w| {
+            w.time(t);
+            w.duration(d);
+        });
         let mut r = Reader::new(&bytes);
         assert_eq!(r.time().unwrap(), t);
         assert_eq!(r.duration().unwrap(), d);
@@ -246,22 +280,33 @@ mod tests {
 
     #[test]
     fn oversized_duration_saturates() {
-        let mut w = Writer::new();
-        w.duration(SimDuration::from_jiffies(u64::MAX));
-        let bytes = w.into_bytes();
+        let bytes = written(|w| w.duration(SimDuration::from_jiffies(u64::MAX)));
         let mut r = Reader::new(&bytes);
         assert_eq!(r.duration().unwrap().as_jiffies(), u64::from(u32::MAX));
     }
 
     #[test]
     fn bytes8_round_trips() {
-        let mut w = Writer::new();
-        w.bytes8(&[1, 2, 3]);
-        w.bytes8(&[]);
-        let bytes = w.into_bytes();
+        let bytes = written(|w| {
+            w.bytes8(&[1, 2, 3]);
+            w.bytes8(&[]);
+        });
         let mut r = Reader::new(&bytes);
         assert_eq!(r.bytes8().unwrap(), &[1, 2, 3]);
         assert_eq!(r.bytes8().unwrap(), &[] as &[u8]);
+    }
+
+    #[test]
+    fn scratch_starts_empty_and_nests() {
+        let outer = written(|w| {
+            w.u8(1);
+            let inner = written(|inner| inner.u16(0x0302));
+            assert_eq!(inner, [2, 3], "a nested writer starts empty");
+            w.u8(4);
+            w.set_u8(0, 0);
+        });
+        assert_eq!(outer, [0, 4]);
+        assert_eq!(written(|w| w.u8(5)), [5], "a later writer starts empty");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use enviromic_types::{EventId, MsgKind, NodeId, SimTime, SourceId};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::fmt::{self, Write as _};
+use std::fmt;
 
 /// Why a recording attempt stored nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -482,8 +482,9 @@ impl Trace {
     ///
     /// Two traces digest equal iff they hold the same records in the same
     /// order, which is what the seeded-determinism regression guard
-    /// asserts across refactors. The rendering streams straight into the
-    /// hash, so no record is ever formatted into a `String`.
+    /// asserts across refactors. Each record's rendering is folded into
+    /// the hash field by field, as literal text and integer digits, so no
+    /// record goes through `core::fmt`.
     #[must_use]
     pub fn digest(&self) -> u64 {
         match &self.kept {
@@ -499,29 +500,187 @@ impl Trace {
     }
 }
 
-/// A `fmt::Write` sink that folds every written byte into a 64-bit
-/// FNV-1a hash.
+/// A 64-bit FNV-1a hash over the `{:?}` rendering of trace records.
 #[derive(Debug, Clone, Copy)]
 struct Fnv1a(u64);
+
+/// Folds the `{:?}` rendering of a [`TraceEvent`] struct variant: its
+/// name, then each field as `name: value` in the order listed, which
+/// must be the declaration order.
+macro_rules! fold_variants {
+    ($h:ident, $record:expr; $($variant:ident { $first:ident $(, $field:ident)* }),+ $(,)?) => {
+        match *$record {
+            $(TraceEvent::$variant { $first, $($field),* } => {
+                $h.str(concat!(stringify!($variant), " { ", stringify!($first), ": "));
+                $first.fold_debug($h);
+                $(
+                    $h.str(concat!(", ", stringify!($field), ": "));
+                    $field.fold_debug($h);
+                )*
+                $h.str(" }");
+            })+
+        }
+    };
+}
 
 impl Fnv1a {
     fn new() -> Self {
         Fnv1a(0xCBF2_9CE4_8422_2325)
     }
 
-    /// Folds in the `{:?}` rendering of `event`.
-    fn fold(&mut self, event: &TraceEvent) {
-        write!(self, "{event:?}").expect("hashing never fails");
-    }
-}
-
-impl fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for b in s.bytes() {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
         }
-        Ok(())
+    }
+
+    fn str(&mut self, s: &str) {
+        self.bytes(s.as_bytes());
+    }
+
+    /// Folds in the decimal digits of `v`.
+    fn uint(&mut self, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.bytes(&digits[at..]);
+    }
+
+    /// Folds in the `{:?}` rendering of `record` as literal field text
+    /// and integer digits, without going through `core::fmt`. That
+    /// rendering stays the digest's definition: the tests compare this
+    /// fold with `format!("{record:?}")` for every variant.
+    fn fold(&mut self, record: &TraceEvent) {
+        let h = self;
+        fold_variants!(h, record;
+            Recorded { node, event, t0, t1, bytes, kind },
+            RecordDropped { node, t0, t1, reason },
+            Erased { node, t0, t1, bytes },
+            MessageSent { node, kind, bytes, t },
+            ChunkStored { node, origin, event, audio_t0, audio_t1, bytes, t },
+            ChunkRemoved { node, origin, audio_t0, audio_t1, t },
+            Migrated { from, to, chunks, bytes, duplicated, t },
+            LeaderElected { node, event, handoff, t },
+            Occupancy { node, used, capacity, t },
+            SourceStarted { source, t },
+            SourceStopped { source, t },
+            FaultInjected { kind, node, t },
+        );
+    }
+}
+
+/// A record field that folds its own `{:?}` rendering into a digest.
+trait FoldDebug {
+    fn fold_debug(self, h: &mut Fnv1a);
+}
+
+impl FoldDebug for u64 {
+    fn fold_debug(self, h: &mut Fnv1a) {
+        h.uint(self);
+    }
+}
+
+impl FoldDebug for u32 {
+    fn fold_debug(self, h: &mut Fnv1a) {
+        h.uint(u64::from(self));
+    }
+}
+
+impl FoldDebug for bool {
+    fn fold_debug(self, h: &mut Fnv1a) {
+        h.str(if self { "true" } else { "false" });
+    }
+}
+
+impl FoldDebug for NodeId {
+    fn fold_debug(self, h: &mut Fnv1a) {
+        h.str("NodeId(");
+        h.uint(u64::from(self.0));
+        h.str(")");
+    }
+}
+
+impl FoldDebug for SourceId {
+    fn fold_debug(self, h: &mut Fnv1a) {
+        h.str("SourceId(");
+        h.uint(u64::from(self.0));
+        h.str(")");
+    }
+}
+
+impl FoldDebug for SimTime {
+    fn fold_debug(self, h: &mut Fnv1a) {
+        h.str("SimTime(");
+        h.uint(self.as_jiffies());
+        h.str(")");
+    }
+}
+
+impl FoldDebug for EventId {
+    fn fold_debug(self, h: &mut Fnv1a) {
+        h.str("EventId { leader: ");
+        self.leader().fold_debug(h);
+        h.str(", seq: ");
+        h.uint(u64::from(self.seq()));
+        h.str(" }");
+    }
+}
+
+impl<T: FoldDebug> FoldDebug for Option<T> {
+    fn fold_debug(self, h: &mut Fnv1a) {
+        match self {
+            Some(v) => {
+                h.str("Some(");
+                v.fold_debug(h);
+                h.str(")");
+            }
+            None => h.str("None"),
+        }
+    }
+}
+
+/// Kind labels are upper-case letters and underscores, which `{:?}` on
+/// a `str` quotes without escaping.
+impl FoldDebug for MsgKind {
+    fn fold_debug(self, h: &mut Fnv1a) {
+        h.str("\"");
+        h.str(self.label());
+        h.str("\"");
+    }
+}
+
+impl FoldDebug for FaultKind {
+    fn fold_debug(self, h: &mut Fnv1a) {
+        h.str("\"");
+        h.str(self.label());
+        h.str("\"");
+    }
+}
+
+impl FoldDebug for RecordKind {
+    fn fold_debug(self, h: &mut Fnv1a) {
+        h.str(match self {
+            RecordKind::Task => "Task",
+            RecordKind::Prelude => "Prelude",
+            RecordKind::Baseline => "Baseline",
+        });
+    }
+}
+
+impl FoldDebug for DropReason {
+    fn fold_debug(self, h: &mut Fnv1a) {
+        h.str(match self {
+            DropReason::StorageFull => "StorageFull",
+            DropReason::EnergyExhausted => "EnergyExhausted",
+        });
     }
 }
 

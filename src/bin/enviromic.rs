@@ -24,7 +24,9 @@
 //!   --prelude  SECS                         enable the prelude optimization
 //!   --timeline SECS                         sample a sim-time metric
 //!                                           timeline every SECS (digest
-//!                                           stays bit-identical)
+//!                                           stays bit-identical); with
+//!                                           --seeds above 1, only with
+//!                                           --timeline-out
 //!   --timeline-out PATH                     write a run dump for the
 //!                                           `trace` explorer: events and
 //!                                           timeline of one seed, digest
@@ -168,6 +170,15 @@ fn parse_args() -> Options {
     if opts.series && opts.seeds > 1 {
         eprintln!(
             "enviromic: --series applies to one seed, not --seeds {}",
+            opts.seeds
+        );
+        usage();
+    }
+    // Several seeds' timelines reach only the dump: without one, every
+    // job would sample a timeline that nothing prints.
+    if opts.timeline.is_some() && opts.timeline_out.is_none() && opts.seeds > 1 {
+        eprintln!(
+            "enviromic: --timeline with --seeds {} needs --timeline-out",
             opts.seeds
         );
         usage();

@@ -26,7 +26,7 @@ fn bad_flag_values_exit_2_with_the_usage_line() {
     // fixed 9 s and 7 s mobile and voice events, so a flag that slips
     // through fails the test quickly instead of running the default
     // 1,100 s indoor campaign.
-    let cases: [&[&str]; 13] = [
+    let cases: [&[&str]; 14] = [
         &["--duration", "1", "--flash", "0"],
         &["--duration", "1", "--beta-max", "0.5"],
         &["--duration", "1", "--beta-max", "NaN"],
@@ -39,6 +39,7 @@ fn bad_flag_values_exit_2_with_the_usage_line() {
         &["--scenario", "mobile", "--duration", "100"],
         &["--scenario", "voice", "--duration", "5", "--seeds", "2"],
         &["--duration", "1", "--seeds", "2", "--series"],
+        &["--duration", "1", "--seeds", "2", "--timeline", "0.5"],
         &[
             "--duration",
             "1",

@@ -1,21 +1,27 @@
-//! What a node costs in heap: building one allocates nothing, and a city
-//! world's live bytes per node stay within pinned bounds.
+//! What a node costs in heap: building one allocates nothing, hearing a
+//! control packet allocates nothing, and a city world's live bytes per
+//! node stay within pinned bounds.
 //!
 //! A city world builds one `EnviroMicNode` per lamppost, 10k–100k of
-//! them, so every byte a node holds is paid once per node. Detached
-//! telemetry handles are shared per thread, and the flash store, the
-//! neighbour table and rare protocol state allocate on first use. This
-//! binary counts allocations and live heap bytes per thread with its own
-//! global allocator, and each test reads the change over its own work on
-//! its own thread, so tests running side by side do not disturb each
-//! other.
+//! them, so every byte a node holds is paid once per node, and every
+//! neighbour in range hears every packet. Detached telemetry handles are
+//! shared per thread, the wire codec's buffers are reused per thread, and
+//! the flash store, the neighbour table and rare protocol state allocate
+//! on first use. This binary counts allocations and live heap bytes per
+//! thread with its own global allocator, and each test reads the change
+//! over its own work on its own thread, so tests running side by side do
+//! not disturb each other.
 
-use enviromic::core::EnviroMicNode;
+use enviromic::core::{EnviroMicNode, NodeConfig};
+use enviromic::flash::{Chunk, ChunkMeta};
 use enviromic::harness::build_world;
+use enviromic::net::Message;
+use enviromic::runtime::MockRuntime;
 use enviromic::sweep::ScenarioSpec;
-use enviromic::types::SimDuration;
+use enviromic::types::{audio, EventId, NodeId, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hint::black_box;
 
 /// Forwards to the system allocator, counting this thread's allocations
 /// and its live heap bytes (allocated minus freed).
@@ -85,6 +91,77 @@ fn building_a_city_node_allocates_nothing() {
     let made = allocations() - before;
     assert_eq!(made, 0, "EnviroMicNode::new made {made} allocations");
     assert_eq!(node.stored_chunks(), 0);
+}
+
+/// A node hears these control messages in steady state and handles them
+/// in place: a neighbour's storage state, a time-sync beacon it has
+/// already seen, and a bulk-transfer ACK addressed to another node.
+#[test]
+fn hearing_control_packets_allocates_nothing() {
+    let mut node = EnviroMicNode::new(NodeConfig::default());
+    let mut rt = MockRuntime::new(NodeId(1));
+    rt.start(&mut node);
+    let neighbour = NodeId(2);
+    let envelopes = [
+        Message::StateUpdate {
+            ttl_secs: 120,
+            free_chunks: 40,
+            avg_free_pct: 62,
+        },
+        Message::TimeSync {
+            root: NodeId(0),
+            seq: 3,
+            ref_time: SimTime::from_jiffies(98_304),
+        },
+        Message::BulkAck {
+            to: NodeId(9),
+            session: 5,
+            seq: 2,
+        },
+    ]
+    .map(|m| (m.kind(), m.encode()));
+    // Warm-up: the first hearing admits the neighbour, takes the beacon
+    // (and queues its re-flood) and grows the thread's decode buffer.
+    for (_, bytes) in &envelopes {
+        assert!(rt.deliver_now(&mut node, neighbour, bytes));
+    }
+    for (kind, bytes) in &envelopes {
+        let before = allocations();
+        rt.deliver_now(&mut node, neighbour, bytes);
+        let made = allocations() - before;
+        assert_eq!(made, 0, "hearing {kind:?} made {made} allocations");
+    }
+}
+
+#[test]
+fn measuring_a_message_allocates_nothing() {
+    let chunk = Chunk::new(
+        ChunkMeta {
+            origin: NodeId(4),
+            event: Some(EventId::new(NodeId(2), 8)),
+            t_start: SimTime::from_jiffies(65_536),
+        },
+        vec![0x5A; audio::CHUNK_PAYLOAD_BYTES as usize],
+    );
+    let bulk = Message::BulkData {
+        to: NodeId(3),
+        session: 5,
+        seq: 1,
+        last: true,
+        chunk,
+    };
+    let state = Message::StateUpdate {
+        ttl_secs: 120,
+        free_chunks: 40,
+        avg_free_pct: 62,
+    };
+    // Warm-up: the longest message grows the thread's encode buffer.
+    let bulk_len = bulk.encoded_len();
+    let before = allocations();
+    assert_eq!(black_box(&bulk).encoded_len(), bulk_len);
+    black_box(black_box(&state).encoded_len());
+    let made = allocations() - before;
+    assert_eq!(made, 0, "encoded_len made {made} allocations");
 }
 
 /// Live heap bytes per node of a city-1k world at seed 42, counted from
