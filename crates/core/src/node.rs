@@ -52,6 +52,16 @@ const TIMER_TOKENS: usize = T_REPLY_PACE as usize;
 /// count handles up from 0 or 1, so none hands out this one.
 const UNARMED: TimerHandle = TimerHandle(u64::MAX);
 
+/// A delay drawn uniformly from `[0, max)` with the node's random
+/// source, for back-offs and staggers.
+///
+/// # Panics
+///
+/// Panics when `max` is zero.
+pub(crate) fn random_delay(ctx: &mut dyn Runtime, max: SimDuration) -> SimDuration {
+    SimDuration::from_jiffies(ctx.rng().gen_range(0..max.as_jiffies()))
+}
+
 /// An in-progress recording (task, prelude, or baseline interval).
 #[derive(Debug)]
 pub(crate) struct TaskRun {
@@ -522,10 +532,7 @@ impl EnviroMicNode {
         if !self.hearing {
             return;
         }
-        let first_beacon = {
-            let max = SENSING_PERIOD.as_jiffies().max(1);
-            SimDuration::from_jiffies(ctx.rng().gen_range(0..max))
-        };
+        let first_beacon = random_delay(ctx, SENSING_PERIOD);
         self.arm(ctx, T_SENSING, first_beacon);
         // Soft state from overheard control traffic: a node that starts
         // hearing an event already being recorded nearby adopts its file
@@ -545,10 +552,7 @@ impl EnviroMicNode {
                 if let Some((pending, seen_at)) = self.recent_resign {
                     if pending.event == event && ctx.now().saturating_since(seen_at) <= window {
                         self.pending_handoff = Some(pending);
-                        let backoff = {
-                            let max = HANDOFF_BACKOFF_MAX.as_jiffies().max(1);
-                            SimDuration::from_jiffies(ctx.rng().gen_range(0..max))
-                        };
+                        let backoff = random_delay(ctx, HANDOFF_BACKOFF_MAX);
                         self.arm(ctx, T_HANDOFF, backoff);
                     }
                 }
@@ -557,10 +561,7 @@ impl EnviroMicNode {
         }
         if self.leader.is_none() {
             self.metrics.elections_started.inc();
-            let backoff = {
-                let max = ELECTION_BACKOFF_MAX.as_jiffies().max(1);
-                SimDuration::from_jiffies(ctx.rng().gen_range(0..max))
-            };
+            let backoff = random_delay(ctx, ELECTION_BACKOFF_MAX);
             self.arm(ctx, T_ELECTION, backoff);
         }
     }
@@ -693,10 +694,7 @@ impl EnviroMicNode {
         // Radio is back on: resume SENSING beacons so the leader keeps an
         // up-to-date member list (§II-A.2).
         if self.cfg.mode.cooperative() && self.hearing && self.task.is_none() {
-            let jitter = {
-                let max = (SENSING_PERIOD.as_jiffies() / 4).max(1);
-                SimDuration::from_jiffies(ctx.rng().gen_range(0..max))
-            };
+            let jitter = random_delay(ctx, SENSING_PERIOD / 4);
             self.arm(ctx, T_SENSING, jitter);
         }
     }
@@ -710,17 +708,11 @@ impl Application for EnviroMicNode {
         self.policy_metrics = PolicyMetrics::attach(ctx.telemetry(), self.cfg.policy);
         // Stagger periodic services so co-located nodes do not self-
         // synchronize.
-        let state_stagger = {
-            let max = STATE_PERIOD.as_jiffies().max(1);
-            SimDuration::from_jiffies(ctx.rng().gen_range(0..max))
-        };
+        let state_stagger = random_delay(ctx, STATE_PERIOD);
         if self.cfg.mode.balancing() {
             self.arm(ctx, T_STATE, state_stagger);
         }
-        let rate_stagger = {
-            let max = RATE_PERIOD.as_jiffies().max(1);
-            SimDuration::from_jiffies(ctx.rng().gen_range(0..max))
-        };
+        let rate_stagger = random_delay(ctx, RATE_PERIOD);
         self.arm(ctx, T_RATE, rate_stagger);
         if self.cfg.mode.cooperative() {
             let sync_delay = self.beacons.next_due().saturating_since(ctx.now());

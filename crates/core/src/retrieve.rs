@@ -15,7 +15,8 @@
 
 use crate::config::{BULK_RETRIES, BULK_TIMEOUT};
 use crate::node::{
-    BulkPurpose, EnviroMicNode, OutboundBulk, PendingReply, T_REPLY_PACE, T_REPLY_START,
+    random_delay, BulkPurpose, EnviroMicNode, OutboundBulk, PendingReply, T_REPLY_PACE,
+    T_REPLY_START,
 };
 use enviromic_flash::{Chunk, ChunkStore};
 use enviromic_net::{
@@ -24,7 +25,6 @@ use enviromic_net::{
 use enviromic_runtime::{Application, Runtime, Timer};
 use enviromic_telemetry::Counter;
 use enviromic_types::{EventId, GapRange, NodeId, SimDuration, SimTime};
-use rand::Rng;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Spacing between unreliable tree-mode chunk uploads.
@@ -75,8 +75,7 @@ impl EnviroMicNode {
         }));
         // Stagger answers by node ID so the neighborhood does not answer
         // in one burst.
-        let jitter =
-            SimDuration::from_jiffies(ctx.rng().gen_range(0..ANSWER_STAGGER.as_jiffies().max(1)));
+        let jitter = random_delay(ctx, ANSWER_STAGGER);
         let delay = ANSWER_STAGGER * u64::from(self.me.0) + jitter;
         self.arm(ctx, T_REPLY_START, delay);
     }
@@ -598,12 +597,6 @@ impl RerequestPlan {
         self.batches.is_empty()
     }
 
-    /// True when `gap` lies entirely inside one of the plan's windows.
-    #[must_use]
-    pub fn covers(&self, t0: SimTime, t1: SimTime) -> bool {
-        self.batches.iter().any(|b| b.t0 <= t0 && t1 <= b.t1)
-    }
-
     /// The spanning-tree [`Message::Query`] floods realizing the plan,
     /// one per batch, with consecutive query IDs starting at
     /// `first_query_id`. Windowed (`all: false`) so answering nodes
@@ -674,7 +667,8 @@ mod tests {
             );
         }
         for g in &gaps {
-            assert!(plan.covers(g.t0, g.t1), "{g:?} covered");
+            let covered = plan.batches.iter().any(|b| b.t0 <= g.t0 && g.t1 <= b.t1);
+            assert!(covered, "{g:?} covered");
         }
         assert_eq!(plan.len(), 3, "0-3, 5-8, 20-21");
     }

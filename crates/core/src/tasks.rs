@@ -5,13 +5,12 @@ use crate::config::{
     CONFIRM_TIMEOUT, HANDOFF_BACKOFF_MAX, MAX_ASSIGN_ATTEMPTS, MEMBER_FRESHNESS, SENSING_PERIOD,
 };
 use crate::node::{
-    EnviroMicNode, LeaderState, PendingHandoff, T_ASSIGN, T_CONFIRM, T_ELECTION, T_HANDOFF,
-    T_SENSING, T_SYNC,
+    random_delay, EnviroMicNode, LeaderState, PendingHandoff, T_ASSIGN, T_CONFIRM, T_ELECTION,
+    T_HANDOFF, T_SENSING, T_SYNC,
 };
 use enviromic_net::Message;
 use enviromic_runtime::{RecordKind, Runtime, TraceEvent};
 use enviromic_types::{EventId, NodeId, SimDuration, SimTime};
-use rand::Rng;
 
 /// Delay before retrying a whole assignment round when every candidate
 /// failed to answer.
@@ -169,10 +168,7 @@ impl EnviroMicNode {
             next_assign_at: self.global_now(ctx),
             task_seq: self.last_seen_task_seq.wrapping_add(1),
         });
-        let backoff = {
-            let max = HANDOFF_BACKOFF_MAX.as_jiffies().max(1);
-            SimDuration::from_jiffies(ctx.rng().gen_range(0..max))
-        };
+        let backoff = random_delay(ctx, HANDOFF_BACKOFF_MAX);
         self.arm(ctx, T_HANDOFF, backoff);
     }
 
@@ -267,10 +263,7 @@ impl EnviroMicNode {
             next_assign_at,
             task_seq,
         });
-        let backoff = {
-            let max = HANDOFF_BACKOFF_MAX.as_jiffies().max(1);
-            SimDuration::from_jiffies(ctx.rng().gen_range(0..max))
-        };
+        let backoff = random_delay(ctx, HANDOFF_BACKOFF_MAX);
         self.arm(ctx, T_HANDOFF, backoff);
     }
 

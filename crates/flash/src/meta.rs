@@ -168,6 +168,11 @@ impl Chunk {
 
     /// Encodes the chunk into one flash block under the given store
     /// sequence number.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the origin, the event leader or `t_start` is wider
+    /// than its header field.
     #[must_use]
     pub fn encode(&self, store_seq: u32) -> [u8; BLOCK_BYTES] {
         let mut block = [0xFFu8; BLOCK_BYTES];
@@ -198,6 +203,10 @@ impl Chunk {
         block[8..10].copy_from_slice(&(ev_leader as u16).to_le_bytes());
         block[10..14].copy_from_slice(&ev_seq.to_le_bytes());
         let jiffies = self.meta.t_start.as_jiffies();
+        assert!(
+            jiffies < 1 << 48,
+            "t_start of {jiffies} jiffies exceeds the 48-bit flash block format"
+        );
         block[14..20].copy_from_slice(&jiffies.to_le_bytes()[..6]);
         block[20] = self.payload.len() as u8;
         // Origin bits 16-23; zero — the historical reserved byte — for
@@ -209,12 +218,14 @@ impl Chunk {
         block
     }
 
-    /// Decodes a chunk and its store sequence number from a flash block.
+    /// The store sequence number of the chunk in a flash block, once its
+    /// magic, payload length and checksum are checked; the payload is not
+    /// copied.
     ///
     /// # Errors
     ///
     /// See [`DecodeError`].
-    pub fn decode(block: &[u8; BLOCK_BYTES]) -> Result<(Chunk, u32), DecodeError> {
+    pub fn store_seq(block: &[u8; BLOCK_BYTES]) -> Result<u32, DecodeError> {
         if block[0] != MAGIC {
             return Err(DecodeError::NotAChunk);
         }
@@ -222,12 +233,21 @@ impl Chunk {
         if payload_len > audio::CHUNK_PAYLOAD_BYTES as usize {
             return Err(DecodeError::BadLength);
         }
-        let payload = &block[24..24 + payload_len];
         let stored_sum = u16::from_le_bytes([block[22], block[23]]);
-        if checksum(&block[..SUMMED_HEADER], payload) != stored_sum {
+        if checksum(&block[..SUMMED_HEADER], &block[24..24 + payload_len]) != stored_sum {
             return Err(DecodeError::BadChecksum);
         }
-        let store_seq = u32::from_le_bytes([block[2], block[3], block[4], block[5]]);
+        Ok(u32::from_le_bytes([block[2], block[3], block[4], block[5]]))
+    }
+
+    /// Decodes a chunk and its store sequence number from a flash block.
+    ///
+    /// # Errors
+    ///
+    /// See [`DecodeError`].
+    pub fn decode(block: &[u8; BLOCK_BYTES]) -> Result<(Chunk, u32), DecodeError> {
+        let store_seq = Chunk::store_seq(block)?;
+        let payload = &block[24..24 + block[20] as usize];
         let origin = NodeId::from(
             u32::from(u16::from_le_bytes([block[6], block[7]])) | (u32::from(block[21]) << 16),
         );
@@ -289,6 +309,28 @@ mod tests {
                     "payload of {} bytes", len
                 );
             }
+        }
+    }
+
+    proptest! {
+        /// Reading only the store sequence number accepts and rejects
+        /// exactly the blocks a whole decode does: a sound block, or one
+        /// with a byte flipped anywhere in it.
+        #[test]
+        fn store_seq_agrees_with_decode(
+            payload in collection::vec(any::<u8>(), 0..=FULL_PAYLOAD),
+            store_seq in any::<u32>(),
+            flip in proptest::option::of((0..BLOCK_BYTES, 1..=u8::MAX)),
+        ) {
+            let meta = sample_chunk(Some(EventId::new(NodeId(3), 99))).meta;
+            let mut block = Chunk::new(meta, payload).encode(store_seq);
+            if let Some((at, mask)) = flip {
+                block[at] ^= mask;
+            }
+            prop_assert_eq!(
+                Chunk::store_seq(&block),
+                Chunk::decode(&block).map(|(_, seq)| seq)
+            );
         }
     }
 
@@ -432,6 +474,20 @@ mod tests {
                 origin: NodeId(1 << 24),
                 event: None,
                 t_start: SimTime::ZERO,
+            },
+            vec![],
+        );
+        let _ = c.encode(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "48-bit flash block format")]
+    fn oversized_t_start_panics() {
+        let c = Chunk::new(
+            ChunkMeta {
+                origin: NodeId(0),
+                event: None,
+                t_start: SimTime::from_jiffies(1 << 48),
             },
             vec![],
         );

@@ -252,8 +252,8 @@ impl ChunkStore {
         self.flash
             .read_block(self.head)
             .ok()
-            .and_then(|b| Chunk::decode(b).ok())
-            .map_or(self.next_store_seq, |(_, seq)| seq)
+            .and_then(|b| Chunk::store_seq(b).ok())
+            .unwrap_or(self.next_store_seq)
     }
 
     fn make_checkpoint(&self) -> Checkpoint {
@@ -418,8 +418,7 @@ impl ChunkStore {
                 flash
                     .read_block(idx)
                     .ok()
-                    .and_then(|b| Chunk::decode(b).ok())
-                    .map(|(_, seq)| seq)
+                    .and_then(|b| Chunk::store_seq(b).ok())
                     .filter(|&seq| seq >= prune)
             };
             seqs.push(seq);

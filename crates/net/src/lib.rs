@@ -5,7 +5,10 @@
 //! * [`Message`] and the compact wire codec ([`encode_envelope`] /
 //!   [`with_envelope`]) — every protocol message §II and §III mention,
 //!   envelope-packed so the piggybacking broadcast module can share radio
-//!   packets, encoded and decoded through per-thread scratch buffers;
+//!   packets, encoded and decoded through per-thread scratch buffers. The
+//!   format is written once, as one list of the messages with their
+//!   fields in wire order, from which the encoder, the decoder and
+//!   [`Message::kind`] are generated;
 //! * [`NeighborTable`] — overheard soft state (member lists, TTLs);
 //! * [`PiggybackQueue`] — the neighborhood broadcast module's piggybacking
 //!   core (§III-A);

@@ -8,7 +8,9 @@
 //! Multiple messages can share one radio packet: the neighborhood broadcast
 //! module piggybacks delay-tolerant messages onto delay-sensitive ones
 //! (§III-A), so the unit of encoding is an *envelope* of messages
-//! ([`encode_envelope`] / [`decode_envelope`]).
+//! ([`encode_envelope`] / [`decode_envelope`]). Each message's format is
+//! one line of the `wire_messages!` list below the enum: its fields in
+//! wire order.
 
 use crate::wire::{Reader, WireError, Writer};
 use enviromic_flash::{Chunk, ChunkMeta, MAX_LEADER_ID, MAX_ORIGIN_ID};
@@ -205,11 +207,110 @@ fn tag_kind(tag: u8) -> Option<MsgKind> {
     MsgKind::ALL.get(usize::from(tag).checked_sub(1)?).copied()
 }
 
+/// Writes [`Message::kind`] and the codec's per-message encoder and
+/// decoder from one list of the variants, each with its fields in wire
+/// order. A message is its kind's [`wire_tag`] followed by its fields,
+/// each in its type's [`Wire`] format. The list binds every field by
+/// name, so a variant or field missing from it does not compile.
+macro_rules! wire_messages {
+    ($($variant:ident { $($field:ident),* }),+ $(,)?) => {
+        impl Message {
+            /// The message's kind, for tracing and message censuses (Fig. 12).
+            #[must_use]
+            pub fn kind(&self) -> MsgKind {
+                match self {
+                    $(Message::$variant { .. } => MsgKind::$variant,)+
+                }
+            }
+
+            fn encode_into(&self, w: &mut Writer) {
+                w.u8(wire_tag(self.kind()));
+                match self {
+                    $(Message::$variant { $($field),* } => {
+                        $($field.write(w);)*
+                    })+
+                }
+            }
+
+            fn decode_from(r: &mut Reader<'_>) -> Result<Message, WireError> {
+                let at = r.position();
+                let kind = tag_kind(r.u8()?).ok_or(WireError {
+                    at,
+                    expected: "known message tag",
+                })?;
+                Ok(match kind {
+                    $(MsgKind::$variant => Message::$variant {
+                        $($field: Wire::read(r)?),*
+                    },)+
+                })
+            }
+        }
+    };
+}
+
+wire_messages! {
+    Sensing { event, level, has_prelude, ttl_secs },
+    LeaderAnnounce { event },
+    Resign { event, next_assign_at, task_seq },
+    TaskRequest { event, recorder, task_seq, duration, leader_time, keep_prelude },
+    TaskConfirm { event, recorder, task_seq },
+    TaskReject { event, recorder, task_seq },
+    StateUpdate { ttl_secs, free_chunks, avg_free_pct },
+    MigrateOffer { to, chunks, session },
+    MigrateAccept { to, session, granted },
+    BulkData { to, session, seq, last, chunk },
+    BulkAck { to, session, seq },
+    TimeSync { root, seq, ref_time },
+    TreeBuild { root, build_id, hops },
+    Query { root, query_id, t0, t1, all },
+    QueryData { to, root, query_id, chunk },
+    QueryDone { to, root, query_id, source, sent },
+}
+
+/// A message field type and its wire format.
+///
+/// The node-ID, event-ID and option formats are `#[inline]`: most fields
+/// go through them, and called out of line they cost about a tenth of a
+/// message's encoding time.
+trait Wire: Sized {
+    fn write(&self, w: &mut Writer);
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
+/// Fields that the [`Writer`] and [`Reader`] method of the given name
+/// carry as they are.
+macro_rules! wire_by_method {
+    ($($ty:ty => $method:ident),+ $(,)?) => {
+        $(impl Wire for $ty {
+            fn write(&self, w: &mut Writer) {
+                w.$method(*self);
+            }
+
+            fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                r.$method()
+            }
+        })+
+    };
+}
+
+wire_by_method!(u8 => u8, u16 => u16, u32 => u32, SimTime => time, SimDuration => duration);
+
+/// One byte, 1 for true; any byte but 0 reads as true.
+impl Wire for bool {
+    fn write(&self, w: &mut Writer) {
+        w.u8(u8::from(*self));
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(r.u8()? != 0)
+    }
+}
+
 /// Escape sentinel for the node-ID wire format: a 16-bit ID equal to the
 /// sentinel means "the real 32-bit ID follows".
 const NODE_ID_ESCAPE: u16 = 0xFFFF;
 
-/// Writes a node ID in the escape-coded radio wire format.
+/// The escape-coded node ID.
 ///
 /// IDs below `0xFFFF` keep the classic two-byte encoding — byte-for-byte
 /// identical to the historical fixed-u16 format, so every packet in a
@@ -218,399 +319,124 @@ const NODE_ID_ESCAPE: u16 = 0xFFFF;
 /// `0xFFFF` and above are written as the two-byte sentinel followed by the
 /// full 32-bit ID, letting 100k-node worlds communicate at the cost of
 /// four extra bytes on only those packets that actually name a large ID.
-fn write_node(w: &mut Writer, id: NodeId) {
-    let raw = u32::from(id);
-    if raw < u32::from(NODE_ID_ESCAPE) {
-        w.u16(raw as u16);
-    } else {
-        w.u16(NODE_ID_ESCAPE);
-        w.u32(raw);
-    }
-}
-
-/// Reads a node ID in the escape-coded wire format (see [`write_node`]).
-fn read_node(r: &mut Reader<'_>) -> Result<NodeId, WireError> {
-    let lo = r.u16()?;
-    if lo < NODE_ID_ESCAPE {
-        Ok(NodeId::from(lo))
-    } else {
-        Ok(NodeId::from(r.u32()?))
-    }
-}
-
-fn write_event(w: &mut Writer, event: EventId) {
-    write_node(w, event.leader());
-    w.u32(event.seq());
-}
-
-fn read_event(r: &mut Reader<'_>) -> Result<EventId, WireError> {
-    let leader = read_node(r)?;
-    let seq = r.u32()?;
-    Ok(EventId::new(leader, seq))
-}
-
-fn write_opt_event(w: &mut Writer, event: Option<EventId>) {
-    match event {
-        Some(ev) => {
-            w.u8(1);
-            write_event(w, ev);
+impl Wire for NodeId {
+    #[inline]
+    fn write(&self, w: &mut Writer) {
+        let raw = u32::from(*self);
+        if raw < u32::from(NODE_ID_ESCAPE) {
+            w.u16(raw as u16);
+        } else {
+            w.u16(NODE_ID_ESCAPE);
+            w.u32(raw);
         }
-        None => w.u8(0),
+    }
+
+    #[inline]
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let lo = r.u16()?;
+        if lo < NODE_ID_ESCAPE {
+            Ok(NodeId::from(lo))
+        } else {
+            Ok(NodeId::from(r.u32()?))
+        }
     }
 }
 
-fn read_opt_event(r: &mut Reader<'_>) -> Result<Option<EventId>, WireError> {
-    Ok(match r.u8()? {
-        0 => None,
-        _ => Some(read_event(r)?),
-    })
+/// The leader's node ID, then the sequence number.
+impl Wire for EventId {
+    #[inline]
+    fn write(&self, w: &mut Writer) {
+        self.leader().write(w);
+        self.seq().write(w);
+    }
+
+    #[inline]
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let leader = NodeId::read(r)?;
+        let seq = u32::read(r)?;
+        Ok(EventId::new(leader, seq))
+    }
 }
 
-fn write_chunk(w: &mut Writer, chunk: &Chunk) {
-    write_node(w, chunk.meta.origin);
-    write_opt_event(w, chunk.meta.event);
-    w.time(chunk.meta.t_start);
-    w.bytes8(&chunk.payload);
+/// A presence byte, 1 for `Some`, then the value; any byte but 0 reads
+/// as `Some`.
+impl<T: Wire> Wire for Option<T> {
+    #[inline]
+    fn write(&self, w: &mut Writer) {
+        match self {
+            Some(v) => {
+                w.u8(1);
+                v.write(w);
+            }
+            None => w.u8(0),
+        }
+    }
+
+    #[inline]
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match r.u8()? {
+            0 => None,
+            _ => Some(T::read(r)?),
+        })
+    }
 }
 
-/// Reads a chunk, rejecting IDs wider than the flash header that will
-/// store it can hold (`Chunk::encode` would panic on them).
-fn read_chunk(r: &mut Reader<'_>) -> Result<Chunk, WireError> {
-    let at = r.position();
-    let origin = read_node(r)?;
-    if u32::from(origin) > MAX_ORIGIN_ID {
-        return Err(WireError {
-            at,
-            expected: "chunk origin within the 24-bit flash header",
-        });
+/// The chunk's origin, event and start time, then its payload with a
+/// one-byte length. Reading rejects IDs wider than the flash header that
+/// will store the chunk can hold (`Chunk::encode` would panic on them)
+/// and payloads longer than one block's.
+impl Wire for Chunk {
+    fn write(&self, w: &mut Writer) {
+        self.meta.origin.write(w);
+        self.meta.event.write(w);
+        self.meta.t_start.write(w);
+        w.bytes8(&self.payload);
     }
-    let at = r.position();
-    let event = read_opt_event(r)?;
-    if event.is_some_and(|ev| u32::from(ev.leader()) > MAX_LEADER_ID) {
-        return Err(WireError {
-            at,
-            expected: "event leader within the 23-bit flash header",
-        });
+
+    fn read(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let at = r.position();
+        let origin = NodeId::read(r)?;
+        if u32::from(origin) > MAX_ORIGIN_ID {
+            return Err(WireError {
+                at,
+                expected: "chunk origin within the 24-bit flash header",
+            });
+        }
+        let at = r.position();
+        let event = Option::<EventId>::read(r)?;
+        if event.is_some_and(|ev| u32::from(ev.leader()) > MAX_LEADER_ID) {
+            return Err(WireError {
+                at,
+                expected: "event leader within the 23-bit flash header",
+            });
+        }
+        let t_start = SimTime::read(r)?;
+        let at = r.position();
+        let payload = r.bytes8()?;
+        if payload.len() > enviromic_types::audio::CHUNK_PAYLOAD_BYTES as usize {
+            return Err(WireError {
+                at,
+                expected: "chunk payload within one block",
+            });
+        }
+        Ok(Chunk::new(
+            ChunkMeta {
+                origin,
+                event,
+                t_start,
+            },
+            payload.to_vec(),
+        ))
     }
-    let t_start = r.time()?;
-    let at = r.position();
-    let payload = r.bytes8()?.to_vec();
-    if payload.len() > enviromic_types::audio::CHUNK_PAYLOAD_BYTES as usize {
-        return Err(WireError {
-            at,
-            expected: "chunk payload within one block",
-        });
-    }
-    Ok(Chunk::new(
-        ChunkMeta {
-            origin,
-            event,
-            t_start,
-        },
-        payload,
-    ))
 }
 
 impl Message {
-    /// The message's kind, for tracing and message censuses (Fig. 12).
-    #[must_use]
-    pub fn kind(&self) -> MsgKind {
-        match self {
-            Message::Sensing { .. } => MsgKind::Sensing,
-            Message::LeaderAnnounce { .. } => MsgKind::LeaderAnnounce,
-            Message::Resign { .. } => MsgKind::Resign,
-            Message::TaskRequest { .. } => MsgKind::TaskRequest,
-            Message::TaskConfirm { .. } => MsgKind::TaskConfirm,
-            Message::TaskReject { .. } => MsgKind::TaskReject,
-            Message::StateUpdate { .. } => MsgKind::StateUpdate,
-            Message::MigrateOffer { .. } => MsgKind::MigrateOffer,
-            Message::MigrateAccept { .. } => MsgKind::MigrateAccept,
-            Message::BulkData { .. } => MsgKind::BulkData,
-            Message::BulkAck { .. } => MsgKind::BulkAck,
-            Message::TimeSync { .. } => MsgKind::TimeSync,
-            Message::TreeBuild { .. } => MsgKind::TreeBuild,
-            Message::Query { .. } => MsgKind::Query,
-            Message::QueryData { .. } => MsgKind::QueryData,
-            Message::QueryDone { .. } => MsgKind::QueryDone,
-        }
-    }
-
     /// True for messages the sender must get on the air immediately
     /// (task management); false for delay-tolerant traffic that may wait
     /// for a piggybacking opportunity (§III-A).
     #[must_use]
     pub fn is_delay_sensitive(&self) -> bool {
         !matches!(self, Message::StateUpdate { .. } | Message::TimeSync { .. })
-    }
-
-    fn encode_into(&self, w: &mut Writer) {
-        w.u8(wire_tag(self.kind()));
-        match self {
-            Message::Sensing {
-                event,
-                level,
-                has_prelude,
-                ttl_secs,
-            } => {
-                write_opt_event(w, *event);
-                w.u8(*level);
-                w.u8(u8::from(*has_prelude));
-                w.u32(*ttl_secs);
-            }
-            Message::LeaderAnnounce { event } => {
-                write_event(w, *event);
-            }
-            Message::Resign {
-                event,
-                next_assign_at,
-                task_seq,
-            } => {
-                write_event(w, *event);
-                w.time(*next_assign_at);
-                w.u32(*task_seq);
-            }
-            Message::TaskRequest {
-                event,
-                recorder,
-                task_seq,
-                duration,
-                leader_time,
-                keep_prelude,
-            } => {
-                write_event(w, *event);
-                write_node(w, *recorder);
-                w.u32(*task_seq);
-                w.duration(*duration);
-                w.time(*leader_time);
-                match keep_prelude {
-                    Some(n) => {
-                        w.u8(1);
-                        write_node(w, *n);
-                    }
-                    None => w.u8(0),
-                }
-            }
-            Message::TaskConfirm {
-                event,
-                recorder,
-                task_seq,
-            } => {
-                write_event(w, *event);
-                write_node(w, *recorder);
-                w.u32(*task_seq);
-            }
-            Message::TaskReject {
-                event,
-                recorder,
-                task_seq,
-            } => {
-                write_event(w, *event);
-                write_node(w, *recorder);
-                w.u32(*task_seq);
-            }
-            Message::StateUpdate {
-                ttl_secs,
-                free_chunks,
-                avg_free_pct,
-            } => {
-                w.u32(*ttl_secs);
-                w.u32(*free_chunks);
-                w.u8(*avg_free_pct);
-            }
-            Message::MigrateOffer {
-                to,
-                chunks,
-                session,
-            } => {
-                write_node(w, *to);
-                w.u16(*chunks);
-                w.u32(*session);
-            }
-            Message::MigrateAccept {
-                to,
-                session,
-                granted,
-            } => {
-                write_node(w, *to);
-                w.u32(*session);
-                w.u16(*granted);
-            }
-            Message::BulkData {
-                to,
-                session,
-                seq,
-                last,
-                chunk,
-            } => {
-                write_node(w, *to);
-                w.u32(*session);
-                w.u16(*seq);
-                w.u8(u8::from(*last));
-                write_chunk(w, chunk);
-            }
-            Message::BulkAck { to, session, seq } => {
-                write_node(w, *to);
-                w.u32(*session);
-                w.u16(*seq);
-            }
-            Message::TimeSync {
-                root,
-                seq,
-                ref_time,
-            } => {
-                write_node(w, *root);
-                w.u32(*seq);
-                w.time(*ref_time);
-            }
-            Message::TreeBuild {
-                root,
-                build_id,
-                hops,
-            } => {
-                write_node(w, *root);
-                w.u32(*build_id);
-                w.u8(*hops);
-            }
-            Message::Query {
-                root,
-                query_id,
-                t0,
-                t1,
-                all,
-            } => {
-                write_node(w, *root);
-                w.u32(*query_id);
-                w.time(*t0);
-                w.time(*t1);
-                w.u8(u8::from(*all));
-            }
-            Message::QueryData {
-                to,
-                root,
-                query_id,
-                chunk,
-            } => {
-                write_node(w, *to);
-                write_node(w, *root);
-                w.u32(*query_id);
-                write_chunk(w, chunk);
-            }
-            Message::QueryDone {
-                to,
-                root,
-                query_id,
-                source,
-                sent,
-            } => {
-                write_node(w, *to);
-                write_node(w, *root);
-                w.u32(*query_id);
-                write_node(w, *source);
-                w.u32(*sent);
-            }
-        }
-    }
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<Message, WireError> {
-        let at = r.position();
-        let kind = tag_kind(r.u8()?).ok_or(WireError {
-            at,
-            expected: "known message tag",
-        })?;
-        Ok(match kind {
-            MsgKind::Sensing => Message::Sensing {
-                event: read_opt_event(r)?,
-                level: r.u8()?,
-                has_prelude: r.u8()? != 0,
-                ttl_secs: r.u32()?,
-            },
-            MsgKind::LeaderAnnounce => Message::LeaderAnnounce {
-                event: read_event(r)?,
-            },
-            MsgKind::Resign => Message::Resign {
-                event: read_event(r)?,
-                next_assign_at: r.time()?,
-                task_seq: r.u32()?,
-            },
-            MsgKind::TaskRequest => Message::TaskRequest {
-                event: read_event(r)?,
-                recorder: read_node(r)?,
-                task_seq: r.u32()?,
-                duration: r.duration()?,
-                leader_time: r.time()?,
-                keep_prelude: match r.u8()? {
-                    0 => None,
-                    _ => Some(read_node(r)?),
-                },
-            },
-            MsgKind::TaskConfirm => Message::TaskConfirm {
-                event: read_event(r)?,
-                recorder: read_node(r)?,
-                task_seq: r.u32()?,
-            },
-            MsgKind::TaskReject => Message::TaskReject {
-                event: read_event(r)?,
-                recorder: read_node(r)?,
-                task_seq: r.u32()?,
-            },
-            MsgKind::StateUpdate => Message::StateUpdate {
-                ttl_secs: r.u32()?,
-                free_chunks: r.u32()?,
-                avg_free_pct: r.u8()?,
-            },
-            MsgKind::MigrateOffer => Message::MigrateOffer {
-                to: read_node(r)?,
-                chunks: r.u16()?,
-                session: r.u32()?,
-            },
-            MsgKind::MigrateAccept => Message::MigrateAccept {
-                to: read_node(r)?,
-                session: r.u32()?,
-                granted: r.u16()?,
-            },
-            MsgKind::BulkData => Message::BulkData {
-                to: read_node(r)?,
-                session: r.u32()?,
-                seq: r.u16()?,
-                last: r.u8()? != 0,
-                chunk: read_chunk(r)?,
-            },
-            MsgKind::BulkAck => Message::BulkAck {
-                to: read_node(r)?,
-                session: r.u32()?,
-                seq: r.u16()?,
-            },
-            MsgKind::TimeSync => Message::TimeSync {
-                root: read_node(r)?,
-                seq: r.u32()?,
-                ref_time: r.time()?,
-            },
-            MsgKind::TreeBuild => Message::TreeBuild {
-                root: read_node(r)?,
-                build_id: r.u32()?,
-                hops: r.u8()?,
-            },
-            MsgKind::Query => Message::Query {
-                root: read_node(r)?,
-                query_id: r.u32()?,
-                t0: r.time()?,
-                t1: r.time()?,
-                all: r.u8()? != 0,
-            },
-            MsgKind::QueryData => Message::QueryData {
-                to: read_node(r)?,
-                root: read_node(r)?,
-                query_id: r.u32()?,
-                chunk: read_chunk(r)?,
-            },
-            MsgKind::QueryDone => Message::QueryDone {
-                to: read_node(r)?,
-                root: read_node(r)?,
-                query_id: r.u32()?,
-                source: read_node(r)?,
-                sent: r.u32()?,
-            },
-        })
     }
 
     /// Encodes one message as a single-entry envelope.
@@ -830,6 +656,41 @@ mod tests {
             let bytes = m.encode();
             let decoded = decode_envelope(&bytes).unwrap();
             assert_eq!(decoded, vec![m]);
+        }
+    }
+
+    /// The exact bytes of every [`all_messages`] entry as a one-message
+    /// envelope: the count byte, the wire tag, then the fields in order.
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        const PINNED: [&str; 17] = [
+            "010101010002000000b401100e0000",
+            "0101002800ffffffff",
+            "0102090001000000",
+            "01030900010000002b02000000000c000000",
+            "010409000100000004000d00000000800000e70300000000010700",
+            "010509000100000004000d000000",
+            "010609000100000004000d000000",
+            "0107780000000002000049",
+            "0108030010004d000000",
+            "010902004d0000000800",
+            "010a03004d00000004000005000102000800000040420f00000040\
+             09090909090909090909090909090909090909090909090909090909090909090\
+             909090909090909090909090909090909090909090909090909090909090909",
+            "010b02004d0000000400",
+            "010c00002a0000007b0000000000",
+            "010d00000300000002",
+            "010e00000600000000000000000000000000000101",
+            "010f010000000600000005000102000800000040420f00000040\
+             09090909090909090909090909090909090909090909090909090909090909090\
+             909090909090909090909090909090909090909090909090909090909090909",
+            "01100100000006000000090064000000",
+        ];
+        let messages = all_messages();
+        assert_eq!(messages.len(), PINNED.len());
+        for (m, pinned) in messages.iter().zip(PINNED) {
+            let hex: String = m.encode().iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, pinned, "{:?}", m.kind());
         }
     }
 

@@ -3,7 +3,8 @@
 //! Mote radios move every byte at 250 kbps and every byte costs energy, so
 //! the codec is a compact hand-rolled little-endian format rather than a
 //! general-purpose serializer. Timestamps travel as 48-bit jiffy counts
-//! (enough for 272 years), durations as 32-bit jiffy counts (36 hours).
+//! (enough for 272 years), durations as 32-bit jiffy counts (36 hours);
+//! longer ones saturate.
 
 use enviromic_types::{SimDuration, SimTime};
 use std::cell::Cell;
@@ -106,9 +107,9 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes()[..6]);
     }
 
-    /// Appends a timestamp as 48-bit jiffies.
+    /// Appends a timestamp as 48-bit jiffies (saturating).
     pub fn time(&mut self, t: SimTime) {
-        self.u48(t.as_jiffies());
+        self.u48(t.as_jiffies().min((1 << 48) - 1));
     }
 
     /// Appends a duration as 32-bit jiffies (saturating).
@@ -283,6 +284,15 @@ mod tests {
         let bytes = written(|w| w.duration(SimDuration::from_jiffies(u64::MAX)));
         let mut r = Reader::new(&bytes);
         assert_eq!(r.duration().unwrap().as_jiffies(), u64::from(u32::MAX));
+    }
+
+    #[test]
+    fn oversized_time_saturates() {
+        for jiffies in [1 << 48, u64::MAX] {
+            let bytes = written(|w| w.time(SimTime::from_jiffies(jiffies)));
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.time().unwrap().as_jiffies(), (1 << 48) - 1, "{jiffies}");
+        }
     }
 
     #[test]

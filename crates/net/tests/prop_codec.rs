@@ -2,7 +2,8 @@
 //! in arbitrary envelope groupings, and the decoder never panics on junk
 //! or truncated input. Node IDs mix the two-byte form with the
 //! escape-coded wide form (sentinel plus `u32`); chunk IDs stay within
-//! the flash header's widths, and wider ones are rejected.
+//! the flash header's widths, and wider ones are rejected. Times range
+//! over all of `u64` and come back saturated at the wire's 48 bits.
 
 use enviromic_flash::{Chunk, ChunkMeta, MAX_LEADER_ID, MAX_ORIGIN_ID};
 use enviromic_net::{decode_envelope, encode_envelope, Message};
@@ -25,8 +26,35 @@ fn arb_event() -> impl Strategy<Value = EventId> {
     (arb_node(), any::<u32>()).prop_map(|(l, s)| EventId::new(l, s))
 }
 
+/// The latest time the wire carries, in jiffies; later ones saturate.
+const WIRE_TIME_MAX: u64 = (1 << 48) - 1;
+
+/// Any time: half the draws fit the wire's 48 bits, half range over all
+/// of `u64`.
 fn arb_time() -> impl Strategy<Value = SimTime> {
-    (0u64..(1 << 48)).prop_map(SimTime::from_jiffies)
+    prop_oneof![0..=WIRE_TIME_MAX, any::<u64>()].prop_map(SimTime::from_jiffies)
+}
+
+/// `m` as a wire round trip returns it: every time saturated at
+/// [`WIRE_TIME_MAX`].
+fn on_air(mut m: Message) -> Message {
+    let saturate = |t: &mut SimTime| *t = SimTime::from_jiffies(t.as_jiffies().min(WIRE_TIME_MAX));
+    match &mut m {
+        Message::Resign {
+            next_assign_at: t, ..
+        }
+        | Message::TaskRequest { leader_time: t, .. }
+        | Message::TimeSync { ref_time: t, .. } => saturate(t),
+        Message::Query { t0, t1, .. } => {
+            saturate(t0);
+            saturate(t1);
+        }
+        Message::BulkData { chunk, .. } | Message::QueryData { chunk, .. } => {
+            saturate(&mut chunk.meta.t_start);
+        }
+        _ => {}
+    }
+    m
 }
 
 fn arb_duration() -> impl Strategy<Value = SimDuration> {
@@ -207,13 +235,14 @@ proptest! {
     #[test]
     fn single_message_round_trips(m in arb_message()) {
         let bytes = m.encode();
-        prop_assert_eq!(decode_envelope(&bytes).unwrap(), vec![m]);
+        prop_assert_eq!(decode_envelope(&bytes).unwrap(), vec![on_air(m)]);
     }
 
     #[test]
     fn envelopes_round_trip(msgs in proptest::collection::vec(arb_message(), 0..12)) {
         let bytes = encode_envelope(&msgs);
-        prop_assert_eq!(decode_envelope(&bytes).unwrap(), msgs);
+        let expected: Vec<Message> = msgs.into_iter().map(on_air).collect();
+        prop_assert_eq!(decode_envelope(&bytes).unwrap(), expected);
     }
 
     #[test]

@@ -272,23 +272,64 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// Every [`TraceEvent::kind_name`], one per variant.
-    pub const KIND_NAMES: [&'static str; 12] = [
-        "Recorded",
-        "RecordDropped",
-        "Erased",
-        "MessageSent",
-        "ChunkStored",
-        "ChunkRemoved",
-        "Migrated",
-        "LeaderElected",
-        "Occupancy",
-        "SourceStarted",
-        "SourceStopped",
-        "FaultInjected",
-    ];
+/// Writes [`TraceEvent::KIND_NAMES`], [`TraceEvent::kind_name`] and the
+/// digest's fold from one list of the variants, each with its fields in
+/// declaration order, which is the order `{:?}` renders them in.
+macro_rules! trace_variants {
+    ($($variant:ident { $first:ident $(, $field:ident)* }),+ $(,)?) => {
+        impl TraceEvent {
+            /// Every [`TraceEvent::kind_name`], one per variant.
+            pub const KIND_NAMES: &'static [&'static str] = &[$(stringify!($variant)),+];
 
+            /// The record's variant name (the `trace` explorer's `--kind`
+            /// vocabulary).
+            #[must_use]
+            pub fn kind_name(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$variant { .. } => stringify!($variant),)+
+                }
+            }
+        }
+
+        impl Fnv1a {
+            /// Folds in the `{:?}` rendering of `record` as literal field
+            /// text and integer digits, without going through `core::fmt`.
+            /// That rendering stays the digest's definition: the tests
+            /// compare this fold with `format!("{record:?}")` for every
+            /// variant.
+            fn fold(&mut self, record: &TraceEvent) {
+                match *record {
+                    $(TraceEvent::$variant { $first, $($field),* } => {
+                        self.str(concat!(stringify!($variant), " { ", stringify!($first), ": "));
+                        $first.fold_debug(self);
+                        $(
+                            self.str(concat!(", ", stringify!($field), ": "));
+                            $field.fold_debug(self);
+                        )*
+                        self.str(" }");
+                    })+
+                }
+            }
+        }
+    };
+}
+
+trace_variants! {
+    Recorded { node, event, t0, t1, bytes, kind },
+    RecordDropped { node, t0, t1, reason },
+    Erased { node, t0, t1, bytes },
+    MessageSent { node, kind, bytes, t },
+    ChunkStored { node, origin, event, audio_t0, audio_t1, bytes, t },
+    ChunkRemoved { node, origin, audio_t0, audio_t1, t },
+    Migrated { from, to, chunks, bytes, duplicated, t },
+    LeaderElected { node, event, handoff, t },
+    Occupancy { node, used, capacity, t },
+    SourceStarted { source, t },
+    SourceStopped { source, t },
+    FaultInjected { kind, node, t },
+}
+
+impl TraceEvent {
     /// The global-clock time the record refers to (interval records use
     /// their start).
     #[must_use]
@@ -306,26 +347,6 @@ impl TraceEvent {
             | TraceEvent::SourceStarted { t, .. }
             | TraceEvent::SourceStopped { t, .. }
             | TraceEvent::FaultInjected { t, .. } => t,
-        }
-    }
-
-    /// The record's variant name (the `trace` explorer's `--kind`
-    /// vocabulary).
-    #[must_use]
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            TraceEvent::Recorded { .. } => "Recorded",
-            TraceEvent::RecordDropped { .. } => "RecordDropped",
-            TraceEvent::Erased { .. } => "Erased",
-            TraceEvent::MessageSent { .. } => "MessageSent",
-            TraceEvent::ChunkStored { .. } => "ChunkStored",
-            TraceEvent::ChunkRemoved { .. } => "ChunkRemoved",
-            TraceEvent::Migrated { .. } => "Migrated",
-            TraceEvent::LeaderElected { .. } => "LeaderElected",
-            TraceEvent::Occupancy { .. } => "Occupancy",
-            TraceEvent::SourceStarted { .. } => "SourceStarted",
-            TraceEvent::SourceStopped { .. } => "SourceStopped",
-            TraceEvent::FaultInjected { .. } => "FaultInjected",
         }
     }
 
@@ -504,25 +525,6 @@ impl Trace {
 #[derive(Debug, Clone, Copy)]
 struct Fnv1a(u64);
 
-/// Folds the `{:?}` rendering of a [`TraceEvent`] struct variant: its
-/// name, then each field as `name: value` in the order listed, which
-/// must be the declaration order.
-macro_rules! fold_variants {
-    ($h:ident, $record:expr; $($variant:ident { $first:ident $(, $field:ident)* }),+ $(,)?) => {
-        match *$record {
-            $(TraceEvent::$variant { $first, $($field),* } => {
-                $h.str(concat!(stringify!($variant), " { ", stringify!($first), ": "));
-                $first.fold_debug($h);
-                $(
-                    $h.str(concat!(", ", stringify!($field), ": "));
-                    $field.fold_debug($h);
-                )*
-                $h.str(" }");
-            })+
-        }
-    };
-}
-
 impl Fnv1a {
     fn new() -> Self {
         Fnv1a(0xCBF2_9CE4_8422_2325)
@@ -552,28 +554,6 @@ impl Fnv1a {
             }
         }
         self.bytes(&digits[at..]);
-    }
-
-    /// Folds in the `{:?}` rendering of `record` as literal field text
-    /// and integer digits, without going through `core::fmt`. That
-    /// rendering stays the digest's definition: the tests compare this
-    /// fold with `format!("{record:?}")` for every variant.
-    fn fold(&mut self, record: &TraceEvent) {
-        let h = self;
-        fold_variants!(h, record;
-            Recorded { node, event, t0, t1, bytes, kind },
-            RecordDropped { node, t0, t1, reason },
-            Erased { node, t0, t1, bytes },
-            MessageSent { node, kind, bytes, t },
-            ChunkStored { node, origin, event, audio_t0, audio_t1, bytes, t },
-            ChunkRemoved { node, origin, audio_t0, audio_t1, t },
-            Migrated { from, to, chunks, bytes, duplicated, t },
-            LeaderElected { node, event, handoff, t },
-            Occupancy { node, used, capacity, t },
-            SourceStarted { source, t },
-            SourceStopped { source, t },
-            FaultInjected { kind, node, t },
-        );
     }
 }
 
